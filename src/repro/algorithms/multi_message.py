@@ -115,6 +115,16 @@ class GklnMultiMessageProcess(Process):
         self._known = {message.payload for message in self._queue}
         self._all_known: list[Message] = list(self._queue)
         self._head_start: Optional[int] = 0 if self._queue else None
+        self._plans: dict[tuple[float, int], RoundPlan] = {}
+
+    def _plan(self, probability: float, message: Message) -> RoundPlan:
+        """Plans are immutable, so each is built and validated once;
+        known messages are never dropped, so their ids stay valid keys."""
+        key = (probability, id(message))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = RoundPlan(probability=probability, message=message)
+        return plan
 
     def _advance(self, round_index: int) -> None:
         """Fold elapsed ack windows: every full window pops its head."""
@@ -139,10 +149,9 @@ class GklnMultiMessageProcess(Process):
             message = self._background(round_index)
             if message is None:
                 return RoundPlan.silence()
-            return RoundPlan(probability=self.persist_probability, message=message)
+            return self._plan(self.persist_probability, message)
         slot = round_index - start
-        probability = 2.0 ** (-(slot % self.rungs) - 1)
-        return RoundPlan(probability=probability, message=self._queue[0])
+        return self._plan(2.0 ** (-(slot % self.rungs) - 1), self._queue[0])
 
     def plan_signature(self, round_index: int):
         self._advance(round_index)

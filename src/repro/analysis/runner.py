@@ -290,9 +290,8 @@ def run_bank_trials(
     ``first`` optionally passes a pre-built (and still unused) trial
     for ``seeds[0]`` so executors that peeked at the scenario don't pay
     the build twice. Trials the batch cannot serve — oracle-mode MAC
-    layers, adaptive adversaries (which fall back to the reference
-    engine per trial, with the usual warning), or banks whose trials
-    disagree on the node count — take the per-trial path instead.
+    layers, or banks whose trials disagree on the node count — take the
+    per-trial path instead.
     Heterogeneous ``max_rounds`` is fine: each lane carries its own cap
     and retires from the lockstep batch when it reaches it.
     """
@@ -314,10 +313,6 @@ def run_bank_trials(
     lead = trials[0]
     mac = lead.mac
     if mac is not None and getattr(mac, "mode", "engine") == "oracle":
-        return _per_trial()
-    from repro.adversaries.base import AdversaryClass
-
-    if lead.link_process.adversary_class is not AdversaryClass.OBLIVIOUS:
         return _per_trial()
     if any(t.network.n != lead.network.n for t in trials):
         return _per_trial()

@@ -58,13 +58,12 @@ class SerialExecutor(TrialExecutor):
     Results are seed-for-seed identical to the plain loop — the batch
     only changes where the numpy work happens.
 
-    A scenario that degrades (adaptive adversary forcing the reference
-    engine, or a component without the skip contract) warns exactly
-    once per ``run_trials`` batch — the first trial carries the
-    :class:`~repro.core.errors.EngineFallbackWarning`, every later
-    trial runs silenced. ``warn_fallback=False`` silences the batch
-    entirely (the parallel executor's workers use this; the parent has
-    already warned).
+    A scenario that degrades (a component without the skip contract)
+    warns exactly once per ``run_trials`` batch — the first trial
+    carries the :class:`~repro.core.errors.EngineFallbackWarning`,
+    every later trial runs silenced. ``warn_fallback=False`` silences
+    the batch entirely (the parallel executor's workers use this; the
+    parent has already warned).
     """
 
     #: Class-level default so subclasses that override ``__init__``

@@ -127,8 +127,8 @@ class ScenarioSpec:
     (default), ``"bitset"`` (the vectorized fast path), or ``"bank"``
     (the trial-batched engine — executors run a ``"bank"`` scenario's
     whole seed list as one lockstep bank). Both fast engines are
-    seed-for-seed identical to the reference loop and auto-fall-back
-    (with a warning) for adaptive adversaries. Because it cannot change results, the engine
+    seed-for-seed identical to the reference loop for every adversary
+    class. Because it cannot change results, the engine
     is a *performance* knob: it serializes with the spec so a saved
     scenario reruns the way it was tuned, but editing it never alters
     the measured rounds.

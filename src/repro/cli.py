@@ -89,8 +89,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "round-loop implementation: 'bitset' is the vectorized fast "
-            "path, seed-for-seed identical to 'reference' (auto-falls "
-            "back, with a warning, for adaptive adversaries)"
+            "path, seed-for-seed identical to 'reference' for every "
+            "adversary class"
         ),
     )
     parser.add_argument(

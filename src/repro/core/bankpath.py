@@ -56,10 +56,9 @@ Three layers cooperate:
    every observer on a lane accepts the batched quiet-span hook, and
    degrade to per-round records otherwise.
 
-Scope mirrors the bitset engine: oblivious link processes only.
-:func:`~repro.core.engine.create_engine` falls back to the reference
-engine (with :class:`~repro.core.errors.EngineFallbackWarning`) for
-adaptive adversaries.
+Scope mirrors the bitset engine: every adversary class. Adaptive
+adversaries see their typed views built from the lane's probability row
+and transmitter mask, both drawn before stage 3.
 """
 
 from __future__ import annotations
@@ -71,6 +70,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.adversaries.base import AdversaryClass
 from repro.algorithms.decay import decay_ladder
 from repro.core.engine import ExecutionResult, StopCondition
 from repro.core.fastpath import BitsetRadioNetworkEngine
@@ -1259,8 +1259,11 @@ def run_bank_batch(
     # every observer on that lane accepts the span hook; lanes carrying
     # a per-round consumer (e.g. a TraceCollector) keep materializing
     # each quiet round's record.
+    # Adaptive link processes read the retained history, which batched
+    # spans do not append to, so their lanes emit round by round too.
     span_ok = [
-        all(
+        lane.engine.link_process.adversary_class is AdversaryClass.OBLIVIOUS
+        and all(
             callable(getattr(observer, "on_round_batch", None))
             for observer in lane.engine.observers
         )
@@ -1315,7 +1318,8 @@ def run_bank_batch(
         if traced:
             _credit("coins", perf_counter_ns() - t0, active)
 
-        # Stage 3 per lane; stage 4 batched. Lanes whose topology hits
+        # Stage 3 per lane (adaptive views read the lane's probability
+        # row and mask); stage 4 batched. Lanes whose topology hits
         # the bitset matrix cache (static adversaries, shared graphs)
         # resolve by cached matvec; lanes that miss it (fading
         # adversaries mint fresh mask tuples every round, so the
@@ -1325,12 +1329,17 @@ def run_bank_batch(
         # whole bank instead of per-lane bigint candidate scans.
         if traced:
             topologies = []
-            for i in active:
+            for j, i in enumerate(active):
                 ta = perf_counter_ns()
-                topologies.append(lanes[i].engine._choose_topology(r))
+                topologies.append(
+                    lanes[i].engine._choose_topology(r, probs[j], masks[j])
+                )
                 lanes[i].engine._phase_ns["adversary"] += perf_counter_ns() - ta
         else:
-            topologies = [lanes[i].engine._choose_topology(r) for i in active]
+            topologies = [
+                lanes[i].engine._choose_topology(r, probs[j], masks[j])
+                for j, i in enumerate(active)
+            ]
         shared_deliveries: dict[int, list[Delivery]] = {}
         fresh: list[int] = []
         for j, topology in enumerate(topologies):
@@ -1409,6 +1418,7 @@ def run_bank_batch(
             lane = lanes[i]
             record = lane.engine._finish_round(
                 r,
+                probs[j],
                 transmit[j],
                 masks[j],
                 expecteds[j],

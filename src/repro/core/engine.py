@@ -552,8 +552,8 @@ class RadioNetworkEngine:
         over all-silent rounds, so a stop condition that is false at
         ``start`` stays false through ``stop``. History entries are
         *not* appended: retained history feeds adaptive adversary
-        views, and every caller of this path serves oblivious link
-        processes only.
+        views, so callers keep lanes with an adaptive link process on
+        the per-round path.
         """
         self._coin_rng.bit_generator.advance(self.network.n * (stop - start))
         for observer in self.observers:
@@ -706,27 +706,15 @@ def resolve_engine_choice(
     once per scenario (and warn once) instead of once per trial.
 
     ``skip=None`` resolves to the engine's default: on for the fast
-    engines, off for the reference engine. Two fallbacks apply, in
-    order: adaptive link processes force the reference engine (their
-    views are entitled to per-node plan introspection), and a component
-    lacking the skip contract forces ``skip=False``.
+    engines, off for the reference engine. One fallback applies: a
+    component lacking the skip contract forces ``skip=False``.
     """
     if engine not in ENGINE_NAMES:
         raise EngineError(
             f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
     notes: list[str] = []
-    resolved = engine
-    if engine in ("bitset", "bank") and (
-        link_process.adversary_class is not AdversaryClass.OBLIVIOUS
-    ):
-        notes.append(
-            f"{engine} engine requested but {link_process.describe()} is "
-            f"{link_process.adversary_class.value}: adaptive link processes "
-            "need per-node plan introspection, using the reference engine"
-        )
-        resolved = "reference"
-    resolved_skip = resolved in ("bitset", "bank") if skip is None else bool(skip)
+    resolved_skip = engine in ("bitset", "bank") if skip is None else bool(skip)
     if resolved_skip:
         gaps = _skip_contract_gaps(processes, link_process)
         if gaps:
@@ -741,7 +729,7 @@ def resolve_engine_choice(
         # create_engine calls alike), mirroring the deduped
         # EngineFallbackWarning surface as a measurable quantity.
         _obs_inc("engine.fallback", len(notes))
-    return resolved, resolved_skip, notes
+    return engine, resolved_skip, notes
 
 
 def create_engine(
@@ -768,12 +756,8 @@ def create_engine(
     of a bank of one; the cross-trial batching engages when an executor
     hands a whole seed bank to :func:`repro.core.bankpath.run_bank_batch`).
     Both fast engines are seed-for-seed identical to the reference
-    engine (same coin stream, same records, same results) but only
-    serve *oblivious* link processes. Requesting either against an
-    online/offline adaptive adversary falls back to the reference
-    engine with an :class:`EngineFallbackWarning` — adaptive views are
-    entitled to per-node plan introspection every round, which is
-    precisely the per-node work the fast paths elide.
+    engine (same coin stream, same records, same results) for every
+    adversary class.
 
     ``skip`` controls event-driven round skipping (``None`` = the
     engine's default: on for ``bitset``/``bank``, off for

@@ -85,15 +85,13 @@ class EngineError(ReproError):
 
 
 class EngineFallbackWarning(RuntimeWarning):
-    """The bitset fast path declined a scenario and used the reference engine.
+    """A requested engine feature was declined for a scenario.
 
-    Emitted by :func:`repro.core.engine.create_engine` when
-    ``engine="bitset"`` is requested against an *adaptive* link process:
-    online/offline adaptive adversaries are entitled to per-node plan
-    introspection (the declared probability vector, and for offline
-    adversaries the realized coins) every round, which is exactly the
-    per-node materialization the fast path exists to avoid. Results are
-    unaffected — the reference engine is used instead.
+    Emitted by :func:`repro.core.engine.create_engine` (and once per
+    batch by the executors) when round skipping is requested but a
+    process or link process lacks the skip contract — it does not
+    override ``next_state_change`` / ``next_boundary`` — so the run
+    proceeds with skipping off. Results are unaffected.
 
     A deliberate :class:`RuntimeWarning` rather than a ``ReproError``
     subclass: the run proceeds correctly, only slower than asked.

@@ -31,22 +31,18 @@ so the Python work per round is proportional to what *changed*, not to
    process class overrides ``on_feedback`` without promising
    :attr:`~repro.core.process.Process.idle_feedback_noop`.
 
-Scope: the fast path serves **oblivious** link processes only. Adaptive
-adversaries are entitled to the per-node probability vector (and, when
-offline, the realized coins) through their typed views each round —
-materializing that entitlement is exactly the per-node work this module
-exists to avoid, so :func:`~repro.core.engine.create_engine` falls back
-to the reference engine (with
-:class:`~repro.core.errors.EngineFallbackWarning`) for them.
-Equivalence across the full registered component matrix is enforced by
-``tests/test_engine_equivalence.py``.
+Every adversary class is served. Adaptive views carry only the
+per-node probability vector, the public history window and (offline)
+the realized transmitter mask — the vector and the mask are what
+stages 1–2 already produced, so stage 3 hands them over as the
+reference engine's typed views. Equivalence across the full registered
+component matrix is enforced by ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
@@ -61,7 +57,7 @@ from repro.adversaries.base import (
 )
 from repro.core import rng as rng_mod
 from repro.core.engine import ExecutionResult, RadioNetworkEngine, StopCondition
-from repro.core.errors import EngineError, PlanError
+from repro.core.errors import PlanError
 from repro.core.messages import Message
 from repro.core.process import SILENT_SIGNATURE, Process, RoundPlan
 from repro.core.trace import Delivery, Observer, RoundRecord
@@ -116,8 +112,10 @@ _SMALL_CLASS = 4
 #: schedule is exactly what this engine consumes.
 _PACKED_MAX_N = PACKED_ROWS_MAX_N
 
-#: Distinct nonzero contributors beyond which the exact rational
-#: expected-transmitter sum loses to a plain fsum over the vector.
+#: Distinct nonzero contributors beyond which the exact integer
+#: expected-transmitter sum loses to a plain fsum over the vector. An
+#: exact term costs about four nodes' worth of fsum, so small networks
+#: get a proportionally smaller budget.
 _EXACT_EXPECTED_TERMS = 64
 
 #: Direct-mode (per-node planned) nodes beyond which the skip horizon
@@ -125,13 +123,28 @@ _EXACT_EXPECTED_TERMS = 64
 _SKIP_DIRECT_CAP = 32
 
 
+def _fsum_of_counts(terms: Sequence[tuple[float, int]]) -> float:
+    """``math.fsum`` of each ``p`` repeated ``count`` times, in O(#terms).
+
+    Floats are dyadic rationals: numerators accumulate exactly over the
+    largest power-of-two denominator seen, and int true division is
+    correctly rounded, like fsum.
+    """
+    total, scale = 0, 1
+    for p, count in terms:
+        numerator, denominator = p.as_integer_ratio()
+        if denominator > scale:
+            total *= denominator // scale
+            scale = denominator
+        total += numerator * (scale // denominator) * count
+    return total / scale
+
+
 class BitsetRadioNetworkEngine(RadioNetworkEngine):
-    """Vectorized engine for oblivious link processes.
+    """Vectorized engine, seed-for-seed identical to the reference one.
 
     Construction signature and public behavior match
-    :class:`~repro.core.engine.RadioNetworkEngine` exactly; use
-    :func:`~repro.core.engine.create_engine` rather than instantiating
-    directly so adaptive adversaries fall back instead of raising.
+    :class:`~repro.core.engine.RadioNetworkEngine` exactly.
 
     One behavioral contract is *narrower* than the reference engine's:
     :meth:`~repro.core.process.Process.plan` may be called fewer times
@@ -156,12 +169,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         observers: Sequence[Observer] = (),
         skip: bool = False,
     ) -> None:
-        if link_process.adversary_class is not AdversaryClass.OBLIVIOUS:
-            raise EngineError(
-                "BitsetRadioNetworkEngine serves oblivious link processes only; "
-                f"{link_process.describe()} is {link_process.adversary_class.value} "
-                "(use create_engine, which falls back to the reference engine)"
-            )
         super().__init__(
             network,
             processes,
@@ -284,7 +291,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         if ph is not None:
             ph["coins"] += perf_counter_ns() - t0
 
-        return self._finish_round(r, transmit, transmitter_mask, expected)
+        return self._finish_round(r, probs, transmit, transmitter_mask, expected)
 
     def _plan_probs(self, r: int) -> np.ndarray:
         """Stage 1: the round's per-node transmission probabilities.
@@ -390,9 +397,19 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             raise PlanError(f"transmitter {u} has no message")
         return message
 
-    def _choose_topology(self, r: int):
-        """Stage 3: oblivious adversaries see the clock only."""
-        topology = self.link_process.choose_topology(ObliviousView(round_index=r))
+    def _choose_topology(self, r: int, probs: np.ndarray, transmitter_mask: int):
+        """Stage 3: the adversary picks the topology through its typed view.
+
+        Oblivious adversaries see the clock only; adaptive ones get the
+        reference engine's view built from this round's ``probs`` row
+        and ``transmitter_mask``.
+        """
+        link_process = self.link_process
+        if link_process.adversary_class is AdversaryClass.OBLIVIOUS:
+            view = ObliviousView(round_index=r)
+        else:
+            view = self._build_view(r, probs.tolist(), transmitter_mask)
+        topology = link_process.choose_topology(view)
         if self.validate_topologies:
             key = id(topology.masks)
             if key not in self._validated_topologies:
@@ -459,6 +476,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     def _finish_round(
         self,
         r: int,
+        probs: np.ndarray,
         transmit: np.ndarray,
         transmitter_mask: int,
         expected: float,
@@ -476,7 +494,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         if ph is not None:
             t0 = perf_counter_ns()
         if topology is None:
-            topology = self._choose_topology(r)
+            topology = self._choose_topology(r, probs, transmitter_mask)
             if ph is not None:
                 t1 = perf_counter_ns()
                 ph["adversary"] += t1 - t0
@@ -520,47 +538,36 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         ``math.fsum`` returns the *correctly rounded* sum of its
         inputs, so any other correctly rounded evaluation of the same
         float multiset yields the identical value — here an exact
-        rational accumulation over the class composition (count ×
+        integer accumulation over the class composition (count ×
         probability per signature class, plus the per-node categories),
         which is O(#classes) instead of O(n). Compositions with more
         distinct nonzero contributors than the exact sum can beat fall
         back to the fsum the reference engine uses.
         """
+        budget = min(_EXACT_EXPECTED_TERMS, probs.size // 4)
         terms: list[tuple[float, int]] = []
-        budget = _EXACT_EXPECTED_TERMS
+        for p, count in self._contributions():
+            if p:
+                if len(terms) == budget:
+                    return math.fsum(probs.tolist())
+                terms.append((p, count))
+        return _fsum_of_counts(terms)
+
+    def _contributions(self):
+        """(probability, node count) per signature class and per
+        individually planned node, for the round just planned."""
         round_plans = self._round_plans
         for key, mask in self._class_masks.items():
-            p = round_plans[key].probability
-            if p:
-                budget -= 1
-                if budget < 0:
-                    return math.fsum(probs.tolist())
-                terms.append((p, mask.bit_count()))
+            yield round_plans[key].probability, mask.bit_count()
         node_plans = self._node_plans
         singles = self._direct_mask | self._poll_mask
         while singles:
             low = singles & -singles
             singles ^= low
-            p = node_plans[low.bit_length() - 1].probability
-            if p:
-                budget -= 1
-                if budget < 0:
-                    return math.fsum(probs.tolist())
-                terms.append((p, 1))
+            yield node_plans[low.bit_length() - 1].probability, 1
         if self._hot_ids:
             for plan in self._hot_plans:
-                p = plan.probability
-                if p:
-                    budget -= 1
-                    if budget < 0:
-                        return math.fsum(probs.tolist())
-                    terms.append((p, 1))
-        if not terms:
-            return 0.0
-        total = Fraction(0)
-        for p, count in terms:
-            total += Fraction(p) * count
-        return float(total)
+                yield plan.probability, 1
 
     def _quiescent(self) -> bool:
         """No pending re-polls, hot/poll churners, or reactive feedback."""
@@ -642,7 +649,9 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
             if ph is not None:
                 ph["coins"] += perf_counter_ns() - t0
-            record = self._finish_round(r, transmit, transmitter_mask, expected)
+            record = self._finish_round(
+                r, probs, transmit, transmitter_mask, expected
+            )
             executed += 1
             if stop is not None and stop():
                 return ExecutionResult(

@@ -158,9 +158,7 @@ M2_LINK_MODELS = Experiment(
         "geographic graphs. The oblivious regimes (static G, GE fading) "
         "only move constants; the offline solo blocker throttles the "
         "first-half cut whenever a lone transmitter could cross it — the "
-        "adaptive-adversary tax, now on a multi-message workload. The "
-        "offline series runs on the reference engine (the bitset fast "
-        "path declines adaptive adversaries with a warning)."
+        "adaptive-adversary tax, now on a multi-message workload."
     ),
     contrasts=(
         ContrastClaim(

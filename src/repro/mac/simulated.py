@@ -15,9 +15,7 @@ analysis never promised anything about.
 The layer itself stays plain data (window sizing + ladder geometry);
 the per-node state machines that consume it live in
 :mod:`repro.algorithms.multi_message`. Both registered multi-message
-protocols work on the ``reference`` and ``bitset`` engines — adaptive
-adversaries fall back to the reference engine with the usual
-:class:`~repro.core.errors.EngineFallbackWarning`.
+protocols run on all three engines, against every adversary class.
 """
 
 from __future__ import annotations

@@ -30,8 +30,10 @@ MASTER_SEED = 414213562
 
 #: MAC-kernel (gkln) and single-message-kernel (plain/permuted decay)
 #: workloads, a generic-lane workload (plain-decay with a finite
-#: active_phases window, which opts out of the decay kernel), and a
-#: per-node-RNG workload (uncoordinated decay draws from LazyRng).
+#: active_phases window, which opts out of the decay kernel), a
+#: per-node-RNG workload (uncoordinated decay draws from LazyRng), and
+#: adaptive-adversary lanes on both kernel families (their views read
+#: the bank's probability rows and transmitter masks).
 SPECS = {
     "gkln-kernel": ScenarioSpec(
         graph=("ring", {"n": 12}),
@@ -70,6 +72,25 @@ SPECS = {
         adversary=("bernoulli-edge", {"p_up": 0.6}),
         engine="bank",
     ),
+    "adaptive-online-lane": ScenarioSpec(
+        graph=("bracelet", {"band_length": 4}),
+        problem=("global-broadcast", {"source": 0}),
+        algorithm=("plain-decay", {}),
+        adversary=(
+            "online-dense-sparse",
+            {"side": "A", "count_scope": "A", "threshold": 0.5},
+        ),
+        engine="bank",
+    ),
+    "adaptive-offline-lane": ScenarioSpec(
+        graph=("geographic", {"n": 24, "grey_ratio": 2.0}),
+        problem=("multi-message", {}),
+        algorithm=("gkln-multi-message", {}),
+        adversary=("offline-solo-blocker", {"side": "first-half"}),
+        mac=("simulated", {}),
+        messages={"k": 3, "sources": "spread"},
+        engine="bank",
+    ),
 }
 
 #: Which kernel class (by name) each spec's bank must select; ``None``
@@ -81,6 +102,8 @@ EXPECTED_KERNEL = {
     "permuted-kernel": "_PermutedDecayBankKernel",
     "generic-lane": None,
     "lazy-node-rng": None,
+    "adaptive-online-lane": "_PlainDecayBankKernel",
+    "adaptive-offline-lane": "_GklnBankKernel",
 }
 
 MAX_ROUNDS = 600

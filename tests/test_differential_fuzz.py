@@ -158,8 +158,8 @@ def _adversary(rng: random.Random) -> tuple[str, dict]:
                 },
             ),
             lambda: ("predicted-dense-sparse", {"side": "first-half"}),
-            # Adaptive: exercises the per-trial fallback path under fuzz
-            # (the warning is expected and filtered by the harness).
+            # Adaptive: the fast engines build their views from the
+            # probability rows and transmitter masks they already hold.
             lambda: ("online-dense-sparse", {"side": "first-half"}),
             lambda: ("offline-solo-blocker", {"side": "first-half"}),
         ]
@@ -311,9 +311,9 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     with warnings.catch_warnings():
-        # Adaptive cases legitimately warn-and-fall-back; the fuzz
-        # oracle is trace identity, which must hold either way.
-        warnings.simplefilter("ignore", EngineFallbackWarning)
+        # Every registered component is served by every engine: a
+        # fallback under fuzz is a failure, not noise.
+        warnings.simplefilter("error", EngineFallbackWarning)
         eng = create_engine(
             trial.network,
             processes,
@@ -348,7 +348,7 @@ def _assert_executors_identical(spec: ScenarioSpec, pool: ParallelExecutor) -> N
     for engine in ("reference", "bank"):
         engine_spec = spec.with_param("engine", engine)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", EngineFallbackWarning)
+            warnings.simplefilter("error", EngineFallbackWarning)
             serial = SerialExecutor().run_trials(engine_spec.build, seeds)
             loop = [run_prepared_trial(engine_spec.build(s), s) for s in seeds]
             parallel = pool.run_trials(engine_spec.build, seeds)

@@ -15,11 +15,12 @@ every fast engine, against the reference engine.
 
 The matrix below covers **every registered component at least once**:
 all 14 graph families, all 11 algorithms (including both multi-message
-MAC protocols), and all 13 oblivious adversaries exercise the fast
-engines directly; the 2 adaptive adversaries exercise the automatic
-fallback (and its warning) instead. The M-experiment cells (M1–M3) are
-checked against the *actual registered experiment specs* on top of the
-synthetic matrix.
+MAC protocols), and all 15 adversaries — oblivious and adaptive alike —
+exercise the fast engines directly. The adaptive rows include
+kernel-backed lanes, whose typed views are built from the bank's
+probability rows and transmitter masks. The M-experiment cells (M1–M3)
+are checked against the *actual registered experiment specs* on top of
+the synthetic matrix.
 
 Each engine additionally runs with event-driven round skipping forced
 on and forced off — the six-way matrix. Skipping elides provably
@@ -151,6 +152,31 @@ EQUIVALENCE_MATRIX = [
         ("static-local-decay", {}),
         ("bracelet-attacker", {"threshold_factor": 1.0}),
     ),
+    # Adaptive adversaries: the views carry the probability vector,
+    # the history window and (offline) the realized transmitter mask.
+    (
+        ("dual-clique", {"half": 8}),
+        ("global-broadcast", {"source": 0}),
+        ("uniform-global", {"probability": 0.08}),
+        ("online-dense-sparse", {"side": "A"}),
+    ),
+    (
+        ("dual-clique", {"half": 8}),
+        ("global-broadcast", {"source": 0}),
+        ("uniform-global", {"probability": 0.08}),
+        ("offline-solo-blocker", {"side": "A"}),
+    ),
+    # Kernel-backed adaptive rows: the Theorem 4.3 head-scoped count
+    # (a low threshold so both labels occur) on the plain-decay kernel.
+    (
+        ("bracelet", {"band_length": 4}),
+        ("global-broadcast", {"source": 0}),
+        ("plain-decay", {}),
+        (
+            "online-dense-sparse",
+            {"side": "A", "count_scope": "A", "threshold": 0.5},
+        ),
+    ),
     # Multi-message MAC protocols: the spec helper below attaches the
     # simulated MAC layer and a 3-message workload for these rows.
     (
@@ -165,22 +191,22 @@ EQUIVALENCE_MATRIX = [
         ("backoff-multi-message", {"regime": "exponential"}),
         ("alternating", {"phase_lengths": [2, 3]}),
     ),
+    # The M2 cell: GKLN kernel lanes against the offline solo blocker.
+    (
+        ("geographic", {"n": 32, "grey_ratio": 2.0}),
+        ("multi-message", {}),
+        ("gkln-multi-message", {}),
+        ("offline-solo-blocker", {"side": "first-half"}),
+    ),
 ]
 
-#: Adaptive adversaries: the fast path must *refuse* them (fallback).
-FALLBACK_MATRIX = [
-    (
-        ("dual-clique", {"half": 8}),
-        ("global-broadcast", {"source": 0}),
-        ("uniform-global", {"probability": 0.08}),
-        ("online-dense-sparse", {"side": "A"}),
-    ),
-    (
-        ("dual-clique", {"half": 8}),
-        ("global-broadcast", {"source": 0}),
-        ("uniform-global", {"probability": 0.08}),
-        ("offline-solo-blocker", {"side": "A"}),
-    ),
+#: Rows whose bank lanes must run a vectorized kernel (MAC protocols
+#: and the kernel-backed adaptive rows), not the generic lane path.
+KERNEL_ROWS = [
+    row
+    for row in EQUIVALENCE_MATRIX
+    if row[2][0] in ("gkln-multi-message", "backoff-multi-message")
+    or (row[3][0] == "online-dense-sparse" and "count_scope" in row[3][1])
 ]
 
 SEEDS = (1, 2013)
@@ -251,15 +277,15 @@ class TestComponentCoverage:
     """The matrix really does cover every registered component."""
 
     def test_every_graph_covered(self):
-        covered = {row[0][0] for row in EQUIVALENCE_MATRIX + FALLBACK_MATRIX}
+        covered = {row[0][0] for row in EQUIVALENCE_MATRIX}
         assert covered == set(GRAPHS.names())
 
     def test_every_algorithm_covered(self):
-        covered = {row[2][0] for row in EQUIVALENCE_MATRIX + FALLBACK_MATRIX}
+        covered = {row[2][0] for row in EQUIVALENCE_MATRIX}
         assert covered == set(ALGORITHMS.names())
 
     def test_every_adversary_covered(self):
-        covered = {row[3][0] for row in EQUIVALENCE_MATRIX + FALLBACK_MATRIX}
+        covered = {row[3][0] for row in EQUIVALENCE_MATRIX}
         assert covered == set(ADVERSARIES.names())
 
 
@@ -296,9 +322,9 @@ class TestFastEngineEquivalence:
         for ref_record, fast_record in zip(ref_records, fast_records):
             assert fast_record == ref_record
 
-    @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX[-2:], ids=_row_id)
-    def test_bank_kernel_engages_on_mac_rows(self, row):
-        """The MAC rows must exercise the vectorized kernels, not the
+    @pytest.mark.parametrize("row", KERNEL_ROWS, ids=_row_id)
+    def test_bank_kernel_engages_on_kernel_rows(self, row):
+        """The kernel rows must exercise the vectorized kernels, not the
         generic (inherited bitset) lane path — otherwise the matrix
         would silently stop covering the struct-of-arrays code."""
         engine, _, _ = _run_traced(_spec(row), SEEDS[0], "bank")
@@ -318,13 +344,14 @@ class TestFastEngineEquivalence:
 
 #: (experiment id, series label, smallest tiny-scale parameter) — the
 #: registered M-experiment cells the three-way harness replays. The
-#: oracle-MAC and adaptive-adversary series are exercised elsewhere
-#: (they bypass or refuse the fast engines by design).
+#: oracle-MAC series bypass the engines by design and are exercised
+#: elsewhere.
 M_EXPERIMENT_CELLS = [
     ("M1", "gkln-queued vs GE-fade", 4),
     ("M1", "backoff-concurrent vs GE-fade", 4),
     ("M2", "gkln-queued vs G-only", 32),
     ("M2", "gkln-queued vs GE-fade", 32),
+    ("M2", "gkln-queued vs offline-solo-blocker", 32),
     ("M3", "gkln on simulated MAC", 32),
 ]
 
@@ -347,34 +374,6 @@ class TestMExperimentCells:
         _, fast_result, fast_records = _run_traced(spec, SEEDS[1], engine)
         assert fast_result == ref_result
         assert fast_records == ref_records
-
-
-class TestAdaptiveFallback:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
-    @pytest.mark.parametrize("row", FALLBACK_MATRIX, ids=_row_id)
-    def test_fallback_warns_and_matches(self, row, engine):
-        spec = _spec(row)
-        _, ref_result, ref_records = _run_traced(spec, SEEDS[0], "reference")
-        with pytest.warns(EngineFallbackWarning, match="reference engine"):
-            fallback, fast_result, fast_records = _run_traced(spec, SEEDS[0], engine)
-        # The fallback *is* the reference engine, so equality is exact.
-        assert type(fallback) is not _ENGINE_TYPES[engine]
-        assert fast_result == ref_result
-        assert fast_records == ref_records
-
-    @pytest.mark.parametrize("engine_type", [BitsetRadioNetworkEngine, BankRadioNetworkEngine])
-    @pytest.mark.parametrize("row", FALLBACK_MATRIX[:1], ids=_row_id)
-    def test_direct_construction_rejected(self, row, engine_type):
-        """Bypassing create_engine must fail loudly, not silently degrade."""
-        spec = _spec(row)
-        trial = spec.build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
-        with pytest.raises(EngineError, match="oblivious"):
-            engine_type(
-                trial.network, processes, trial.link_process, seed=SEEDS[0]
-            )
 
 
 class TestEngineSelection:
@@ -409,3 +408,24 @@ class TestEngineSelection:
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
             _run_traced(spec, SEEDS[0], "bitset")
+
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("adversary", sorted(ADVERSARIES.names()))
+    def test_no_registered_adversary_falls_back(self, adversary, engine):
+        """Every registered adversary, adaptive ones included, is served
+        by the requested fast engine without an EngineFallbackWarning."""
+        row = next(row for row in EQUIVALENCE_MATRIX if row[3][0] == adversary)
+        trial = _spec(row).build(SEEDS[0])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            eng = create_engine(
+                trial.network,
+                processes,
+                trial.link_process,
+                engine=engine,
+                seed=SEEDS[0],
+            )
+        assert type(eng) is _ENGINE_TYPES[engine]

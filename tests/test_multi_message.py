@@ -7,14 +7,15 @@ The acceptance surface of the ``repro.mac`` vertical slice:
 * both MAC-level protocols actually solve the problem on the engines;
 * determinism — seed-for-seed identical results under
   ``SerialExecutor`` vs ``ParallelExecutor`` and ``reference`` vs
-  ``bitset`` (with the documented fallback warning for adaptive
-  adversaries);
+  ``bitset`` (adaptive adversaries included; a process lacking the skip
+  contract runs with skipping off and the documented fallback warning);
 * the CLI's ``run-spec`` reports per-message completion rounds;
 * the ``M1``–``M3`` experiments are registered and campaign-valid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import warnings
 
@@ -27,13 +28,22 @@ from repro.api import (
     Simulation,
     run_spec,
 )
+from repro.algorithms.multi_message import GklnMultiMessageProcess
+from repro.analysis.runner import run_prepared_trial
 from repro.core.errors import EngineFallbackWarning
+from repro.core.process import Process
 from repro.core.knowledge import KnowledgeVector
 from repro.core.messages import Message, MessageKind
 from repro.core.trace import Delivery, RoundRecord
 from repro.graphs.builders import line_dual
 from repro.mac import MessageAssignment, multi_message_detail
 from repro.problems.multi_message import MultiMessageObserver, MultiMessageProblem
+
+
+class _GklnWithoutSkipContract(GklnMultiMessageProcess):
+    """Stand-in for a third-party process: the base ``next_state_change``."""
+
+    next_state_change = Process.next_state_change
 
 
 def mm_spec(algorithm="gkln-multi-message", adversary=("none", {}), **overrides):
@@ -186,13 +196,30 @@ class TestDeterminism:
         bitset = Simulation.from_spec(spec, engine="bitset").run_trial(2013)
         assert reference == bitset
 
-    def test_bitset_falls_back_for_offline_adversary_with_warning(self):
+    @pytest.mark.parametrize("engine", ["bitset", "bank"])
+    def test_fast_engines_serve_offline_adversary(self, engine):
         spec = mm_spec(
             adversary=("offline-solo-blocker", {"side": "first-half"})
         )
         reference = Simulation.from_spec(spec).run_trial(3)
-        with pytest.warns(EngineFallbackWarning, match="reference engine"):
-            bitset = Simulation.from_spec(spec, engine="bitset").run_trial(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", EngineFallbackWarning)
+            fast = Simulation.from_spec(spec, engine=engine).run_trial(3)
+        assert reference == fast
+
+    def test_bitset_falls_back_for_process_without_skip_contract(self):
+        reference = run_prepared_trial(mm_spec().build(3), 3)
+        trial = mm_spec().with_param("engine", "bitset").build(3)
+        factory = trial.algorithm.factory
+
+        def without_contract(ctx):
+            process = factory(ctx)
+            process.__class__ = _GklnWithoutSkipContract
+            return process
+
+        trial.algorithm = dataclasses.replace(trial.algorithm, factory=without_contract)
+        with pytest.warns(EngineFallbackWarning, match="lacks the skip contract"):
+            bitset = run_prepared_trial(trial, 3)
         assert reference == bitset
 
 

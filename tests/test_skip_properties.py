@@ -25,23 +25,36 @@ scenarios with nothing to skip at all):
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
 through the lockstep bank, and the k = 63/64/65 knowledge word
-boundary (one uint64 word vs two). Fallback-warning dedup (one
-``EngineFallbackWarning`` per scenario batch, naming the component and
-the scenario) is pinned for both executors at the bottom.
+boundary (one uint64 word vs two). Adaptive link processes that
+declare a long ``next_boundary`` must see the same history on the bank
+as on the reference engine, even across skipped spans. Fallback-warning
+dedup (one ``EngineFallbackWarning`` per scenario batch, naming the
+component and the scenario) is pinned for both executors at the bottom.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.adversaries.base import AdversaryClass, LinkProcess, RoundTopology
+from repro.algorithms.base import AlgorithmSpec
+from repro.algorithms.uniform import UniformGlobalProcess
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
+from repro.core.bankpath import (
+    BankLane,
+    BankRadioNetworkEngine,
+    build_bank_kernel,
+    run_bank_batch,
+)
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineFallbackWarning
+from repro.core.process import Process
 from repro.core.trace import TraceCollector
 
 #: Scenario corpus: (id, spec kwargs, max_rounds, expect_skip) rows.
@@ -388,41 +401,187 @@ class TestBankHeterogeneousRounds:
         assert calls == [(len(seeds), max(self.CAPS.values()))]
 
 
+class _HistoryProbe(LinkProcess):
+    """A third-party-style online adaptive adversary with a fixed topology.
+
+    It declares no boundary (its choice never changes), so skipping may
+    elide its calls; every call it does get records the history window
+    it was shown.
+    """
+
+    adversary_class = AdversaryClass.ONLINE_ADAPTIVE
+
+    def start(self, network, algorithm, rng) -> None:
+        super().start(network, algorithm, rng)
+        self._topology = RoundTopology.reliable_only(network)
+        self.calls: dict = {}
+
+    def choose_topology(self, view):
+        self.calls[view.round_index] = (len(view.history), tuple(view.history))
+        return self._topology
+
+    def next_boundary(self, round_index: int):
+        return None
+
+
+class TestAdaptiveHistoryUnderSkipping:
+    """Skipped spans still append history for adaptive link processes."""
+
+    #: rr-local: long provably silent spans between slot rounds.
+    SPEC_KWARGS = CORPUS[0][1]
+    MAX_ROUNDS = CORPUS[0][2]
+    SEEDS = (3, 4, 5)
+
+    def _trial(self, seed):
+        trial = _spec(self.SPEC_KWARGS).build(seed)
+        trial.link_process = _HistoryProbe()
+        return trial
+
+    def _reference_calls(self, seed):
+        trial = self._trial(seed)
+        observer = trial.problem.make_observer()
+        engine = create_engine(
+            trial.network,
+            trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            ),
+            trial.link_process,
+            engine="reference",
+            seed=seed,
+            observers=[observer],
+            skip=False,
+        )
+        result = engine.run(max_rounds=self.MAX_ROUNDS, stop=lambda: observer.solved)
+        return result, trial.link_process.calls
+
+    def test_bank_batch_history_matches_reference(self):
+        trials = [self._trial(seed) for seed in self.SEEDS]
+        banks = [
+            trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            )
+            for trial, seed in zip(trials, self.SEEDS)
+        ]
+        kernel = build_bank_kernel(banks)
+        assert kernel is not None
+        lanes = []
+        for index, (trial, seed) in enumerate(zip(trials, self.SEEDS)):
+            observer = trial.problem.make_observer()
+            engine = BankRadioNetworkEngine(
+                trial.network,
+                banks[index],
+                trial.link_process,
+                seed=seed,
+                observers=[observer],
+                kernel=kernel,
+                lane=index,
+                skip=True,
+            )
+            lanes.append(BankLane(engine=engine, stop=lambda obs=observer: obs.solved))
+        results = run_bank_batch(lanes, max_rounds=self.MAX_ROUNDS)
+        for trial, seed, result in zip(trials, self.SEEDS, results):
+            ref_result, ref_calls = self._reference_calls(seed)
+            assert result == ref_result
+            bank_calls = trial.link_process.calls
+            # Skipping engaged (calls were elided) ...
+            assert len(bank_calls) < len(ref_calls)
+            # ... yet every call saw exactly the reference history.
+            for round_index, seen in bank_calls.items():
+                assert seen[0] == round_index
+                assert seen == ref_calls[round_index]
+
+    @pytest.mark.parametrize("engine", ("bitset", "bank"))
+    def test_single_engine_history_matches_reference(self, engine):
+        seed = self.SEEDS[0]
+        trial = self._trial(seed)
+        observer = trial.problem.make_observer()
+        eng = create_engine(
+            trial.network,
+            trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            ),
+            trial.link_process,
+            engine=engine,
+            seed=seed,
+            observers=[observer],
+            skip=True,
+        )
+        result = eng.run(max_rounds=self.MAX_ROUNDS, stop=lambda: observer.solved)
+        ref_result, ref_calls = self._reference_calls(seed)
+        assert result == ref_result
+        calls = trial.link_process.calls
+        assert len(calls) < len(ref_calls)
+        for round_index, seen in calls.items():
+            assert seen == ref_calls[round_index]
+
+
+class _NoSkipContractProcess(UniformGlobalProcess):
+    """Stand-in for a third-party process: the base ``next_state_change``."""
+
+    next_state_change = Process.next_state_change
+
+
+#: A process class lacking the skip contract: the fast engines run it
+#: with skipping off and one EngineFallbackWarning per batch.
+_GAP_SPEC = ScenarioSpec(
+    graph=("dual-clique", {"half": 6}),
+    problem=("global-broadcast", {"source": 0}),
+    algorithm=("uniform-global", {"probability": 0.1}),
+    adversary=("none", {}),
+    name="dedup-probe",
+    max_rounds=300,
+)
+
+
+def _gap_scenario(seed, *, engine):
+    """The spec's trial with its processes swapped for the gap class
+    (module level, so the parallel executor can pickle it)."""
+    trial = _GAP_SPEC.with_param("engine", engine).build(seed)
+    trial.algorithm = AlgorithmSpec(
+        name="uniform-global-without-skip-contract",
+        factory=functools.partial(_NoSkipContractProcess, source=0, probability=0.1),
+    )
+    return trial
+
+
+@pytest.mark.parametrize("engine", ("bitset", "bank"))
 class TestFallbackWarningDedup:
     """One EngineFallbackWarning per scenario batch, fully labelled."""
 
-    #: Adaptive adversary + fast engine: the canonical fallback.
-    SPEC = ScenarioSpec(
-        graph=("dual-clique", {"half": 6}),
-        problem=("global-broadcast", {"source": 0}),
-        algorithm=("uniform-global", {"probability": 0.1}),
-        adversary=("online-dense-sparse", {"side": "A"}),
-        engine="bitset",
-        name="dedup-probe",
-        max_rounds=300,
-    )
-
-    def _collect(self, executor, seeds):
+    def _collect(self, executor, seeds, engine):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            executor.run_trials(self.SPEC.build, list(seeds))
+            executor.run_trials(
+                functools.partial(_gap_scenario, engine=engine), list(seeds)
+            )
         return [w for w in caught if issubclass(w.category, EngineFallbackWarning)]
 
-    def test_serial_executor_warns_once_per_batch(self):
-        fallback = self._collect(SerialExecutor(), range(5))
+    def test_serial_executor_warns_once_per_batch(self, engine):
+        fallback = self._collect(SerialExecutor(), range(5), engine)
         assert len(fallback) == 1
         message = str(fallback[0].message)
         # Component name and scenario name both present.
-        assert "OnlineDenseSparseAttacker" in message
+        assert "_NoSkipContractProcess.next_state_change" in message
         assert "dedup-probe" in message
 
-    def test_parallel_executor_warns_once_per_batch(self):
+    def test_parallel_executor_warns_once_per_batch(self, engine):
         with ParallelExecutor(max_workers=2, chunksize=1) as pool:
-            fallback = self._collect(pool, range(5))
+            fallback = self._collect(pool, range(5), engine)
         assert len(fallback) == 1
         message = str(fallback[0].message)
-        assert "OnlineDenseSparseAttacker" in message
+        assert "_NoSkipContractProcess.next_state_change" in message
         assert "dedup-probe" in message
 
-    def test_silenced_serial_executor_stays_silent(self):
-        assert self._collect(SerialExecutor(warn_fallback=False), range(3)) == []
+    def test_silenced_serial_executor_stays_silent(self, engine):
+        assert self._collect(SerialExecutor(warn_fallback=False), range(3), engine) == []
+
+    def test_results_match_reference(self, engine):
+        """The remaining fallback only turns skipping off."""
+        seeds = list(range(4))
+        fast = SerialExecutor(warn_fallback=False).run_trials(
+            functools.partial(_gap_scenario, engine=engine), seeds
+        )
+        reference = SerialExecutor().run_trials(
+            functools.partial(_gap_scenario, engine="reference"), seeds
+        )
+        assert fast == reference
