@@ -10,17 +10,18 @@ Knobs (environment variables):
 * ``REPRO_BENCH_SCALE=tiny|small|full`` (default ``small``) — sweep
   sizing. ``full`` reproduces the EXPERIMENTS.md numbers; ``small``
   keeps the suite in the minutes range.
-* ``REPRO_BENCH_ENGINE=reference|bitset|bank`` (default ``reference``)
-  — the round-loop implementation
-  (:data:`repro.core.engine.ENGINE_NAMES`). Results are seed-for-seed
-  identical across engines, so switching only moves wall-clock time;
-  run a bench once per engine to measure the fast engines' speedup.
+* ``REPRO_BENCH_ENGINE=reference|bank`` (default ``reference``) — the
+  round-loop implementation (:data:`repro.core.engine.ENGINE_NAMES`;
+  ``bitset`` is an alias of ``bank`` and commits no artifacts of its
+  own). Results are seed-for-seed identical across engines, so
+  switching only moves wall-clock time; run a bench once per engine to
+  measure the fast engine's speedup.
 * ``REPRO_BENCH_SKIP=1|0`` (default unset) — force event-driven round
   skipping on or off for every trial; unset leaves each engine's own
-  default (on for bitset/bank, off for reference). Results are
+  default (on for bank, off for reference). Results are
   identical either way (tests/test_skip_properties.py pins this), so
   the knob exists purely to measure the skip win: artifacts from an
-  explicit setting carry an engine label suffix (``bitset-noskip``,
+  explicit setting carry an engine label suffix (``bank-noskip``,
   ``reference-skip``) so both sides of the comparison can be
   committed side by side.
 * ``REPRO_BENCH_REPEATS`` (default 1) — timing repeats per experiment;
@@ -96,8 +97,8 @@ BENCH_SKIP: Optional[bool] = (
 )
 
 #: Engine label used in artifact names: the engine itself under default
-#: skip semantics, suffixed when skip is forced so that e.g. ``bitset``
-#: and ``bitset-noskip`` artifacts coexist for the speedup comparison.
+#: skip semantics, suffixed when skip is forced so that e.g. ``bank``
+#: and ``bank-noskip`` artifacts coexist for the speedup comparison.
 ENGINE_LABEL = BENCH_ENGINE + {True: "-skip", False: "-noskip", None: ""}[BENCH_SKIP]
 
 #: When truthy, run each experiment under cProfile and dump the top-20
@@ -359,7 +360,7 @@ def assert_not_slower_than_reference(exp_id: str) -> None:
 
     Compares the artifact this run just wrote against the committed
     ``reference``-engine artifact for the same (experiment, scale)
-    cell. This is the regression tripwire for the bitset MAC slowdown:
+    cell. This is the regression tripwire for the fast-path MAC slowdown:
     the fast path once shipped *losing* 2x on every M experiment while
     the equivalence suite stayed green, because nothing asserted wall
     time. Min-of-repeats is compared (the noise-robust statistic).
@@ -395,7 +396,7 @@ def assert_skip_speedup(
     *,
     series_contains: str,
     min_ratio: float,
-    engine: str = "bitset",
+    engine: str = "bank",
 ) -> None:
     """The committed skip-on artifact beats skip-off by ``min_ratio``.
 
@@ -449,18 +450,18 @@ def assert_engine_cell_speedup(
     series_contains: str,
     min_ratio: float,
     fast: str = "bank",
-    slow: str = "bitset",
+    slow: str = "reference",
 ) -> None:
     """The committed ``fast``-engine artifact beats ``slow`` by ``min_ratio``.
 
     Compares the largest-parameter cell of the matching series between
     ``BENCH_<exp>_<scale>_<fast>.json`` and the corresponding ``slow``
-    artifact. This is the tripwire for the struct-of-arrays decay
+    artifact. This is the timing tripwire for the struct-of-arrays decay
     kernels: the single-message family is supposed to run its whole
     plan/coin/MAC round on numpy lanes, and losing that path (a kernel
     selection regression, a silent fallback to per-process simulation)
-    shows up exactly here — the equivalence suite stays green either
-    way because the fallback is byte-identical, just slow.
+    shows up here as well as in the equivalence suite's kernel-engagement
+    test — the traces stay byte-identical either way, just slower.
 
     Like the other artifact guards this is a no-op when either artifact
     is missing or lacks cells, and it reads *committed* numbers — the

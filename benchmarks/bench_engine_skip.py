@@ -5,16 +5,16 @@ Figure-1 sweeps — the regime where engine implementation choices, not
 asymptotic shape, dominate wall-clock time. The round-robin series is
 ~63/64 provably silent rounds, which the skip-enabled engines
 fast-forward through; round counts stay bit-identical either way
-(tests/test_skip_properties.py), so the two committed bitset artifacts
+(tests/test_skip_properties.py), so the two committed bank artifacts
 (default skip on vs ``REPRO_BENCH_SKIP=0``) isolate the skip win.
 
 Regenerating the committed artifacts::
 
     REPRO_BENCH_ENGINE=reference pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bitset    pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bitset REPRO_BENCH_SKIP=0 \
+    REPRO_BENCH_ENGINE=bank REPRO_BENCH_REPEATS=5 \
         pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bank     pytest benchmarks/bench_engine_skip.py
+    REPRO_BENCH_ENGINE=bank REPRO_BENCH_SKIP=0 REPRO_BENCH_REPEATS=5 \
+        pytest benchmarks/bench_engine_skip.py
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ def test_e1b_large_engine_scale(benchmark):
         "E1b_large", series_contains="round-robin", min_ratio=5.0
     )
     # The decay-kernel guard: the committed bank cells must beat the
-    # committed bitset cells 3x on both single-message series' largest
-    # parameter, or the struct-of-arrays path has regressed.
+    # committed reference cells 3x on both single-message series'
+    # largest parameter, or the struct-of-arrays path has regressed.
     assert_engine_cell_speedup(
         "E1b_large", series_contains="round-robin", min_ratio=3.0
     )

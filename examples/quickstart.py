@@ -54,11 +54,11 @@ def main() -> None:
     print(f"\n10 trials: median {stats.median_rounds:.0f} rounds, "
           f"success {stats.success_rate:.0%}")
 
-    # The bitset fast-path engine is seed-for-seed identical to the
+    # The fast bank engine is seed-for-seed identical to the
     # reference engine — only faster (docs/architecture.md, "Engines").
-    fast = Simulation.from_spec(SPEC, engine="bitset").run_trial(seed=2013)
+    fast = Simulation.from_spec(SPEC, engine="bank").run_trial(seed=2013)
     assert fast == result
-    print(f"bitset engine: identical result in {fast.rounds} rounds")
+    print(f"bank engine: identical result in {fast.rounds} rounds")
 
 
 if __name__ == "__main__":

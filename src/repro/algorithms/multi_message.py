@@ -26,7 +26,7 @@ Both processes keep their transition rule a pure function of
 expiry, back-off epochs) are *derived* lazily by an idempotent
 ``_advance(r)`` normalization instead of being pushed by per-round
 feedback, which is what licenses ``idle_feedback_noop`` /
-``transmit_feedback_noop`` and keeps the bitset engine's incremental
+``transmit_feedback_noop`` and keeps the fast engine's incremental
 signature tracking exact (``tests/test_engine_equivalence.py`` holds
 both protocols to full-trace identity across engines).
 """

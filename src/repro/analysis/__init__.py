@@ -34,7 +34,7 @@ engine executions into those claims, bottom-up:
 
 Everything here is engine-agnostic: trials built from specs honor the
 spec's ``engine`` field, and statistics are identical under the
-reference and bitset engines by the equivalence guarantee.
+reference and bank engines by the equivalence guarantee.
 """
 
 from repro.analysis.fitting import (

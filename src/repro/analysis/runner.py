@@ -48,10 +48,10 @@ class PreparedTrial:
     """Everything one execution needs, freshly constructed.
 
     ``engine`` selects the round-loop implementation
-    (:data:`repro.core.engine.ENGINE_NAMES`): ``"reference"``, the
-    seed-for-seed identical ``"bitset"`` fast path, or ``"bank"`` —
-    also seed-for-seed identical, and additionally batched *across
-    trials* when a whole seed bank reaches :func:`run_bank_trials`.
+    (:data:`repro.core.engine.ENGINE_NAMES`): ``"reference"``, or the
+    seed-for-seed identical fast engine ``"bank"`` (alias
+    ``"bitset"``), which is additionally batched *across trials* when
+    a whole seed bank reaches :func:`run_bank_trials`.
 
     ``mac`` (optional) is the trial's abstract MAC layer
     (:class:`repro.mac.base.AbstractMACLayer`). Engine-mode layers are
@@ -277,9 +277,10 @@ def run_bank_trials(
     first: Optional[PreparedTrial] = None,
     warn_fallback: bool = True,
 ) -> list[TrialResult]:
-    """Run a whole seed bank of one scenario through the bank engine.
+    """Run a whole seed bank of one scenario through the fast engine.
 
-    This is the cross-trial entry point ``engine="bank"`` exists for:
+    This is the cross-trial entry point of ``engine="bank"`` (and its
+    alias ``"bitset"``):
     every seed's trial becomes one lane of a shared struct-of-arrays
     kernel, and :func:`repro.core.bankpath.run_bank_batch` advances all
     lanes in lockstep rounds with batched coins and (where topologies
@@ -317,12 +318,8 @@ def run_bank_trials(
     if any(t.network.n != lead.network.n for t in trials):
         return _per_trial()
 
-    from repro.core.bankpath import (
-        BankLane,
-        BankRadioNetworkEngine,
-        build_bank_kernel,
-        run_bank_batch,
-    )
+    from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
+    from repro.core.fastpath import BitsetRadioNetworkEngine
 
     banks = [
         trial.algorithm.build_processes(
@@ -352,7 +349,7 @@ def run_bank_trials(
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
         observer = trial.problem.make_observer()
-        engine = BankRadioNetworkEngine(
+        engine = BitsetRadioNetworkEngine(
             trial.network,
             banks[lane_index],
             trial.link_process,

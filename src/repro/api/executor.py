@@ -50,8 +50,9 @@ class TrialExecutor(abc.ABC):
 class SerialExecutor(TrialExecutor):
     """One process, one trial at a time — the reference backend.
 
-    ``engine="bank"`` scenarios are the one structured deviation from
-    the literal loop: the whole seed batch is handed to
+    Fast-engine scenarios (``engine="bank"`` or its alias
+    ``"bitset"``) are the one structured deviation from the literal
+    loop: the whole seed batch is handed to
     :func:`~repro.analysis.runner.run_bank_trials`, which runs it as
     lockstep lanes of one struct-of-arrays kernel — lanes may carry
     different round caps, retiring individually as they hit them.
@@ -78,7 +79,7 @@ class SerialExecutor(TrialExecutor):
         if not seeds:
             return []
         first = scenario(seeds[0])
-        if getattr(first, "engine", None) == "bank":
+        if getattr(first, "engine", None) in ("bitset", "bank"):
             from repro.analysis.runner import run_bank_trials
 
             return run_bank_trials(
@@ -98,7 +99,7 @@ def _run_chunk(item: tuple[Scenario, Sequence[int]]) -> list[TrialResult]:
     """Worker entry point: run one seed chunk (module-level for pickle).
 
     Chunks delegate to :class:`SerialExecutor`, so workers bank-batch
-    their chunk when the scenario selects ``engine="bank"`` and results
+    their chunk when the scenario selects the fast engine and results
     stay identical to a fully serial run by construction. Fallback
     warnings are silenced — the parent process probed the scenario and
     warned once before fanning out.
@@ -125,8 +126,8 @@ class ParallelExecutor(TrialExecutor):
         Trials per task handed to a worker; defaults to spreading the
         batch ~4 tasks per worker (amortizes IPC without starving the
         pool on heavy-tailed trial times). Each chunk runs through a
-        worker-side :class:`SerialExecutor`, so ``engine="bank"``
-        scenarios bank-batch per chunk.
+        worker-side :class:`SerialExecutor`, so fast-engine scenarios
+        bank-batch per chunk.
     """
 
     def __init__(self, max_workers: Optional[int] = None, *, chunksize: Optional[int] = None) -> None:

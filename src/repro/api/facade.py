@@ -79,7 +79,7 @@ class Simulation:
         """Build from a :class:`ScenarioSpec`, spec dict, or JSON string.
 
         ``engine`` (optional) overrides the spec's round-loop
-        implementation — e.g. ``engine="bitset"`` opts a stored
+        implementation — e.g. ``engine="bank"`` opts a stored
         scenario into the vectorized fast path without editing the
         file. ``skip`` (optional) likewise overrides event-driven round
         skipping. Results are independent of both; only wall-clock

@@ -124,18 +124,19 @@ class ScenarioSpec:
 
     ``engine`` picks the round-loop implementation
     (:data:`~repro.core.engine.ENGINE_NAMES`): ``"reference"``
-    (default), ``"bitset"`` (the vectorized fast path), or ``"bank"``
-    (the trial-batched engine — executors run a ``"bank"`` scenario's
-    whole seed list as one lockstep bank). Both fast engines are
-    seed-for-seed identical to the reference loop for every adversary
-    class. Because it cannot change results, the engine
+    (default) or ``"bank"``, the vectorized fast engine — executors
+    run a ``"bank"`` scenario's whole seed list as one lockstep bank.
+    ``"bitset"`` is an alias of ``"bank"``, resolved at execution time,
+    so the spelling stays part of the spec's identity. The fast engine
+    is seed-for-seed identical to the reference loop for every
+    adversary class. Because it cannot change results, the engine
     is a *performance* knob: it serializes with the spec so a saved
     scenario reruns the way it was tuned, but editing it never alters
     the measured rounds.
 
     ``skip`` controls event-driven round skipping (see
     ``docs/architecture.md`` "Round skipping"): ``None`` (default)
-    resolves to the engine's default — on for the fast engines, off
+    resolves to the engine's default — on for the fast engine, off
     for ``reference`` — while ``True``/``False`` force it. Like the
     engine, skipping is trace-identical by construction, so this is a
     performance knob too; it is omitted from the serialized form (and

@@ -88,9 +88,9 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINE_NAMES),
         default=None,
         help=(
-            "round-loop implementation: 'bitset' is the vectorized fast "
-            "path, seed-for-seed identical to 'reference' for every "
-            "adversary class"
+            "round-loop implementation: 'bank' is the vectorized fast "
+            "engine ('bitset' is an alias of it), seed-for-seed identical "
+            "to 'reference' for every adversary class"
         ),
     )
     parser.add_argument(
@@ -100,7 +100,7 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         help=(
             "force event-driven round skipping on (--skip) or off "
             "(--no-skip); default: the engine's own default (on for "
-            "bitset/bank, off for reference). Trial results are "
+            "bank/bitset, off for reference). Trial results are "
             "identical either way"
         ),
     )

@@ -1,23 +1,20 @@
-"""The bank engine: a trial-batched numpy struct-of-arrays kernel.
+"""Trial batching for the fast engine: struct-of-arrays protocol kernels
+and the lockstep bank scheduler.
 
-:class:`BankRadioNetworkEngine` is the third registered engine
-(``engine="bank"``). Where the bitset fast path batches *across nodes*
-within one trial, the bank batches *across trials*: an entire seed bank
-of independent executions advances in lockstep rounds, and the per-round
-numpy work — Bernoulli comparisons, transmit-mask packing, and the
-dense reception matvec — runs once for the whole bank instead of once
-per trial.
+The fast engine (:class:`~repro.core.fastpath.BitsetRadioNetworkEngine`,
+``engine="bank"``) batches *across nodes* within one trial; this module
+batches *across trials*: an entire seed bank of independent executions
+advances in lockstep rounds, and the per-round numpy work — Bernoulli
+comparisons, transmit-mask packing, and the dense reception matvec —
+runs once for the whole bank instead of once per trial.
 
 Three layers cooperate:
 
-1. **Per-trial lanes.** Each trial still owns a
-   :class:`BankRadioNetworkEngine` — a
-   :class:`~repro.core.fastpath.BitsetRadioNetworkEngine` subclass, so
-   every stage it does not override (topology, reception, feedback
-   skipping, records) keeps the proven bitset semantics. A standalone
-   ``engine.run()`` therefore works exactly like bitset (that is what
-   :func:`~repro.core.engine.create_engine` returns for a single
-   trial); the cross-trial wins need the batch entry points below.
+1. **Per-trial lanes.** Each trial owns one fast engine, built with the
+   bank's shared kernel and its lane index. A standalone ``run()`` of
+   the same engine class probes its own processes for a kernel (a bank
+   of one) and runs the shared per-trial skip loop; the cross-trial
+   wins need the batch entry points below.
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state:
 
@@ -40,7 +37,7 @@ Three layers cooperate:
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
    holds to full-trace identity. Algorithms without a kernel simply run
-   the lanes' inherited bitset plan stage — still batched at the
+   the lanes' signature-class plan stage — still batched at the
    coins/reception layer, never falling back to a slower path.
 3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
    round by round: transmission coins are drawn as a (trials × nodes)
@@ -56,14 +53,13 @@ Three layers cooperate:
    every observer on a lane accepts the batched quiet-span hook, and
    degrade to per-round records otherwise.
 
-Scope mirrors the bitset engine: every adversary class. Adaptive
-adversaries see their typed views built from the lane's probability row
-and transmitter mask, both drawn before stage 3.
+Every adversary class is served. Adaptive adversaries see their typed
+views built from the lane's probability row and transmitter mask, both
+drawn before stage 3.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import Optional, Sequence
@@ -80,14 +76,10 @@ from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
 
 __all__ = [
-    "BankRadioNetworkEngine",
     "BankLane",
     "build_bank_kernel",
     "run_bank_batch",
 ]
-
-#: Sentinel: "build a single-lane kernel from my own processes".
-_AUTO_KERNEL = object()
 
 #: Sentinel round index for per-node state that is not scheduled to
 #: change ("uninformed", "never joins"): far beyond any execution while
@@ -95,7 +87,7 @@ _AUTO_KERNEL = object()
 _NEVER = 1 << 62
 
 #: Ceiling for the scheduler's per-round dense reception batch: when a
-#: lane's round topology misses the bitset matrix cache (fading
+#: lane's round topology misses the engine's matrix cache (fading
 #: adversaries mint fresh mask tuples every round, so the id-keyed
 #: cache fills and stays cold), the scheduler builds the dense neighbor
 #: matrices for all such lanes in one ``unpackbits`` and resolves them
@@ -1018,7 +1010,7 @@ def build_bank_kernel(banks: Sequence[Sequence]):
     ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
     built only when *every* process of every lane belongs to the same
     supported protocol family with compatible parameters; anything else
-    returns ``None`` and the lanes run their inherited bitset plan
+    returns ``None`` and the lanes run their signature-class plan
     stage (still coin/reception-batched by the scheduler — this is a
     capability probe, not a fallback to a slower engine).
     """
@@ -1037,136 +1029,6 @@ def build_bank_kernel(banks: Sequence[Sequence]):
 
 
 # ----------------------------------------------------------------------
-# Per-trial lane engine
-# ----------------------------------------------------------------------
-class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
-    """One lane of a trial bank (also a standalone single-trial engine).
-
-    Construction signature matches the other engines, plus the private
-    ``kernel``/``lane`` pair the batch runner uses to share one
-    struct-of-arrays kernel across lanes. Built standalone (via
-    :func:`~repro.core.engine.create_engine`), the engine probes its
-    own processes for a kernel (a bank of one); without a kernel it
-    behaves exactly like the bitset engine.
-    """
-
-    engine_name = "bank"
-
-    def __init__(
-        self,
-        network,
-        processes,
-        link_process,
-        *,
-        seed: int,
-        algorithm_info=None,
-        validate_topologies: bool = True,
-        observers: Sequence = (),
-        skip: bool = False,
-        kernel=_AUTO_KERNEL,
-        lane: int = 0,
-    ) -> None:
-        super().__init__(
-            network,
-            processes,
-            link_process,
-            seed=seed,
-            algorithm_info=algorithm_info,
-            validate_topologies=validate_topologies,
-            observers=observers,
-            skip=skip,
-        )
-        if kernel is _AUTO_KERNEL:
-            kernel = build_bank_kernel([self.processes])
-            lane = 0
-        self._kernel = kernel
-        self._lane = lane
-        if kernel is not None and not kernel.supports_skip:
-            # The multi-message kernels replace the per-node plan stage
-            # with struct-of-arrays state, bypassing the signature-class
-            # bookkeeping the skip probe reads — and those protocols are
-            # never provably silent anyway (a node that knows anything
-            # keeps a nonzero duty cycle). The single-message kernels
-            # answer the probe themselves and keep skipping on.
-            self.skip = False
-
-    # Stage overrides: with a kernel, plans and feedback come from the
-    # struct-of-arrays state; everything else (coins, topology,
-    # reception, records) is inherited unchanged.
-    def _plan_probs(self, r: int) -> np.ndarray:
-        if self._kernel is None:
-            return super()._plan_probs(r)
-        return self._kernel.probabilities(r)[self._lane]
-
-    def _message_for(self, u: int) -> Message:
-        if self._kernel is None:
-            return super()._message_for(u)
-        return self._kernel.message_for(self._lane, u)
-
-    def _apply_feedback(self, r: int, transmitter_mask: int, deliveries) -> None:
-        if self._kernel is None:
-            super()._apply_feedback(r, transmitter_mask, deliveries)
-        elif deliveries:
-            # Kernel families promise idle/transmit feedback no-ops
-            # (checked by eligibility: exact process types only), so
-            # only receivers carry state changes.
-            self._kernel.apply_feedback(self._lane, r, deliveries)
-
-    # Skip-probe overrides: a skip-capable kernel answers from its
-    # struct-of-arrays state instead of the signature-class bookkeeping
-    # (which kernel lanes never maintain).
-    def _expected_exact(self, probs: np.ndarray) -> float:
-        kernel = self._kernel
-        if kernel is None:
-            return super()._expected_exact(probs)
-        if kernel.supports_skip:
-            return kernel.expected_exact(self._lane, kernel._r)
-        return math.fsum(probs.tolist())
-
-    def _quiescent(self) -> bool:
-        if self._kernel is None:
-            return super()._quiescent()
-        # Eligibility pinned process types whose idle/transmit feedback
-        # are no-ops and whose state changes ride deliveries only — an
-        # all-silent round cannot change kernel state.
-        return self._kernel.supports_skip
-
-    def _skip_horizon(self, r: int, limit: int) -> int:
-        if self._kernel is None:
-            return super()._skip_horizon(r, limit)
-        h = limit
-        boundary = self.link_process.next_boundary(r)
-        if boundary is not None and boundary < h:
-            h = boundary
-        nxt = self._kernel.next_state_change(self._lane, r)
-        if nxt is not None and nxt < h:
-            h = nxt
-        return max(h, r + 1)
-
-    def _silent_horizon(self, r: int, limit: int) -> Optional[int]:
-        """Skip licence from an *active* round ``r``, or ``None``.
-
-        Only a skip-capable kernel can prove the coming span silent
-        without executing any of it — its schedule lives in
-        struct-of-arrays state (slot gaps, pending phase boundaries),
-        whereas the generic signature bookkeeping infers silence from
-        an executed silent round and so offers no licence here. Clamped
-        like :meth:`_skip_horizon`: the adversary's purity boundary
-        gates eliding its ``choose_topology`` calls, the cap gates the
-        span.
-        """
-        kernel = self._kernel
-        if kernel is None or not kernel.supports_skip or not self.skip:
-            return None
-        nxt = kernel.next_active_round(self._lane, r)
-        h = limit if nxt is None else min(nxt, limit)
-        boundary = self.link_process.next_boundary(r)
-        if boundary is not None and boundary < h:
-            h = boundary
-        return max(h, r + 1)
-
-
-# ----------------------------------------------------------------------
 # The lockstep bank scheduler
 # ----------------------------------------------------------------------
 @dataclass
@@ -1178,7 +1040,7 @@ class BankLane:
     own cap while the rest keep running.
     """
 
-    engine: BankRadioNetworkEngine
+    engine: BitsetRadioNetworkEngine
     stop: Optional[StopCondition] = None
     max_rounds: Optional[int] = None
 
@@ -1198,7 +1060,7 @@ def run_bank_batch(
     * plans: kernel-backed lanes share one (T, n) probability batch,
       and skip-capable kernels answer the expected-transmitter sum in
       O(1) (bit-identical to fsum) instead of an O(n) reduction;
-    * reception: lanes whose topology hits the bitset matrix cache
+    * reception: lanes whose topology hits the engine's matrix cache
       resolve by cached matvec; cache misses (per-round fading masks)
       are folded into one dense batched matvec for the whole bank; only
       networks past ``_DENSE_BATCH_MAX_N`` fall back to the per-lane
@@ -1320,7 +1182,7 @@ def run_bank_batch(
 
         # Stage 3 per lane (adaptive views read the lane's probability
         # row and mask); stage 4 batched. Lanes whose topology hits
-        # the bitset matrix cache (static adversaries, shared graphs)
+        # the engine's matrix cache (static adversaries, shared graphs)
         # resolve by cached matvec; lanes that miss it (fading
         # adversaries mint fresh mask tuples every round, so the
         # id-keyed cache fills and stays cold) are folded into ONE

@@ -26,10 +26,15 @@ interleave game guesses between simulated rounds.
 
 :class:`RadioNetworkEngine` is the **reference** implementation — the
 straight-line per-node loop that everything else is audited against.
-A seed-for-seed identical vectorized implementation (the ``bitset``
-fast path) lives in :mod:`repro.core.fastpath`; select between them
-with :func:`create_engine` (or the ``engine=`` field on
+A seed-for-seed identical vectorized implementation (the ``bank``
+fast engine, also spelled ``bitset``) lives in
+:mod:`repro.core.fastpath`; select between them with
+:func:`create_engine` (or the ``engine=`` field on
 :class:`~repro.api.spec.ScenarioSpec` and the CLI's ``--engine``).
+Both run their single trials through one skip loop,
+:meth:`RadioNetworkEngine._run_skipping`, over two hooks each engine
+answers its own way: :meth:`~RadioNetworkEngine._quiescent` and
+:meth:`~RadioNetworkEngine._skip_horizon`.
 """
 
 from __future__ import annotations
@@ -70,8 +75,11 @@ __all__ = [
     "resolve_engine_choice",
 ]
 
-#: Engine implementations selectable via ``create_engine`` /
-#: ``ScenarioSpec(engine=...)`` / ``repro ... --engine``.
+#: Engine names accepted by ``create_engine`` /
+#: ``ScenarioSpec(engine=...)`` / ``repro ... --engine``. Two
+#: implementations: ``"bitset"`` is an alias of ``"bank"``, resolved by
+#: :func:`resolve_engine_choice` (the name itself stays part of a
+#: spec's hashed identity).
 ENGINE_NAMES = ("reference", "bitset", "bank")
 
 #: Predicate deciding, after each round, whether the execution is done.
@@ -205,11 +213,11 @@ class RadioNetworkEngine:
         while the coin stream is advanced in lockstep, so the trace —
         records, history, RNG positions — stays bit-identical to a
         non-skipping run. Off by default here; :func:`create_engine`
-        turns it on for the fast engines.
+        turns it on for the fast engine.
     """
 
-    #: Name this implementation reports in trace records (one of
-    #: :data:`ENGINE_NAMES`; subclasses override).
+    #: Name this implementation reports in trace records (a resolved
+    #: :data:`ENGINE_NAMES` entry; the fast engine overrides it).
     engine_name = "reference"
 
     def __init__(
@@ -252,6 +260,11 @@ class RadioNetworkEngine:
         self._trace = None
         self._phase_ns: dict[str, int] = {}
         self._trace_counts: dict[str, float] = {}
+        # Skip-probe state: the cached idle-feedback licence and the
+        # failed-probe backoff (see _quiescent / _skip_horizon).
+        self._idle_feedback_quiet: Optional[bool] = None
+        self._skip_backoff = 1
+        self._skip_retry_at = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -292,7 +305,7 @@ class RadioNetworkEngine:
         plans: list[RoundPlan] = [process.plan(r) for process in self.processes]
         probabilities = [plan.probability for plan in plans]
         # fsum is exactly rounded and therefore order-independent, so
-        # the bitset fast path — which discovers the same probability
+        # the fast engine — which discovers the same probability
         # multiset in a different order — records bit-identical values.
         expected = math.fsum(probabilities)
         if ph is not None:
@@ -566,55 +579,69 @@ class RadioNetworkEngine:
             counts["skip.spans"] = counts.get("skip.spans", 0) + 1
             self._trace.observe("skip.span_rounds", stop - start)
 
-    def _quiet_horizon(self, r: int, limit: int) -> int:
+    def _quiescent(self) -> bool:
+        """Whether an all-silent round licenses a skip probe at all.
+
+        Skipping elides the span's ``on_feedback`` calls, licensed per
+        process class by ``idle_feedback_noop`` or by not overriding
+        ``on_feedback``; checked once per engine.
+        """
+        quiet = self._idle_feedback_quiet
+        if quiet is None:
+            quiet = self._idle_feedback_quiet = all(
+                type(p).idle_feedback_noop
+                or type(p).on_feedback is Process.on_feedback
+                for p in self.processes
+            )
+        return quiet
+
+    def _skip_horizon(self, r: int, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
-        Called right after an all-silent round ``r``: within
-        ``[r + 1, horizon)`` every plan provably stays silent
-        (:meth:`~repro.core.process.Process.next_state_change`) and the
-        adversary's masks stay put
+        Called right after an all-silent round ``r`` of a quiescent
+        engine: within ``[r + 1, horizon)`` every plan provably stays
+        silent (:meth:`~repro.core.process.Process.next_state_change`)
+        and the adversary's masks stay put
         (:meth:`~repro.adversaries.base.LinkProcess.next_boundary`), so
         those rounds can be emitted without executing them. Returns
-        ``r + 1`` when nothing is skippable.
+        ``r + 1`` when nothing is skippable. This probe polls every
+        process, so a failed attempt backs off (see
+        ``_SKIP_BACKOFF_MAX``) before the next one.
         """
+        start = r + 1
+        if start < self._skip_retry_at:
+            return start
         h = limit
         boundary = self.link_process.next_boundary(r)
         if boundary is not None and boundary < h:
             h = boundary
-        if h <= r + 1:
-            return r + 1
         for process in self.processes:
+            if h <= start:
+                break
             nxt = process.next_state_change(r)
             if nxt is not None and nxt < h:
                 h = nxt
-                if h <= r + 1:
-                    return r + 1
-        return max(h, r + 1)
+        if h <= start:
+            self._skip_retry_at = start + self._skip_backoff
+            self._skip_backoff = min(self._skip_backoff * 2, _SKIP_BACKOFF_MAX)
+            return start
+        self._skip_backoff = 1
+        return h
 
     def _run_skipping(self, max_rounds: int, stop: Optional[StopCondition]) -> ExecutionResult:
-        """The skip-enabled run loop (reference implementation).
+        """The skip-enabled run loop, shared by every engine.
 
         Rounds execute through the ordinary :meth:`step`; after each
-        *all-silent* round (``expected == 0.0`` — exact, since fsum of
-        non-negative terms is zero iff every term is) the engine
-        fast-forwards to the quiet horizon. The span's elisions are
-        licensed contract by contract: per-node ``on_feedback`` calls
-        by ``idle_feedback_noop`` — or by not overriding
-        ``on_feedback`` at all, the same automatic detection the
-        bitset engine applies (checked across all classes up front) —
-        ``plan`` calls by ``next_state_change``, and
-        ``choose_topology`` calls by ``next_boundary`` — round ``r``
-        itself always ran normally, so stateful adversaries stay in
-        sync.
+        *all-silent* round (``expected == 0.0`` — exact, since the
+        expected-transmitter sum of non-negative terms is zero iff
+        every term is) of a :meth:`_quiescent` engine, the engine
+        fast-forwards to :meth:`_skip_horizon`. The span's elided
+        ``plan`` calls are licensed by ``next_state_change`` and its
+        elided ``choose_topology`` calls by ``next_boundary`` — round
+        ``r`` itself always ran normally, so stateful adversaries stay
+        in sync.
         """
-        skip_ok = all(
-            type(p).idle_feedback_noop
-            or type(p).on_feedback is Process.on_feedback
-            for p in self.processes
-        )
         executed = 0
-        backoff = 1
-        next_attempt = self._round
         while executed < max_rounds:
             record = self.step()
             executed += 1
@@ -624,26 +651,18 @@ class RadioNetworkEngine:
                 )
             if executed >= max_rounds:
                 break
-            if not (
-                skip_ok
-                and record.transmitter_mask == 0
-                and record.expected_transmitters == 0.0
-                and self._round >= next_attempt
+            if (
+                record.transmitter_mask
+                or record.expected_transmitters != 0.0
+                or not self._quiescent()
             ):
                 continue
             ph = self._phase_ns if self._trace is not None else None
             if ph is not None:
                 ts = perf_counter_ns()
             start = self._round
-            h = self._quiet_horizon(record.round_index, start + (max_rounds - executed))
-            if h <= start:
-                if ph is not None:
-                    ph["skip"] += perf_counter_ns() - ts
-                next_attempt = start + backoff
-                backoff = min(backoff * 2, _SKIP_BACKOFF_MAX)
-                continue
-            backoff = 1
-            if ph is not None:
+            h = self._skip_horizon(record.round_index, start + (max_rounds - executed))
+            if ph is not None and h > start:
                 counts = self._trace_counts
                 counts["skip.spans"] = counts.get("skip.spans", 0) + 1
                 self._trace.observe("skip.span_rounds", h - start)
@@ -705,16 +724,19 @@ def resolve_engine_choice(
     would emit, exposed separately so executors can probe the outcome
     once per scenario (and warn once) instead of once per trial.
 
-    ``skip=None`` resolves to the engine's default: on for the fast
-    engines, off for the reference engine. One fallback applies: a
+    ``"bitset"`` is an alias: it resolves to ``"bank"``, the one fast
+    engine. ``skip=None`` resolves to the engine's default: on for the
+    fast engine, off for the reference engine. One fallback applies: a
     component lacking the skip contract forces ``skip=False``.
     """
     if engine not in ENGINE_NAMES:
         raise EngineError(
             f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
+    if engine == "bitset":
+        engine = "bank"
     notes: list[str] = []
-    resolved_skip = engine in ("bitset", "bank") if skip is None else bool(skip)
+    resolved_skip = engine == "bank" if skip is None else bool(skip)
     if resolved_skip:
         gaps = _skip_contract_gaps(processes, link_process)
         if gaps:
@@ -749,22 +771,21 @@ def create_engine(
     """Build the requested engine implementation for one execution.
 
     ``engine="reference"`` is the straight-line round loop above;
-    ``engine="bitset"`` is the vectorized fast path of
-    :mod:`repro.core.fastpath`; ``engine="bank"`` is the trial-batched
-    struct-of-arrays kernel of :mod:`repro.core.bankpath` (a bitset
-    subclass — for the single execution built here it acts as one lane
-    of a bank of one; the cross-trial batching engages when an executor
-    hands a whole seed bank to :func:`repro.core.bankpath.run_bank_batch`).
-    Both fast engines are seed-for-seed identical to the reference
-    engine (same coin stream, same records, same results) for every
-    adversary class.
+    ``engine="bank"`` (or its alias ``"bitset"``) is the fast engine of
+    :mod:`repro.core.fastpath`, which serves a vectorized protocol
+    kernel from :mod:`repro.core.bankpath` whenever one accepts the
+    processes (a bank of one) and otherwise plans by signature class.
+    The cross-trial batching engages when an executor hands a whole
+    seed bank to :func:`repro.core.bankpath.run_bank_batch`. The fast
+    engine is seed-for-seed identical to the reference engine (same
+    coin stream, same records, same results) for every adversary class.
 
     ``skip`` controls event-driven round skipping (``None`` = the
-    engine's default: on for ``bitset``/``bank``, off for
-    ``reference``); a component lacking the skip contract downgrades it
-    to ``False`` with an :class:`EngineFallbackWarning`. ``label``
-    names the scenario in those warnings, and ``warn=False`` suppresses
-    them entirely (executors probe the outcome once per scenario via
+    engine's default: on for the fast engine, off for ``reference``); a
+    component lacking the skip contract downgrades it to ``False`` with
+    an :class:`EngineFallbackWarning`. ``label`` names the scenario in
+    those warnings, and ``warn=False`` suppresses them entirely
+    (executors probe the outcome once per scenario via
     :func:`resolve_engine_choice` and warn there instead).
     """
     resolved, resolved_skip, notes = resolve_engine_choice(
@@ -777,13 +798,9 @@ def create_engine(
             _obs_inc("engine.fallback.warned")
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
     if resolved == "bank":
-        from repro.core.bankpath import BankRadioNetworkEngine
-
-        engine_cls: type = BankRadioNetworkEngine
-    elif resolved == "bitset":
         from repro.core.fastpath import BitsetRadioNetworkEngine
 
-        engine_cls = BitsetRadioNetworkEngine
+        engine_cls: type = BitsetRadioNetworkEngine
     else:
         engine_cls = RadioNetworkEngine
     return engine_cls(

@@ -80,7 +80,9 @@ class EngineError(ReproError):
 
     Raised for unknown engine names passed to
     :func:`repro.core.engine.create_engine` (and therefore to
-    ``ScenarioSpec(engine=...)`` and the CLI ``--engine`` flag).
+    ``ScenarioSpec(engine=...)`` and the CLI ``--engine`` flag); the
+    known names are :data:`repro.core.engine.ENGINE_NAMES`, where
+    ``"bitset"`` is an alias of ``"bank"``.
     """
 
 

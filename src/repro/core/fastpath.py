@@ -1,12 +1,16 @@
-"""The bitset fast path: a vectorized, seed-for-seed identical engine.
+"""The fast engine: a vectorized, seed-for-seed identical engine.
 
-:class:`BitsetRadioNetworkEngine` executes exactly the round pipeline
-of :class:`~repro.core.engine.RadioNetworkEngine` — same plans, same
+:class:`BitsetRadioNetworkEngine` (``engine="bank"``, alias
+``"bitset"``) executes exactly the round pipeline of
+:class:`~repro.core.engine.RadioNetworkEngine` — same plans, same
 coins, same reception rule, same records — but restructures each stage
 so the Python work per round is proportional to what *changed*, not to
 ``n``:
 
-1. **Plans** are tracked through signature classes. Processes that
+1. **Plans** come from a vectorized protocol kernel of
+   :mod:`repro.core.bankpath` when one accepts the processes (probed
+   at construction; shared across lanes by the bank scheduler).
+   Otherwise they are tracked through signature classes. Processes that
    march in lockstep (all informed decay nodes share one ladder rung;
    all uninformed nodes listen) map to one signature, the class
    membership is a single Python int bitset, and
@@ -56,7 +60,7 @@ from repro.adversaries.base import (
     ObliviousView,
 )
 from repro.core import rng as rng_mod
-from repro.core.engine import ExecutionResult, RadioNetworkEngine, StopCondition
+from repro.core.engine import ExecutionResult, RadioNetworkEngine
 from repro.core.errors import PlanError
 from repro.core.messages import Message
 from repro.core.process import SILENT_SIGNATURE, Process, RoundPlan
@@ -141,21 +145,27 @@ def _fsum_of_counts(terms: Sequence[tuple[float, int]]) -> float:
 
 
 class BitsetRadioNetworkEngine(RadioNetworkEngine):
-    """Vectorized engine, seed-for-seed identical to the reference one.
+    """The fast engine, seed-for-seed identical to the reference one.
 
     Construction signature and public behavior match
-    :class:`~repro.core.engine.RadioNetworkEngine` exactly.
+    :class:`~repro.core.engine.RadioNetworkEngine`, plus the
+    ``kernel``/``lane`` pair. By default (``kernel=...``) the engine
+    probes :func:`~repro.core.bankpath.build_bank_kernel` with its own
+    processes (a bank of one); the bank scheduler's lanes share one
+    kernel, each at its lane index; ``kernel=None`` selects the
+    per-process signature-class plan path. A kernel supplies plans,
+    messages and feedback; every other stage is the same either way.
 
     One behavioral contract is *narrower* than the reference engine's:
     :meth:`~repro.core.process.Process.plan` may be called fewer times
     than once per node per round (never for silent-signature nodes,
-    once per signature class otherwise) — which the
-    :class:`~repro.core.process.Process` docstring already licenses by
-    requiring plans to be deterministic, side-effect-free functions of
-    start-of-round state.
+    once per signature class otherwise, never under a kernel) — which
+    the :class:`~repro.core.process.Process` docstring already licenses
+    by requiring plans to be deterministic, side-effect-free functions
+    of start-of-round state.
     """
 
-    engine_name = "bitset"
+    engine_name = "bank"
 
     def __init__(
         self,
@@ -168,6 +178,8 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         validate_topologies: bool = True,
         observers: Sequence[Observer] = (),
         skip: bool = False,
+        kernel=...,
+        lane: int = 0,
     ) -> None:
         super().__init__(
             network,
@@ -256,16 +268,31 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         self._packed_words = (n + 63) // 64
         self._packed_cache: dict[int, np.ndarray] = {}
         self._packed_keepalive: list = []
+        if kernel is ...:
+            from repro.core.bankpath import build_bank_kernel
+
+            kernel = build_bank_kernel([self.processes])
+            lane = 0
+        self._kernel = kernel
+        self._lane = lane
+        if kernel is not None and not kernel.supports_skip:
+            # The multi-message kernels replace the per-node plan stage
+            # with struct-of-arrays state, bypassing the signature-class
+            # bookkeeping the skip probe reads — and those protocols are
+            # never provably silent anyway (a node that knows anything
+            # keeps a nonzero duty cycle). The single-message kernels
+            # answer the probe themselves and keep skipping on.
+            self.skip = False
 
     # ------------------------------------------------------------------
     # Round execution (same pipeline as the reference engine, batched)
     # ------------------------------------------------------------------
-    # ``step`` is decomposed into overridable stages so the bank engine
-    # (:mod:`repro.core.bankpath`) can drive many lanes in lockstep:
-    # ``_plan_probs`` (stage 1), the shared coin draw (stage 2, batched
-    # across lanes by the bank scheduler), and ``_finish_round``
-    # (stages 3–6). Each stage preserves the reference semantics
-    # exactly; only *where* the work happens moves.
+    # ``step`` is decomposed into stages so the bank scheduler
+    # (:func:`repro.core.bankpath.run_bank_batch`) can drive many lanes
+    # in lockstep: ``_plan_probs`` (stage 1), the shared coin draw
+    # (stage 2, batched across lanes by the scheduler), and
+    # ``_finish_round`` (stages 3–6). Each stage preserves the
+    # reference semantics exactly; only *where* the work happens moves.
     def step(self) -> RoundRecord:
         """Execute exactly one round and return its record."""
         self._ensure_started()
@@ -274,13 +301,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         if ph is not None:
             t0 = perf_counter_ns()
 
-        # 1. Plans, as a per-node probability vector.
+        # 1. Plans, as a per-node probability vector, and their exact
+        # sum (bit-identical to the reference engine's fsum, so the
+        # skip loop's ``expected == 0.0`` test stays exact).
         probs = self._plan_probs(r)
-
-        # fsum is exactly rounded (order-independent), matching the
-        # reference engine's fsum over the same probability multiset
-        # (extra exact zeros cannot change an exactly-rounded sum).
-        expected = math.fsum(probs.tolist())
+        expected = self._expected_exact(probs)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["plan"] += t1 - t0
@@ -299,6 +324,8 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         Also refreshes the per-round plan lookup state consumed by
         :meth:`_message_for` (signature classes, direct/poll/hot plans).
         """
+        if self._kernel is not None:
+            return self._kernel.probabilities(r)[self._lane]
         processes = self.processes
 
         # 1a. Re-classify nodes whose signature may have changed:
@@ -392,6 +419,8 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
 
     def _message_for(self, u: int) -> Message:
         """The message transmitter ``u`` put on the air this round."""
+        if self._kernel is not None:
+            return self._kernel.message_for(self._lane, u)
         message = self._plan_for(u).message
         if message is None:  # pragma: no cover - PlanError guards this
             raise PlanError(f"transmitter {u} has no message")
@@ -448,8 +477,14 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         re-classification. Transmitters whose class promised
         transmit_feedback_noop are skipped outright — in dense rounds
         they are the bulk of the calls, and their state provably cannot
-        have changed.
+        have changed. Under a kernel only receivers carry state
+        changes (eligibility pins process types with no-op idle and
+        transmit feedback).
         """
+        if self._kernel is not None:
+            if deliveries:
+                self._kernel.apply_feedback(self._lane, r, deliveries)
+            return
         processes = self.processes
         pending = (
             transmitter_mask & ~self._send_feedback_skip_mask
@@ -542,8 +577,14 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         probability per signature class, plus the per-node categories),
         which is O(#classes) instead of O(n). Compositions with more
         distinct nonzero contributors than the exact sum can beat fall
-        back to the fsum the reference engine uses.
+        back to the fsum the reference engine uses. A skip-capable
+        kernel answers in O(1).
         """
+        kernel = self._kernel
+        if kernel is not None:
+            if kernel.supports_skip:
+                return kernel.expected_exact(self._lane, kernel._r)
+            return math.fsum(probs.tolist())
         budget = min(_EXACT_EXPECTED_TERMS, probs.size // 4)
         terms: list[tuple[float, int]] = []
         for p, count in self._contributions():
@@ -570,7 +611,13 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                 yield plan.probability, 1
 
     def _quiescent(self) -> bool:
-        """No pending re-polls, hot/poll churners, or reactive feedback."""
+        """No pending re-polls, hot/poll churners, or reactive feedback.
+
+        Kernel state changes ride deliveries only (eligibility pins
+        the process types), so a skip-capable kernel is always quiet.
+        """
+        if self._kernel is not None:
+            return self._kernel.supports_skip
         return not (
             self._hot_mask
             or self._poll_mask
@@ -587,17 +634,22 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         already scheduled on the expiry heap, so only the live class
         representatives (one ``next_state_change`` per class — members
         agree by the contract) and the few direct-mode nodes need
-        polling, plus the adversary's boundary.
+        polling, plus the adversary's boundary. A kernel answers from
+        its struct-of-arrays state instead.
         """
         h = limit
-        heap = self._expiry_heap
-        if heap and heap[0][0] < h:
-            h = heap[0][0]
-        if h <= r + 1:
-            return r + 1
         boundary = self.link_process.next_boundary(r)
         if boundary is not None and boundary < h:
             h = boundary
+        kernel = self._kernel
+        if kernel is not None:
+            nxt = kernel.next_state_change(self._lane, r)
+            if nxt is not None and nxt < h:
+                h = nxt
+            return max(h, r + 1)
+        heap = self._expiry_heap
+        if heap and heap[0][0] < h:
+            h = heap[0][0]
         if h <= r + 1:
             return r + 1
         processes = self.processes
@@ -622,67 +674,27 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                         return r + 1
         return max(h, r + 1)
 
-    def _run_skipping(self, max_rounds: int, stop: Optional[StopCondition]) -> ExecutionResult:
-        """Skip-enabled run loop over the incremental class state.
+    def _silent_horizon(self, r: int, limit: int) -> Optional[int]:
+        """Skip licence from an *active* round ``r``, or ``None``.
 
-        Each round executes through the normal staged pipeline (with
-        the exact class-sum replacing the O(n) fsum); after an
-        all-silent round in a quiescent engine, the span up to the
-        skip horizon is emitted without execution — the elided ``plan``
-        calls are licensed by ``next_state_change``, the elided
-        ``choose_topology`` calls by ``next_boundary``, and no feedback
-        is elided at all (an all-silent round with no always-feedback
-        nodes makes zero ``on_feedback`` calls to begin with).
+        Only a skip-capable kernel can prove the coming span silent
+        without executing any of it — its schedule lives in
+        struct-of-arrays state (slot gaps, pending phase boundaries),
+        whereas the generic signature bookkeeping infers silence from
+        an executed silent round and so offers no licence here. Clamped
+        like :meth:`_skip_horizon`: the adversary's purity boundary
+        gates eliding its ``choose_topology`` calls, the cap gates the
+        span.
         """
-        executed = 0
-        ph = self._phase_ns if self._trace is not None else None
-        while executed < max_rounds:
-            r = self._round
-            if ph is not None:
-                t0 = perf_counter_ns()
-            probs = self._plan_probs(r)
-            expected = self._expected_exact(probs)
-            if ph is not None:
-                t1 = perf_counter_ns()
-                ph["plan"] += t1 - t0
-                t0 = t1
-            transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
-            if ph is not None:
-                ph["coins"] += perf_counter_ns() - t0
-            record = self._finish_round(
-                r, probs, transmit, transmitter_mask, expected
-            )
-            executed += 1
-            if stop is not None and stop():
-                return ExecutionResult(
-                    rounds=executed, solved=True, solve_round=record.round_index
-                )
-            if executed >= max_rounds:
-                break
-            if transmitter_mask or expected != 0.0 or not self._quiescent():
-                # expected is an exact sum of non-negative terms, so
-                # 0.0 here certifies every plan was silence.
-                continue
-            if ph is not None:
-                ts = perf_counter_ns()
-            start = self._round
-            h = self._skip_horizon(r, start + (max_rounds - executed))
-            if ph is not None and h > start:
-                counts = self._trace_counts
-                counts["skip.spans"] = counts.get("skip.spans", 0) + 1
-                self._trace.observe("skip.span_rounds", h - start)
-            try:
-                for i in range(start, h):
-                    quiet = self._emit_quiet_round(i)
-                    executed += 1
-                    if stop is not None and stop():
-                        return ExecutionResult(
-                            rounds=executed, solved=True, solve_round=quiet.round_index
-                        )
-            finally:
-                if ph is not None:
-                    ph["skip"] += perf_counter_ns() - ts
-        return ExecutionResult(rounds=executed, solved=False, solve_round=None)
+        kernel = self._kernel
+        if kernel is None or not kernel.supports_skip or not self.skip:
+            return None
+        nxt = kernel.next_active_round(self._lane, r)
+        h = limit if nxt is None else min(nxt, limit)
+        boundary = self.link_process.next_boundary(r)
+        if boundary is not None and boundary < h:
+            h = boundary
+        return max(h, r + 1)
 
     def _trace_end(self, rec, result: ExecutionResult) -> None:
         """Stamp the end-of-run signature-class composition, then flush.

@@ -45,7 +45,7 @@ __all__ = [
 
 #: The universal plan signature of a process that certainly listens this
 #: round. Returning it from :meth:`Process.plan_signature` lets the
-#: bitset fast path collapse every silent node into one shared
+#: fast engine collapse every silent node into one shared
 #: :meth:`RoundPlan.silence` without calling :meth:`Process.plan` —
 #: the dominant win on broadcast workloads, where most nodes are
 #: uninformed listeners for most of the execution.
@@ -121,7 +121,7 @@ class Process(abc.ABC):
 
     and that ``begin()`` runs exactly once before round 0.
 
-    Two *optional* fast-path hooks let the bitset engine
+    Two *optional* fast-path hooks let the fast engine
     (:mod:`repro.core.fastpath`) skip per-node Python work without
     changing any observable behavior; both default to the conservative
     "no promise" setting, so subclasses that ignore them are simulated
@@ -186,7 +186,7 @@ class Process(abc.ABC):
         """
 
     def plan_signature(self, round_index: int) -> Optional[tuple]:
-        """Optional plan-sharing key for the bitset fast path.
+        """Optional plan-sharing key for the fast engine's class path.
 
         Contract: if two processes of the *same concrete class* in the
         same execution return equal non-``None`` signatures for round
@@ -219,7 +219,7 @@ class Process(abc.ABC):
         between; ``None`` means "only feedback can change it".
 
         Overriding this (together with :meth:`plan_signature`) unlocks
-        the bitset engine's *incremental* mode: instead of polling
+        the fast engine's *incremental* mode: instead of polling
         every node every round, the engine tracks signature-class
         membership as bitmasks and re-polls a node only when its
         expiry round arrives or after delivering feedback to it. With

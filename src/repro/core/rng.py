@@ -128,7 +128,7 @@ def transmission_coins(
     set iff node ``u`` transmits).
 
     This is the *single* place transmission coins are realized: the
-    reference and bitset engines both call it against the same
+    reference and fast engines both call it against the same
     ``("engine", "coins")`` child stream, which is what makes them
     seed-for-seed identical by construction.
 

@@ -4,7 +4,8 @@ A trace file is JSONL — one record per :meth:`Recorder.emit` call.
 The schema (validated by ``tools/check_trace_schema.py``):
 
 * ``kind="trial"`` — one engine execution. Required keys: ``engine``
-  (``reference``/``bitset``/``bank``), ``seed``, ``n``, ``rounds``,
+  (the implementation that ran: ``reference`` or ``bank``, which a
+  ``bitset`` request resolves to), ``seed``, ``n``, ``rounds``,
   ``solved``, ``phases`` (phase name → nanoseconds, from
   :data:`PHASES`), ``counters`` (semantic counters, e.g.
   ``rounds.executed``/``rounds.skipped``).

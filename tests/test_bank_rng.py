@@ -20,9 +20,9 @@ import pytest
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
 from repro.core import rng as rng_mod
-from repro.core.bankpath import BankLane, BankRadioNetworkEngine, build_bank_kernel
-from repro.core.bankpath import run_bank_batch
+from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import create_engine
+from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.rng import LazyRng, derive_seed
 from repro.core.trace import TraceCollector
 
@@ -128,7 +128,7 @@ def _bank_lanes(spec: ScenarioSpec, seeds):
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
         observer = trial.problem.make_observer()
         collector = TraceCollector()
-        engine = BankRadioNetworkEngine(
+        engine = BitsetRadioNetworkEngine(
             trial.network,
             banks[lane_index],
             trial.link_process,

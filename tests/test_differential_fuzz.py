@@ -1,4 +1,4 @@
-"""Randomized differential testing across the three engines.
+"""Randomized differential testing across the engine variants.
 
 The equivalence matrix (`test_engine_equivalence.py`) pins every
 registered component at hand-picked parameters; this fuzzer samples the
@@ -6,8 +6,10 @@ registered component at hand-picked parameters; this fuzzer samples the
 registry-keyed generators (bounded n and round caps so a case stays
 cheap), JSON round-tripped through ``to_dict``/``from_dict`` before
 running (so what we test is exactly what a campaign file or the serve
-layer would replay), and held to full-trace identity across
-reference ≡ bitset ≡ bank plus serial ≡ parallel executor identity.
+layer would replay), and held to full-trace identity across the
+reference engine ≡ the fast engine on its per-process plan path
+(``kernel=None``) ≡ the fast engine with its auto-probed kernel, plus
+serial ≡ parallel executor identity.
 Each case also draws a random round-skipping setting (``None`` /
 ``False`` / ``True``) carried on the spec, so the fuzz sweep samples
 the skip axis alongside the component space; the oracle baseline is
@@ -36,10 +38,10 @@ import pytest
 from repro.analysis.runner import run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
-from repro.core.engine import create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.rng import derive_seed
 from repro.core.trace import TraceCollector
+from tests.conftest import ENGINE_VARIANTS, make_engine
 
 #: Deterministic fuzz: the whole case list is a pure function of this.
 MASTER_SEED = 20130731
@@ -314,11 +316,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
         # Every registered component is served by every engine: a
         # fallback under fuzz is a failure, not noise.
         warnings.simplefilter("error", EngineFallbackWarning)
-        eng = create_engine(
+        eng = make_engine(
+            engine,
             trial.network,
             processes,
             trial.link_process,
-            engine=engine,
             seed=seed,
             algorithm_info=trial.algorithm.info(),
             validate_topologies=True,
@@ -330,10 +332,10 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
 
 
 def _assert_three_way_identical(spec: ScenarioSpec, seed: int) -> None:
-    # Baseline: reference engine, skipping off. The fast engines run
+    # Baseline: reference engine, skipping off. Every variant runs
     # with the case's fuzzed skip setting (None = engine default).
     ref_result, ref_records = _run_traced(spec, seed, "reference", skip=False)
-    for engine in ("reference", "bitset", "bank"):
+    for engine in ENGINE_VARIANTS:
         result, records = _run_traced(spec, seed, engine, skip=spec.skip)
         assert result == ref_result, f"{engine} result diverged"
         assert len(records) == len(ref_records), f"{engine} round count diverged"

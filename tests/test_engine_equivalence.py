@@ -1,17 +1,19 @@
-"""Seed-for-seed equivalence of all three engines × round skipping: a
+"""Seed-for-seed equivalence of the engines × round skipping: a
 full-trace six-way differential harness.
 
-The bitset engine (:mod:`repro.core.fastpath`) restructures the round
-pipeline — plan deduplication by signature class, batched coins,
-matvec/bitset reception, feedback skipping — and the bank engine
-(:mod:`repro.core.bankpath`) goes further, replacing the MAC-protocol
-state machines with trial-batched struct-of-arrays kernels. Every
-restructuring is licensed by a documented contract, so the observable
-execution must be *identical*: same
-:class:`~repro.core.engine.ExecutionResult`, same
+The fast engine (:mod:`repro.core.fastpath`) restructures the round
+pipeline — batched coins, matvec/bitset reception, feedback skipping —
+and plans either by signature class (per-process plan path) or through
+a struct-of-arrays protocol kernel of :mod:`repro.core.bankpath`,
+which it probes for at construction. Every restructuring is licensed
+by a documented contract, so the observable execution must be
+*identical*: same :class:`~repro.core.engine.ExecutionResult`, same
 :class:`~repro.core.trace.RoundRecord` stream (transmitter masks,
 delivery tuples, expected transmitter counts), for every seed, for
-every fast engine, against the reference engine.
+both fast plan paths, against the reference engine. The plan path is
+forced with ``kernel=None`` (the ``bank-nokernel`` variant), so
+``plan_signature*`` on every registered algorithm stays compared
+against the reference engine even where a kernel exists.
 
 The matrix below covers **every registered component at least once**:
 all 14 graph families, all 11 algorithms (including both multi-message
@@ -22,11 +24,11 @@ probability rows and transmitter masks. The M-experiment cells (M1–M3)
 are checked against the *actual registered experiment specs* on top of
 the synthetic matrix.
 
-Each engine additionally runs with event-driven round skipping forced
-on and forced off — the six-way matrix. Skipping elides provably
-silent rounds but must replay them into the trace and advance the coin
-RNG exactly as if they had run, so all six variants compare against
-one baseline: the reference engine with skipping off.
+Each of the three variants additionally runs with event-driven round
+skipping forced on and forced off — the six-way matrix. Skipping
+elides provably silent rounds but must replay them into the trace and
+advance the coin RNG exactly as if they had run, so all six variants
+compare against one baseline: the reference engine with skipping off.
 """
 
 from __future__ import annotations
@@ -37,30 +39,25 @@ import warnings
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.core.bankpath import BankRadioNetworkEngine
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
+from tests.conftest import ENGINE_VARIANTS, NO_KERNEL, make_engine
 
-#: The engines that must reproduce the reference engine's traces.
+#: The engine names that must reproduce the reference engine's traces
+#: (``"bitset"`` is an alias of ``"bank"``).
 FAST_ENGINES = ("bitset", "bank")
 
-#: The full six-way grid: every engine with skipping forced on and
-#: forced off. The (reference, skip=False) cell is the baseline the
+#: The full six-way grid: every engine variant with skipping forced on
+#: and forced off. The (reference, skip=False) cell is the baseline the
 #: other five compare against.
 BASELINE = ("reference", False)
 SIX_WAY_MATRIX = [
-    (engine, skip)
-    for engine in ("reference", "bitset", "bank")
-    for skip in (False, True)
+    (engine, skip) for engine in ENGINE_VARIANTS for skip in (False, True)
 ]
 VARIANTS = [cell for cell in SIX_WAY_MATRIX if cell != BASELINE]
-
-#: create_engine result type for each fast engine (bank *is* a bitset
-#: subclass, so the check is exact-type, not isinstance).
-_ENGINE_TYPES = {"bitset": BitsetRadioNetworkEngine, "bank": BankRadioNetworkEngine}
 
 #: (graph, problem, algorithm, adversary) — one spec per row; together
 #: the rows cover the full registered component sets (asserted below).
@@ -200,13 +197,22 @@ EQUIVALENCE_MATRIX = [
     ),
 ]
 
-#: Rows whose bank lanes must run a vectorized kernel (MAC protocols
-#: and the kernel-backed adaptive rows), not the generic lane path.
+#: Rows whose fast engine must run a vectorized kernel (MAC protocols,
+#: the kernel-backed adaptive rows, and both E1b_large cells at tiny
+#: n), not the per-process plan path.
 KERNEL_ROWS = [
     row
     for row in EQUIVALENCE_MATRIX
     if row[2][0] in ("gkln-multi-message", "backoff-multi-message")
     or (row[3][0] == "online-dense-sparse" and "count_scope" in row[3][1])
+] + [
+    (
+        ("ring", {"n": 128}),
+        ("local-broadcast", {"fraction": 1 / 64}),
+        (algorithm, {}),
+        ("none", {}),
+    )
+    for algorithm in ("round-robin-local", "static-local-decay")
 ]
 
 SEEDS = (1, 2013)
@@ -240,11 +246,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
     )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
-    eng = create_engine(
+    eng = make_engine(
+        engine,
         trial.network,
         processes,
         trial.link_process,
-        engine=engine,
         seed=seed,
         algorithm_info=trial.algorithm.info(),
         validate_topologies=True,
@@ -306,8 +312,10 @@ class TestFastEngineEquivalence:
         fast_engine, fast_result, fast_records = _run_traced(
             spec, seed, engine, skip=skip
         )
-        if engine in _ENGINE_TYPES:
-            assert type(fast_engine) is _ENGINE_TYPES[engine]
+        if engine != "reference":
+            assert type(fast_engine) is BitsetRadioNetworkEngine
+        if engine == NO_KERNEL:
+            assert fast_engine._kernel is None
         expected_skip = skip
         kernel = getattr(fast_engine, "_kernel", None)
         if kernel is not None and not kernel.supports_skip:
@@ -325,8 +333,9 @@ class TestFastEngineEquivalence:
     @pytest.mark.parametrize("row", KERNEL_ROWS, ids=_row_id)
     def test_bank_kernel_engages_on_kernel_rows(self, row):
         """The kernel rows must exercise the vectorized kernels, not the
-        generic (inherited bitset) lane path — otherwise the matrix
-        would silently stop covering the struct-of-arrays code."""
+        per-process plan path — otherwise the matrix would silently
+        stop covering the struct-of-arrays code, and kernel selection
+        would be checked only through bench timings."""
         engine, _, _ = _run_traced(_spec(row), SEEDS[0], "bank")
         assert engine._kernel is not None
 
@@ -359,7 +368,7 @@ M_EXPERIMENT_CELLS = [
 class TestMExperimentCells:
     """Three-way equivalence on the actual registered M1–M3 specs."""
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", (NO_KERNEL, "bank"))
     @pytest.mark.parametrize(
         "cell", M_EXPERIMENT_CELLS, ids=lambda c: f"{c[0]}/{c[1]}/{c[2]}"
     )
@@ -428,4 +437,54 @@ class TestEngineSelection:
                 engine=engine,
                 seed=SEEDS[0],
             )
-        assert type(eng) is _ENGINE_TYPES[engine]
+        assert type(eng) is BitsetRadioNetworkEngine
+
+
+class TestBitsetAlias:
+    """``"bitset"`` names the one fast engine, ``"bank"``."""
+
+    def test_alias_resolves_to_bank_and_traces_as_bank(self, tmp_path):
+        from repro.core.engine import resolve_engine_choice
+        from repro.obs.recorder import disable, enable
+        from repro.obs.report import read_trace
+
+        spec = _spec(EQUIVALENCE_MATRIX[0])
+        trial = spec.build(SEEDS[0])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        )
+        resolved, skip, _ = resolve_engine_choice(
+            "bitset", processes, trial.link_process
+        )
+        assert (resolved, skip) == ("bank", True)
+        path = tmp_path / "trace.jsonl"
+        enable(str(path))
+        try:
+            engines = [_run_traced(spec, SEEDS[0], name)[0] for name in FAST_ENGINES]
+        finally:
+            disable()
+        assert type(engines[0]) is type(engines[1])
+        records = [r for r in read_trace(str(path)) if r["kind"] == "trial"]
+        assert [r["engine"] for r in records] == ["bank", "bank"]
+
+    def test_serial_executor_bank_batches_a_bitset_spec(self, monkeypatch):
+        import repro.core.bankpath as bankpath
+        from repro.analysis.runner import TrialStats
+        from repro.api.executor import SerialExecutor
+
+        calls = []
+        original = bankpath.run_bank_batch
+
+        def spy(lanes, *, max_rounds):
+            calls.append(len(lanes))
+            return original(lanes, max_rounds=max_rounds)
+
+        monkeypatch.setattr(bankpath, "run_bank_batch", spy)
+        spec = _spec(EQUIVALENCE_MATRIX[0])
+        seeds = [11, 12, 13]
+        fast = SerialExecutor().run_trials(
+            spec.with_param("engine", "bitset").build, seeds
+        )
+        assert calls == [len(seeds)]
+        reference = SerialExecutor().run_trials(spec.build, seeds)
+        assert TrialStats(fast).to_record() == TrialStats(reference).to_record()

@@ -264,7 +264,9 @@ class TestTracingDeterminism:
         records = [r for r in read_trace(str(path)) if r["kind"] == "trial"]
         assert records, "one trial record per engine run"
         record = records[-1]
-        assert record["engine"] == engine
+        # Records name the implementation that ran: "bitset" is an
+        # alias of "bank".
+        assert record["engine"] == ("bank" if engine == "bitset" else engine)
         assert {"seed", "n", "rounds", "solved", "phases", "counters"} <= set(record)
         assert set(record["phases"]) <= set(PHASES)
         assert sum(record["phases"].values()) > 0

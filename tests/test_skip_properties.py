@@ -46,16 +46,17 @@ from repro.algorithms.uniform import UniformGlobalProcess
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
-from repro.core.bankpath import (
-    BankLane,
-    BankRadioNetworkEngine,
-    build_bank_kernel,
-    run_bank_batch,
-)
+from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineFallbackWarning
+from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.process import Process
 from repro.core.trace import TraceCollector
+from tests.conftest import NO_KERNEL, make_engine
+
+#: Every engine name plus the fast engine's per-process plan path,
+#: which registered algorithms with a kernel reach only when forced.
+PROBED_ENGINES = ENGINE_NAMES + (NO_KERNEL,)
 
 #: Scenario corpus: (id, spec kwargs, max_rounds, expect_skip) rows.
 #: ``expect_skip`` marks the silence-heavy rows on which a skip-enabled
@@ -183,11 +184,11 @@ def _run_probed(spec: ScenarioSpec, seed: int, engine: str, skip: bool, max_roun
     )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
-    eng = create_engine(
+    eng = make_engine(
+        engine,
         trial.network,
         processes,
         trial.link_process,
-        engine=engine,
         seed=seed,
         algorithm_info=trial.algorithm.info(),
         validate_topologies=True,
@@ -217,7 +218,7 @@ def _corpus_id(row) -> str:
 class TestSkipTraceByteEquality:
     """skip=True vs skip=False: byte-identical traces, per engine."""
 
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("engine", PROBED_ENGINES)
     @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_trace_and_rng_stream_identical(self, row, seed, engine):
@@ -263,7 +264,7 @@ class TestMaxRoundsMidSpan:
     #: below force the cut mid-span.
     SPEC_KWARGS = CORPUS[0][1]
 
-    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    @pytest.mark.parametrize("engine", PROBED_ENGINES)
     @pytest.mark.parametrize("cap", (7, 23, 48))
     def test_cap_mid_span_is_exact(self, engine, cap):
         spec = _spec(self.SPEC_KWARGS)
@@ -467,7 +468,7 @@ class TestAdaptiveHistoryUnderSkipping:
         lanes = []
         for index, (trial, seed) in enumerate(zip(trials, self.SEEDS)):
             observer = trial.problem.make_observer()
-            engine = BankRadioNetworkEngine(
+            engine = BitsetRadioNetworkEngine(
                 trial.network,
                 banks[index],
                 trial.link_process,

@@ -82,6 +82,15 @@ class TestScenarioSpecHash:
             != ScenarioSpec.from_dict(bitset).spec_hash()
         )
 
+    def test_bitset_alias_keeps_its_hash(self):
+        # "bitset" resolves to the bank engine only at execution time;
+        # the name stays in the hashed identity, so stored records keep
+        # deduping against it.
+        bitset = {**SPEC_DOC, "engine": "bitset"}
+        assert ScenarioSpec.from_dict(bitset).spec_hash() == (
+            "142a7af401d831d4ede1288f710d49763a60887cccdd96e5116e4df3bbb77d2f"
+        )
+
     def test_parameter_changes_hash(self):
         bigger = {
             **SPEC_DOC,

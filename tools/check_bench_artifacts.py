@@ -14,11 +14,11 @@ stopped paying cannot merge quietly:
   the same (experiment, scale) cell (min-of-repeats, the noise-robust
   statistic — the same rule as ``assert_not_slower_than_reference``);
 * **decay kernels pay** — the committed E1b_large ``bank`` cells must
-  beat the committed ``bitset`` cells by >= 3x at the largest parameter
-  of both single-message series ("round-robin", "static-local-decay").
-  The engine-equivalence suite cannot catch a kernel-selection
-  regression (the per-process fallback is byte-identical, just slow);
-  only the committed timings can.
+  beat the committed ``reference`` cells by >= 3x at the largest
+  parameter of both single-message series ("round-robin",
+  "static-local-decay"). The per-process plan path is byte-identical,
+  just slow, so traces cannot show a kernel that stopped paying; only
+  the committed timings can.
 
 No third-party dependencies; exit 0 when clean, 1 with a per-problem
 report otherwise.
@@ -40,8 +40,8 @@ REFERENCE_ALLOWANCE = 1.10
 #: (experiment, scale, fast engine, slow engine, series substring, min ratio):
 #: largest-parameter cell comparisons between two committed artifacts.
 CELL_SPEEDUPS = [
-    ("E1b_large", "small", "bank", "bitset", "round-robin", 3.0),
-    ("E1b_large", "small", "bank", "bitset", "static-local-decay", 3.0),
+    ("E1b_large", "small", "bank", "reference", "round-robin", 3.0),
+    ("E1b_large", "small", "bank", "reference", "static-local-decay", 3.0),
 ]
 
 

@@ -14,13 +14,15 @@ documented in ``src/repro/obs/report.py``:
   the same ``phases``/``counters`` shapes.
 
 For the committed sample the checker additionally requires coverage:
-all three engines must appear among the trial records, and at least
-one shard rollup must be present — that is the acceptance bar for "the
-sample shows a per-phase breakdown for every engine".
+every engine *implementation* (``reference`` and ``bank``; a
+``bitset`` request runs, and records itself as, ``bank``) must appear
+among the trial records, and at least one shard rollup must be present
+— that is the acceptance bar for "the sample shows a per-phase
+breakdown for every engine".
 
 ``--regenerate`` rebuilds the sample deterministically (a tiny E1b
-campaign cell per engine, traced) before validating it. Run it after
-changing the record schema or the phase taxonomy.
+campaign cell per implementation, traced) before validating it. Run it
+after changing the record schema or the phase taxonomy.
 
 Exit status 0 when clean; 1 with a per-problem report otherwise.
 """
@@ -70,6 +72,14 @@ def _check_counters(record: dict, where: str) -> list[str]:
     ]
 
 
+def _implementations() -> set[str]:
+    """The engine names trial records report (one per engine class)."""
+    from repro.core.engine import RadioNetworkEngine
+    from repro.core.fastpath import BitsetRadioNetworkEngine
+
+    return {RadioNetworkEngine.engine_name, BitsetRadioNetworkEngine.engine_name}
+
+
 def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
     from repro.core.engine import ENGINE_NAMES
     from repro.obs.report import PHASES, read_trace
@@ -116,10 +126,11 @@ def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
             problems.append(f"{where}: unknown record kind {kind!r}")
 
     if require_coverage:
-        missing = set(ENGINE_NAMES) - engines_seen
+        missing = _implementations() - engines_seen
         if missing:
             problems.append(
-                f"{path}: sample must cover every engine; missing {sorted(missing)}"
+                f"{path}: sample must cover every engine implementation; "
+                f"missing {sorted(missing)}"
             )
         if not shards_seen:
             problems.append(f"{path}: sample must include a shard rollup record")
@@ -127,11 +138,11 @@ def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
 
 
 def regenerate_sample() -> None:
-    """Rebuild the committed sample: one tiny E1b cell per engine, traced."""
+    """Rebuild the committed sample: one tiny E1b cell per engine
+    implementation, traced."""
     from repro.campaign.runner import CampaignRunner
     from repro.campaign.spec import CampaignSpec
     from repro.campaign.store import ResultStore
-    from repro.core.engine import ENGINE_NAMES
     from repro.obs.recorder import disable, enable
 
     SAMPLE.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +150,7 @@ def regenerate_sample() -> None:
         name="trace-sample",
         experiments=("E1b",),
         scales=("tiny",),
-        engines=tuple(ENGINE_NAMES),
+        engines=tuple(sorted(_implementations())),
         seeds=(2013,),
     )
     with tempfile.TemporaryDirectory() as scratch:
