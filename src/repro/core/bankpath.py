@@ -47,11 +47,13 @@ Three layers cooperate:
    in one shot. Lanes whose stop condition fires (or whose per-lane
    ``max_rounds`` cap elapses — caps may differ across lanes) retire
    from the bank: their RNGs stop drawing, exactly like a serial run
-   ending. The single-message kernels keep event-driven round skipping
-   *on*: provably silent spans fast-forward through
-   :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` when
-   every observer on a lane accepts the batched quiet-span hook, and
-   degrade to per-round records otherwise.
+   ending. Round skipping asks the lanes' own skip horizon, the hook a
+   standalone ``run()`` asks, so a lane skips exactly what its solo
+   run skips; for the single-message kernels that hook is
+   :meth:`next_active_round`. Provably silent spans fast-forward
+   through :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
+   when every observer on a lane accepts the batched quiet-span hook,
+   and degrade to per-round records otherwise.
 
 Every adversary class is served. Adaptive adversaries see their typed
 views built from the lane's probability row and transmitter mask, both
@@ -71,7 +73,7 @@ from repro.algorithms.decay import decay_ladder
 from repro.core.engine import ExecutionResult, StopCondition
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.messages import Message
-from repro.core.trace import Delivery
+from repro.core.trace import Delivery, RoundRecord
 from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
 
@@ -379,9 +381,10 @@ class _SingleMessageKernelBase:
 
     State changes ride deliveries only (eligibility pins the exact
     process types, whose idle/transmit feedback are no-ops), so the
-    kernels also answer :meth:`next_state_change` for the skip probe:
-    ``supports_skip`` stays True and bank lanes keep event-driven
-    skipping, compounding with the struct-of-arrays plan stage.
+    kernels also answer :meth:`next_active_round`, the fast engine's
+    skip horizon: ``supports_skip`` stays True and lanes keep
+    event-driven skipping, compounding with the struct-of-arrays plan
+    stage.
     """
 
     supports_skip = True
@@ -409,17 +412,15 @@ class _SingleMessageKernelBase:
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         """First round > ``r`` on which lane ``t`` could transmit.
 
-        The licence behind *active-round* fast-forwarding: every round
-        in ``(r, result)`` has zero transmission probability for every
-        node of the lane, assuming no deliveries land in between (which
-        is vacuous — all-silent rounds deliver nothing). ``None`` means
-        the lane never transmits again without a delivery. Unlike
-        :meth:`next_state_change` — whose contract is "plans unchanged
-        since round r", meaningful only after an executed silent round
-        — this holds regardless of what round ``r`` itself did, so the
-        scheduler may skip straight from a slot round to the next one.
-        The default promises nothing beyond the next round, disabling
-        the fast-forward for kernels that don't override it.
+        The kernels' only skip horizon: every round in ``(r, result)``
+        has zero transmission probability for every node of the lane,
+        assuming no deliveries land in between (which is vacuous —
+        all-silent rounds deliver nothing). ``None`` means the lane
+        never transmits again without a delivery. The promise holds
+        whatever round ``r`` itself did, so a skip loop may go straight
+        from one slot round to the next. The default promises nothing
+        beyond the next round, disabling the fast-forward for kernels
+        that don't override it.
         """
         return r + 1
 
@@ -512,17 +513,6 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
             remainder = r % phase
             wait = 0 if remainder == 0 else phase - remainder
             start[t, u] = r + 1 + wait
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement gives way to the ladder
-        start = self.start[t]
-        informed = start[start != _NEVER]
-        if informed.size == 0:
-            return None  # adoption arrives via feedback
-        if bool((informed <= r).any()):
-            return r + 1  # active ladder: a new rung every round
-        return int(informed.min())  # earliest pending phase boundary
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         start = self.start[t]
@@ -625,18 +615,6 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
             # First epoch boundary strictly after this round.
             join[t, u] = (r + 1 + epoch_len - 1) // epoch_len
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement; then the source falls silent
-        joins = self.join_epoch[t]
-        joined = joins[joins != _NEVER]
-        if joined.size == 0:
-            return None  # adoption arrives via feedback
-        epoch_len = self.epoch_len[t]
-        if bool((joined * epoch_len <= r).any()):
-            return r + 1  # active permuted decay: new rung each round
-        return int(joined.min()) * epoch_len  # earliest pending epoch
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         joins = self.join_epoch[t]
         joined = joins[joins != _NEVER]
@@ -699,13 +677,6 @@ class _StaticDecayBankKernel(_SingleMessageKernelBase):
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if not int(self._bcount[t]):
-            return None  # listeners listen forever
-        if int(self.phase[t, 0]) == 1:
-            return None  # degenerate ladder: constant probability 1/2
-        return r + 1  # a new ladder rung every round
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         # Broadcasters ride the public ladder every round, forever.
         return r + 1 if int(self._bcount[t]) else None
@@ -755,9 +726,6 @@ class _RoundRobinLocalBankKernel(_SingleMessageKernelBase):
     def message_for(self, t: int, u: int) -> Message:
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round(self.slots[t][self.role[t]], r, self.n)
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         return _next_slot_round_after(self.slots[t][self.role[t]], r, self.n)
@@ -821,33 +789,16 @@ class _RoundRobinGlobalBankKernel(_SingleMessageKernelBase):
             if not informed[t, u] and delivery.message.is_data():
                 informed[t, u] = True
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        # Uninformed nodes stay silent through their slot, so only the
-        # informed set's slots can change the lane's behavior.
-        return _next_slot_round(self.slots[t][self.informed[t]], r, self.n)
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
-
-
-def _next_slot_round(slots: np.ndarray, r: int, n: int) -> Optional[int]:
-    """First round > ``r`` on which any of ``slots`` matches the clock."""
-    if n == 1:
-        return None  # every round is the slot round
-    if slots.size == 0:
-        return None
-    step = int(((slots - r) % n).min())
-    return r + (step if step else 1)
 
 
 def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
     """First round *strictly* after ``r`` on which any of ``slots`` fires.
 
-    Unlike :func:`_next_slot_round` (whose step-0 case conservatively
-    answers ``r + 1`` because it is only consulted from silent rounds),
-    this maps a slot firing at ``r`` itself a full cycle forward — the
-    active-round fast-forward asks exactly "when does the *next* slot
-    land?" while standing on one.
+    A slot firing at ``r`` itself maps a full cycle forward: the skip
+    horizon asks "when does the *next* slot land?", possibly while
+    standing on one.
     """
     if slots.size == 0:
         return None
@@ -904,9 +855,6 @@ class _UniformLocalBankKernel(_SingleMessageKernelBase):
     def message_for(self, t: int, u: int) -> Message:
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        return None  # constant rate forever, in both roles
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
@@ -976,11 +924,6 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
             u = delivery.receiver
             if not informed[t, u] and delivery.message.is_data():
                 informed[t, u] = True
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement gives way to the constant rate
-        return None  # constant rate (or silence) until feedback intervenes
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if r == 0 or float(self.rate[t, 0]) > 0.0:
@@ -1072,16 +1015,18 @@ def run_bank_batch(
     the surviving lanes keep the lockstep going.
 
     When every lane was built with ``skip=True`` the bank fast-forwards
-    the spans in which *all surviving* lanes are provably silent: the
-    lockstep schedule means a skip is licensed only up to the earliest
-    horizon across lanes (``min`` of the per-lane
+    the spans in which *all surviving* lanes are provably silent: after
+    every round it asks each lane's
     :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._skip_horizon`
-    probes, each clamped to its own cap). A lane whose observers all
-    accept the batched quiet-span hook emits the span through one
+    — the hook a standalone ``run()`` asks — and the lockstep schedule
+    licenses a skip only up to the ``min`` across lanes (each clamped to
+    its own cap). A lane whose observers all accept the batched
+    quiet-span hook emits the span through one
     :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
     (one RNG jump-ahead, one observer call); any other lane emits round
-    by round through the solo ``_emit_quiet_round``, so its records and
-    coin stream stay bit-identical to its standalone run.
+    by round through ``_emit_quiet_rounds``, exactly as ``run()`` does,
+    so its records and coin stream stay bit-identical to its standalone
+    run.
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
@@ -1154,23 +1099,20 @@ def run_bank_batch(
 
         # Stages 1–2, batched: per-lane plans and per-trial coin rows,
         # one comparison + packbits for the whole bank.
-        if traced:
-            for j, i in enumerate(active):
-                engine = lanes[i].engine
+        for j, i in enumerate(active):
+            engine = lanes[i].engine
+            if traced:
                 ta = perf_counter_ns()
-                np.copyto(probs[j], engine._plan_probs(r))
+            np.copyto(probs[j], engine._plan_probs(r))
+            if traced:
                 tb = perf_counter_ns()
-                engine._coin_rng.random(out=coins[j])
-                tc = perf_counter_ns()
+            engine._coin_rng.random(out=coins[j])
+            if traced:
                 ph = engine._phase_ns
                 ph["plan"] += tb - ta
-                ph["coins"] += tc - tb
+                ph["coins"] += perf_counter_ns() - tb
+        if traced:
             t0 = perf_counter_ns()
-        else:
-            for j, i in enumerate(active):
-                engine = lanes[i].engine
-                np.copyto(probs[j], engine._plan_probs(r))
-                engine._coin_rng.random(out=coins[j])
         transmit = coins < probs
         packed = np.packbits(transmit, axis=1, bitorder="little").tobytes()
         masks = [
@@ -1189,19 +1131,14 @@ def run_bank_batch(
         # dense (lanes × n × n) neighbor batch built straight from the
         # masks — one ``unpackbits`` plus one batched matvec for the
         # whole bank instead of per-lane bigint candidate scans.
-        if traced:
-            topologies = []
-            for j, i in enumerate(active):
+        topologies = []
+        for j, i in enumerate(active):
+            engine = lanes[i].engine
+            if traced:
                 ta = perf_counter_ns()
-                topologies.append(
-                    lanes[i].engine._choose_topology(r, probs[j], masks[j])
-                )
-                lanes[i].engine._phase_ns["adversary"] += perf_counter_ns() - ta
-        else:
-            topologies = [
-                lanes[i].engine._choose_topology(r, probs[j], masks[j])
-                for j, i in enumerate(active)
-            ]
+            topologies.append(engine._choose_topology(r, probs[j], masks[j]))
+            if traced:
+                engine._phase_ns["adversary"] += perf_counter_ns() - ta
         shared_deliveries: dict[int, list[Delivery]] = {}
         fresh: list[int] = []
         for j, topology in enumerate(topologies):
@@ -1275,7 +1212,7 @@ def run_bank_batch(
         ]
         if traced:
             _credit("plan", perf_counter_ns() - t0, active)
-        survivors: list[tuple[int, int]] = []  # (bank position j, lane i)
+        survivors: list[tuple[int, RoundRecord]] = []
         for j, i in enumerate(active):
             lane = lanes[i]
             record = lane.engine._finish_round(
@@ -1292,72 +1229,42 @@ def run_bank_batch(
                     rounds=r + 1, solved=True, solve_round=record.round_index
                 )
             else:
-                survivors.append((j, i))
-        active = [i for _, i in survivors]
+                survivors.append((i, record))
+        active = [i for i, _ in survivors]
         executed += 1
 
-        # Lockstep round skipping. A lane that just retired no longer
-        # constrains the probes.
-        if not (bank_skip and survivors):
+        # Lockstep round skipping: the bank may fast-forward only to
+        # the earliest per-lane horizon (each clamped to its own cap).
+        # A lane that just retired no longer constrains it.
+        if not (bank_skip and active):
             continue
         if traced:
             ts = perf_counter_ns()
             probed = active
-        start = executed  # == r + 1: every lane's next round, lockstep
-        if (
-            all(masks[j] == 0 for j, _ in survivors)
-            and all(expecteds[j] == 0.0 for j, _ in survivors)
-            and all(lanes[i].engine._quiescent() for _, i in survivors)
-        ):
-            # Every surviving lane was provably silent this round (the
-            # exact expected sum of non-negative probabilities is 0.0
-            # iff each term is) and quiescent: fast-forward to the
-            # earliest per-lane skip horizon (each clamped to its cap).
-            h = min(lanes[i].engine._skip_horizon(r, caps[i]) for i in active)
-        else:
-            # The round was active somewhere, but skip-capable kernels
-            # can still prove the coming span silent from schedule
-            # state alone (slot gaps, pending phase boundaries) —
-            # skipping straight from one slot round to the next instead
-            # of executing a probe round in between. One lane without a
-            # licence keeps the lockstep stepping round by round.
-            horizons = [lanes[i].engine._silent_horizon(r, caps[i]) for i in active]
-            if any(horizon is None for horizon in horizons):
-                if traced:
-                    _credit("skip", perf_counter_ns() - ts, probed)
-                continue
-            h = min(horizons)
-        if h <= start:
-            if traced:
-                _credit("skip", perf_counter_ns() - ts, probed)
-            continue
-        still_active: list[int] = []
-        for i in active:
-            lane = lanes[i]
-            engine = lane.engine
-            if span_ok[i]:
-                # Batch-capable observers are span-invariant over
-                # all-silent rounds, so the stop condition (a function
-                # of observer state) cannot fire mid-span: one call
-                # covers the whole span.
-                engine._emit_quiet_span(start, h)
-                still_active.append(i)
-                continue
-            retired = False
-            for quiet_round in range(start, h):
-                record = engine._emit_quiet_round(quiet_round)
-                if lane.stop is not None and lane.stop():
+        h = min(
+            lanes[i].engine._skip_horizon(record, caps[i]) for i, record in survivors
+        )
+        if h > executed:
+            still_active: list[int] = []
+            for i in active:
+                lane = lanes[i]
+                if span_ok[i]:
+                    # Batch-capable observers are span-invariant over
+                    # all-silent rounds, so the stop condition (a
+                    # function of observer state) cannot fire mid-span:
+                    # one call covers the whole span.
+                    lane.engine._emit_quiet_span(executed, h)
+                    still_active.append(i)
+                    continue
+                solved = lane.engine._emit_quiet_rounds(executed, h, lane.stop)
+                if solved is None:
+                    still_active.append(i)
+                else:
                     results[i] = ExecutionResult(
-                        rounds=quiet_round + 1,
-                        solved=True,
-                        solve_round=record.round_index,
+                        rounds=solved + 1, solved=True, solve_round=solved
                     )
-                    retired = True
-                    break
-            if not retired:
-                still_active.append(i)
-        active = still_active
-        executed = h
+            active = still_active
+            executed = h
         if traced:
             _credit("skip", perf_counter_ns() - ts, probed)
     if traced:

@@ -32,9 +32,9 @@ fast engine, also spelled ``bitset``) lives in
 :func:`create_engine` (or the ``engine=`` field on
 :class:`~repro.api.spec.ScenarioSpec` and the CLI's ``--engine``).
 Both run their single trials through one skip loop,
-:meth:`RadioNetworkEngine._run_skipping`, over two hooks each engine
-answers its own way: :meth:`~RadioNetworkEngine._quiescent` and
-:meth:`~RadioNetworkEngine._skip_horizon`.
+:meth:`RadioNetworkEngine._run_skipping`, over one hook each engine
+answers its own way, :meth:`~RadioNetworkEngine._skip_horizon`; the
+bank scheduler's lockstep loop asks the same hook.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class RadioNetworkEngine:
         self._phase_ns: dict[str, int] = {}
         self._trace_counts: dict[str, float] = {}
         # Skip-probe state: the cached idle-feedback licence and the
-        # failed-probe backoff (see _quiescent / _skip_horizon).
+        # failed-probe backoff (see _skip_horizon).
         self._idle_feedback_quiet: Optional[bool] = None
         self._skip_backoff = 1
         self._skip_retry_at = 0
@@ -549,17 +549,37 @@ class RadioNetworkEngine:
             counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + 1
         return record
 
+    def _emit_quiet_rounds(
+        self, start: int, stop_round: int, stop: Optional[StopCondition]
+    ) -> Optional[int]:
+        """Emit skipped rounds ``start .. stop_round-1`` one by one.
+
+        Each round goes through :meth:`_emit_quiet_round` and gets its
+        own stop check, so a stop that fires mid-span ends the run on
+        exactly the round a non-skipping run would. Returns the round
+        after which ``stop`` fired, or ``None`` if the span completed.
+        """
+        if self._trace is not None and stop_round > start:
+            counts = self._trace_counts
+            counts["skip.spans"] = counts.get("skip.spans", 0) + 1
+            self._trace.observe("skip.span_rounds", stop_round - start)
+        for i in range(start, stop_round):
+            self._emit_quiet_round(i)
+            if stop is not None and stop():
+                return i
+        return None
+
     def _emit_quiet_span(self, start: int, stop: int) -> None:
         """Emit all-silent rounds ``start .. stop-1`` as one batch.
 
-        Observable-equivalent to calling :meth:`_emit_quiet_round` for
-        each round of the span: the coin stream advances by exactly
-        ``n · span`` uniforms (one :meth:`advance` call — the PCG64
-        jump-ahead is O(log span), and the final stream position is
-        identical), observers get one ``on_round_batch(start, stop)``
-        instead of ``span`` materialized records, and the round/stat
-        counters land on the same values. Callers must ensure every
-        attached observer implements the batch hook (see
+        Observable-equivalent to :meth:`_emit_quiet_rounds` over the
+        same span: the coin stream advances by exactly ``n · span``
+        uniforms (one :meth:`advance` call — the PCG64 jump-ahead is
+        O(log span), and the final stream position is identical),
+        observers get one ``on_round_batch(start, stop)`` instead of
+        ``span`` materialized records, and the round/stat counters land
+        on the same values. Callers must ensure every attached observer
+        implements the batch hook (see
         :class:`~repro.core.trace.Observer`) and that no mid-span stop
         check is needed — batch-capable observers are span-invariant
         over all-silent rounds, so a stop condition that is false at
@@ -579,13 +599,29 @@ class RadioNetworkEngine:
             counts["skip.spans"] = counts.get("skip.spans", 0) + 1
             self._trace.observe("skip.span_rounds", stop - start)
 
-    def _quiescent(self) -> bool:
-        """Whether an all-silent round licenses a skip probe at all.
+    def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
+        """First round in ``(r, limit]`` at which anything may change.
 
-        Skipping elides the span's ``on_feedback`` calls, licensed per
-        process class by ``idle_feedback_noop`` or by not overriding
-        ``on_feedback``; checked once per engine.
+        The one skip hook: both skip loops (:meth:`_run_skipping` and
+        the bank scheduler's) call it after every executed round ``r``
+        with that round's record, and emit ``[r + 1, horizon)`` without
+        executing it. Here a span is licensed only after an all-silent
+        round (``expected == 0.0`` is exact: a sum of non-negative
+        terms is zero iff every term is) and only when idle feedback is
+        a no-op for every process class (``idle_feedback_noop``, or
+        ``on_feedback`` not overridden; checked once per engine). Then
+        every plan provably stays silent up to
+        :meth:`~repro.core.process.Process.next_state_change` and the
+        adversary's masks stay put up to
+        :meth:`~repro.adversaries.base.LinkProcess.next_boundary`.
+        Returns ``r + 1`` when nothing is skippable. The probe polls
+        every process, so a failed attempt backs off (see
+        ``_SKIP_BACKOFF_MAX``) before the next one.
         """
+        r = record.round_index
+        start = r + 1
+        if record.transmitter_mask or record.expected_transmitters != 0.0:
+            return start
         quiet = self._idle_feedback_quiet
         if quiet is None:
             quiet = self._idle_feedback_quiet = all(
@@ -593,23 +629,7 @@ class RadioNetworkEngine:
                 or type(p).on_feedback is Process.on_feedback
                 for p in self.processes
             )
-        return quiet
-
-    def _skip_horizon(self, r: int, limit: int) -> int:
-        """First round in ``(r, limit]`` at which anything may change.
-
-        Called right after an all-silent round ``r`` of a quiescent
-        engine: within ``[r + 1, horizon)`` every plan provably stays
-        silent (:meth:`~repro.core.process.Process.next_state_change`)
-        and the adversary's masks stay put
-        (:meth:`~repro.adversaries.base.LinkProcess.next_boundary`), so
-        those rounds can be emitted without executing them. Returns
-        ``r + 1`` when nothing is skippable. This probe polls every
-        process, so a failed attempt backs off (see
-        ``_SKIP_BACKOFF_MAX``) before the next one.
-        """
-        start = r + 1
-        if start < self._skip_retry_at:
+        if not quiet or start < self._skip_retry_at:
             return start
         h = limit
         boundary = self.link_process.next_boundary(r)
@@ -631,53 +651,30 @@ class RadioNetworkEngine:
     def _run_skipping(self, max_rounds: int, stop: Optional[StopCondition]) -> ExecutionResult:
         """The skip-enabled run loop, shared by every engine.
 
-        Rounds execute through the ordinary :meth:`step`; after each
-        *all-silent* round (``expected == 0.0`` — exact, since the
-        expected-transmitter sum of non-negative terms is zero iff
-        every term is) of a :meth:`_quiescent` engine, the engine
-        fast-forwards to :meth:`_skip_horizon`. The span's elided
-        ``plan`` calls are licensed by ``next_state_change`` and its
-        elided ``choose_topology`` calls by ``next_boundary`` — round
-        ``r`` itself always ran normally, so stateful adversaries stay
-        in sync.
+        Rounds execute through the ordinary :meth:`step`; after each one
+        the engine fast-forwards to :meth:`_skip_horizon`, emitting the
+        span through :meth:`_emit_quiet_rounds`. Round ``r`` itself
+        always ran normally, so stateful adversaries stay in sync.
         """
-        executed = 0
-        while executed < max_rounds:
+        first = self._round
+        while self._round - first < max_rounds:
             record = self.step()
-            executed += 1
             if stop is not None and stop():
                 return ExecutionResult(
-                    rounds=executed, solved=True, solve_round=record.round_index
+                    rounds=self._round - first, solved=True, solve_round=record.round_index
                 )
-            if executed >= max_rounds:
-                break
-            if (
-                record.transmitter_mask
-                or record.expected_transmitters != 0.0
-                or not self._quiescent()
-            ):
-                continue
             ph = self._phase_ns if self._trace is not None else None
             if ph is not None:
                 ts = perf_counter_ns()
-            start = self._round
-            h = self._skip_horizon(record.round_index, start + (max_rounds - executed))
-            if ph is not None and h > start:
-                counts = self._trace_counts
-                counts["skip.spans"] = counts.get("skip.spans", 0) + 1
-                self._trace.observe("skip.span_rounds", h - start)
-            try:
-                for i in range(start, h):
-                    quiet = self._emit_quiet_round(i)
-                    executed += 1
-                    if stop is not None and stop():
-                        return ExecutionResult(
-                            rounds=executed, solved=True, solve_round=quiet.round_index
-                        )
-            finally:
-                if ph is not None:
-                    ph["skip"] += perf_counter_ns() - ts
-        return ExecutionResult(rounds=executed, solved=False, solve_round=None)
+            h = self._skip_horizon(record, first + max_rounds)
+            solved = self._emit_quiet_rounds(self._round, h, stop)
+            if ph is not None:
+                ph["skip"] += perf_counter_ns() - ts
+            if solved is not None:
+                return ExecutionResult(
+                    rounds=self._round - first, solved=True, solve_round=solved
+                )
+        return ExecutionResult(rounds=max_rounds, solved=False, solve_round=None)
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,14 @@ so the Python work per round is proportional to what *changed*, not to
    process class overrides ``on_feedback`` without promising
    :attr:`~repro.core.process.Process.idle_feedback_noop`.
 
+**Round skipping** asks one hook, :meth:`BitsetRadioNetworkEngine._skip_horizon`,
+after every executed round — from the per-trial
+:meth:`~repro.core.engine.RadioNetworkEngine._run_skipping` loop and
+from the bank scheduler alike, so a standalone run skips exactly what
+its bank lane skips. A skip-capable kernel answers it from
+``next_active_round``; the signature-class path answers it after
+all-silent rounds from its class representatives and expiry heap.
+
 Every adversary class is served. Adaptive views carry only the
 per-node probability vector, the public history window and (offline)
 the realized transmitter mask — the vector and the mask are what
@@ -610,43 +618,47 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             for plan in self._hot_plans:
                 yield plan.probability, 1
 
-    def _quiescent(self) -> bool:
-        """No pending re-polls, hot/poll churners, or reactive feedback.
-
-        Kernel state changes ride deliveries only (eligibility pins
-        the process types), so a skip-capable kernel is always quiet.
-        """
-        if self._kernel is not None:
-            return self._kernel.supports_skip
-        return not (
-            self._hot_mask
-            or self._poll_mask
-            or self._renew_mask
-            or self._dirty_mask
-            or self._always_feedback_mask
-        )
-
-    def _skip_horizon(self, r: int, limit: int) -> int:
+    def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
-        The incremental class state narrows the reference engine's
-        O(n) probe to O(#classes): silent nodes' transitions are
-        already scheduled on the expiry heap, so only the live class
+        A skip-capable kernel answers from its struct-of-arrays state,
+        whatever round ``r`` did: its ``next_active_round`` promises
+        every round before it silent (state changes ride deliveries
+        only, and silent rounds deliver nothing), so the span from one
+        slot round to the next is skipped without executing a probe
+        round in between.
+
+        The signature-class path licenses a span only after an
+        all-silent round with no pending re-polls, hot/poll churners
+        or reactive feedback, and narrows the reference engine's O(n)
+        probe to O(#classes): silent nodes' transitions are already
+        scheduled on the expiry heap, so only the live class
         representatives (one ``next_state_change`` per class — members
         agree by the contract) and the few direct-mode nodes need
-        polling, plus the adversary's boundary. A kernel answers from
-        its struct-of-arrays state instead.
+        polling. Both paths clamp to the adversary's ``next_boundary``.
         """
+        r = record.round_index
+        kernel = self._kernel
+        if kernel is None:
+            if (
+                record.transmitter_mask
+                or record.expected_transmitters != 0.0
+                or self._hot_mask
+                or self._poll_mask
+                or self._renew_mask
+                or self._dirty_mask
+                or self._always_feedback_mask
+            ):
+                return r + 1
+        elif not kernel.supports_skip:
+            return r + 1
         h = limit
         boundary = self.link_process.next_boundary(r)
         if boundary is not None and boundary < h:
             h = boundary
-        kernel = self._kernel
         if kernel is not None:
-            nxt = kernel.next_state_change(self._lane, r)
-            if nxt is not None and nxt < h:
-                h = nxt
-            return max(h, r + 1)
+            nxt = kernel.next_active_round(self._lane, r)
+            return max(h if nxt is None else min(nxt, h), r + 1)
         heap = self._expiry_heap
         if heap and heap[0][0] < h:
             h = heap[0][0]
@@ -672,28 +684,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                     h = nxt
                     if h <= r + 1:
                         return r + 1
-        return max(h, r + 1)
-
-    def _silent_horizon(self, r: int, limit: int) -> Optional[int]:
-        """Skip licence from an *active* round ``r``, or ``None``.
-
-        Only a skip-capable kernel can prove the coming span silent
-        without executing any of it — its schedule lives in
-        struct-of-arrays state (slot gaps, pending phase boundaries),
-        whereas the generic signature bookkeeping infers silence from
-        an executed silent round and so offers no licence here. Clamped
-        like :meth:`_skip_horizon`: the adversary's purity boundary
-        gates eliding its ``choose_topology`` calls, the cap gates the
-        span.
-        """
-        kernel = self._kernel
-        if kernel is None or not kernel.supports_skip or not self.skip:
-            return None
-        nxt = kernel.next_active_round(self._lane, r)
-        h = limit if nxt is None else min(nxt, limit)
-        boundary = self.link_process.next_boundary(r)
-        if boundary is not None and boundary < h:
-            h = boundary
         return max(h, r + 1)
 
     def _trace_end(self, rec, result: ExecutionResult) -> None:

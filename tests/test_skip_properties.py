@@ -20,7 +20,10 @@ scenarios with nothing to skip at all):
   round advanced the stream by exactly the draws it would have made;
 * **skipping actually engages** — on the silence-heavy rows the
   skip-enabled run executes strictly fewer full rounds, so the suite
-  cannot rot into vacuously comparing two non-skipping loops.
+  cannot rot into vacuously comparing two non-skipping loops;
+* **one horizon for both skip loops** — on every kernel row a bank
+  engine's ``run()`` executes and skips exactly the rounds its
+  one-lane ``run_bank_batch`` does.
 
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
@@ -52,6 +55,7 @@ from repro.core.errors import EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.process import Process
 from repro.core.trace import TraceCollector
+from repro.obs.recorder import disable, enable
 from tests.conftest import NO_KERNEL, make_engine
 
 #: Every engine name plus the fast engine's per-process plan path,
@@ -254,6 +258,58 @@ class TestSkipTraceByteEquality:
             for skip in (False, True)
         }
         assert results[True] == results[False]
+
+
+def _counted_lane_run(spec: ScenarioSpec, seed: int, max_rounds: int, *, banked: bool):
+    """One skip-enabled bank-engine execution under a fresh recorder.
+
+    ``banked`` runs it as a one-lane :func:`run_bank_batch`, otherwise
+    through the engine's own ``run()``. Returns ``(result, counters)``.
+    """
+    trial = spec.build(seed)
+    processes = trial.algorithm.build_processes(
+        trial.network.n, trial.network.max_degree, seed=seed
+    )
+    observer = trial.problem.make_observer()
+    engine = create_engine(
+        trial.network,
+        processes,
+        trial.link_process,
+        engine="bank",
+        seed=seed,
+        algorithm_info=trial.algorithm.info(),
+        observers=[observer],
+        skip=True,
+    )
+    assert engine._kernel is not None and engine.skip
+    rec = enable()
+    try:
+        if banked:
+            [result] = run_bank_batch(
+                [BankLane(engine=engine, stop=lambda: observer.solved)],
+                max_rounds=max_rounds,
+            )
+        else:
+            result = engine.run(max_rounds=max_rounds, stop=lambda: observer.solved)
+    finally:
+        disable()
+    return result, rec.counters
+
+
+class TestRunSkipsLikeItsBankLane:
+    """A standalone ``run()`` and a one-lane bank ask the same skip
+    horizon, so they execute and skip exactly the same rounds."""
+
+    @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_run_and_bank_lane_skip_identically(self, row, seed):
+        _, kwargs, max_rounds, _ = row
+        spec = _spec(kwargs)
+        solo, solo_counts = _counted_lane_run(spec, seed, max_rounds, banked=False)
+        lane, lane_counts = _counted_lane_run(spec, seed, max_rounds, banked=True)
+        assert solo == lane
+        for counter in ("rounds.executed", "rounds.skipped"):
+            assert solo_counts.get(counter, 0) == lane_counts.get(counter, 0), counter
 
 
 class TestMaxRoundsMidSpan:

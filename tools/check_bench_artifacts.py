@@ -18,7 +18,13 @@ stopped paying cannot merge quietly:
   parameter of both single-message series ("round-robin",
   "static-local-decay"). The per-process plan path is byte-identical,
   just slow, so traces cannot show a kernel that stopped paying; only
-  the committed timings can.
+  the committed timings can;
+* **skipping conserves rounds** — for every (experiment, scale,
+  engine) cell with both a skip-enabled ``TRACE_*.json`` and a
+  ``-noskip`` one, ``(rounds.executed + rounds.skipped) / repeats``
+  must agree. Skipping changes how rounds are produced, never how
+  many, so a mismatch means a skip loop emitted too few or too many
+  rounds (or one of the traces is stale).
 
 No third-party dependencies; exit 0 when clean, 1 with a per-problem
 report otherwise.
@@ -45,10 +51,10 @@ CELL_SPEEDUPS = [
 ]
 
 
-def load_artifacts() -> dict[tuple[str, str, str], dict]:
+def load_artifacts(pattern: str = "BENCH_*.json") -> dict[tuple[str, str, str], dict]:
     """Committed artifacts keyed by (experiment, scale, engine label)."""
     artifacts: dict[tuple[str, str, str], dict] = {}
-    for path in sorted(RESULTS_DIR.glob("BENCH_*.json")):
+    for path in sorted(RESULTS_DIR.glob(pattern)):
         payload = json.loads(path.read_text())
         # ``skip`` is null for default-skip runs; only an explicit
         # ``false`` (REPRO_BENCH_SKIP=0) marks a -noskip artifact.
@@ -121,6 +127,28 @@ def check_cell_speedups(artifacts: dict, problems: list[str]) -> None:
             )
 
 
+def rounds_per_repeat(trace: dict) -> float:
+    """Rounds produced per repeat, executed and skipped alike."""
+    counters = trace["counters"]
+    total = counters.get("rounds.executed", 0) + counters.get("rounds.skipped", 0)
+    return total / trace["repeats"]
+
+
+def check_skip_conservation(traces: dict, problems: list[str]) -> None:
+    """Skip and -noskip traces of one cell produce the same rounds."""
+    for (experiment, scale, label), trace in traces.items():
+        noskip = traces.get((experiment, scale, f"{label}-noskip"))
+        if noskip is None:
+            continue
+        skipped, full = rounds_per_repeat(trace), rounds_per_repeat(noskip)
+        if skipped != full:
+            problems.append(
+                f"{experiment}/{scale}: {label!r} trace produced {skipped:g} "
+                f"rounds per repeat (executed + skipped) vs {full:g} with "
+                "skipping off — skipping must never change the round count"
+            )
+
+
 def main() -> int:
     if not RESULTS_DIR.is_dir():
         print(f"no results directory at {RESULTS_DIR}", file=sys.stderr)
@@ -129,6 +157,7 @@ def main() -> int:
     problems: list[str] = []
     check_reference_floor(artifacts, problems)
     check_cell_speedups(artifacts, problems)
+    check_skip_conservation(load_artifacts("TRACE_*.json"), problems)
     if problems:
         print(f"{len(problems)} bench-artifact problem(s):")
         for problem in problems:
