@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -97,12 +97,11 @@ class PlainDecayGlobalProcess(Process):
         self.active_phases = active_phases
         self.message: Optional[Message] = None
         self.participate_from: Optional[int] = None
-        self._active_signature: Optional[tuple] = None
         self._active_until: Optional[int] = None
         if ctx.node_id == source:
             self.message = Message(MessageKind.DATA, origin=source, payload=payload)
             self.participate_from = 1  # decays start after the announcement
-            self._refresh_active_signature()
+            self._refresh_active_until()
 
     #: The state machine reacts only to data receptions, so both
     #: idle-listen and pure-transmit feedback are skippable.
@@ -114,60 +113,19 @@ class PlainDecayGlobalProcess(Process):
         """Whether this node holds the broadcast message."""
         return self.message is not None
 
-    def _refresh_active_signature(self) -> None:
-        """Precompute the sharing key for the participating state.
-
-        Every participation start lies on a phase boundary
-        (``participate_from ≡ 1 mod phase_length`` — the source joins
-        at round 1, receivers wait for the next boundary), so the
-        ladder rung ``(round_index - start) % phase_length`` is the
-        same for *all* currently-active nodes regardless of when they
-        joined: one plan serves the whole informed set. A finite
-        ``active_phases`` window re-ties the plan to the join round.
-        """
-        start = self.participate_from
-        if self.active_phases is not None:
-            self._active_until = start + self.active_phases * self.phase_length
-            self._active_signature = (
-                id(self.message), start, self.phase_length, self.active_phases,
-            )
-        else:
+    def _refresh_active_until(self) -> None:
+        """Set the round the participation window ends (``None`` = open-ended)."""
+        if self.active_phases is None:
             self._active_until = None
-            self._active_signature = (id(self.message), self.phase_length)
-
-    def plan_signature(self, round_index: int):
-        if self.message is None:
-            return SILENT_SIGNATURE
-        if round_index == 0 and self.node_id == self.source:
-            return None  # the round-0 announcement is the source's alone
-        start = self.participate_from
-        if start is None or round_index < start:
-            return SILENT_SIGNATURE
-        if self._active_until is not None and round_index >= self._active_until:
-            return SILENT_SIGNATURE
-        return self._active_signature
-
-    def plan_signature_expiry(self, round_index: int):
-        # Signature timeline: silent → (source announcement) →
-        # waiting-for-phase-boundary → active ladder → (window end).
-        if self.message is None:
-            return None  # adoption arrives via feedback
-        if round_index == 0 and self.node_id == self.source:
-            return 1
-        start = self.participate_from
-        if start is None:
-            return None
-        if round_index < start:
-            return start
-        until = self._active_until
-        if until is not None and round_index < until:
-            return until
-        return None
+        else:
+            self._active_until = (
+                self.participate_from + self.active_phases * self.phase_length
+            )
 
     def next_state_change(self, round_index: int):
-        # Unlike the signature, the *plan* rides the ladder: it changes
-        # every round while the node is active, so only the silent
-        # stretches (uninformed / waiting / window-ended) are stable.
+        # The plan rides the ladder: it changes every round while the
+        # node is active, so only the silent stretches (uninformed /
+        # waiting / window-ended) are stable.
         if self.message is None:
             return None  # adoption arrives via feedback
         if round_index == 0 and self.node_id == self.source:
@@ -190,9 +148,9 @@ class PlainDecayGlobalProcess(Process):
         start = self.participate_from
         if start is None or round_index < start:
             return RoundPlan.silence()
-        if self.active_phases is not None:
-            if round_index >= start + self.active_phases * self.phase_length:
-                return RoundPlan.silence()
+        until = self._active_until
+        if until is not None and round_index >= until:
+            return RoundPlan.silence()
         j = (round_index - start) % self.phase_length
         return RoundPlan(probability=decay_probability(j, self.phase_length), message=self.message)
 
@@ -205,7 +163,7 @@ class PlainDecayGlobalProcess(Process):
             remainder = rounds_since_epoch % self.phase_length
             wait = 0 if remainder == 0 else self.phase_length - remainder
             self.participate_from = round_index + 1 + wait
-            self._refresh_active_signature()
+            self._refresh_active_until()
 
 
 def make_plain_decay_global_broadcast(

@@ -38,7 +38,7 @@ from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
 from repro.algorithms.permuted_decay import PermutedDecaySchedule
 from repro.core.bits import BitStream
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -92,20 +92,11 @@ class ObliviousGlobalBroadcastProcess(Process):
         )
         self.num_chunks = num_chunks or 2 * log2_ceil(ctx.n)
         self.epochs_per_node = epochs_per_node
-        # Constructor-derived plan inputs, precomputed once: the fast
-        # path consults the signature every node-round, so it must not
-        # re-walk property chains or re-hash the schedule dataclass.
+        # Constructor-derived skip-horizon inputs, precomputed once.
         self._epoch_len = self.schedule.rounds_per_call
         self._is_source = ctx.node_id == source
-        self._static_signature = (
-            self.epochs_per_node,
-            self.num_chunks,
-            self.schedule.num_probabilities,
-            self.schedule.gamma,
-        )
         self.message: Optional[Message] = None
         self.join_epoch: Optional[int] = None
-        self._active_signature: Optional[tuple] = None
         if ctx.node_id == source:
             total_bits = self.schedule.bits_per_call * self.num_chunks
             shared = BitStream.random(ctx.rng, total_bits)
@@ -127,43 +118,9 @@ class ObliviousGlobalBroadcastProcess(Process):
         """Rounds per epoch: the paper's ``16 log n``."""
         return self.schedule.rounds_per_call
 
-    def plan_signature(self, round_index: int):
-        # Lemma 4.2's precondition *is* the sharing structure: every
-        # active node reads the same chunk of S for the same epoch, so
-        # the round's rung — and the plan — is one computation for the
-        # entire informed set, however staggered the join epochs (a
-        # finite epochs_per_node budget re-ties the key to the join
-        # epoch; see on_feedback, where the key is precomputed).
-        if self._is_source:
-            return None if round_index == 0 else SILENT_SIGNATURE
-        join = self.join_epoch
-        if join is None:
-            return SILENT_SIGNATURE
-        epoch = round_index // self._epoch_len
-        if epoch < join:
-            return SILENT_SIGNATURE
-        if self.epochs_per_node is not None and epoch >= join + self.epochs_per_node:
-            return SILENT_SIGNATURE
-        return self._active_signature
-
-    def plan_signature_expiry(self, round_index: int):
-        # Silent → (announcement) → waiting-for-epoch-boundary →
-        # active permuted decay → (budget exhausted).
-        if self._is_source:
-            return 1 if round_index == 0 else None
-        join = self.join_epoch
-        if join is None:
-            return None  # adoption arrives via feedback
-        if round_index < join * self._epoch_len:
-            return join * self._epoch_len
-        if self.epochs_per_node is None:
-            return None
-        end = (join + self.epochs_per_node) * self._epoch_len
-        return end if round_index < end else None
-
     def next_state_change(self, round_index: int):
-        # The signature is epoch-stable but the *rung* changes every
-        # round of an active epoch; only the silent stretches are flat.
+        # The rung changes every round of an active epoch; only the
+        # silent stretches are flat.
         if self._is_source:
             return 1 if round_index == 0 else None
         join = self.join_epoch
@@ -201,12 +158,6 @@ class ObliviousGlobalBroadcastProcess(Process):
             self.message = received
             # Wait for the first epoch boundary strictly after this round.
             self.join_epoch = (round_index + 1 + self.epoch_length - 1) // self.epoch_length
-            if self.epochs_per_node is not None:
-                self._active_signature = (
-                    id(received), self.join_epoch, self._static_signature,
-                )
-            else:
-                self._active_signature = (id(received), self._static_signature)
 
 
 class UncoordinatedDecayGlobalProcess(Process):
@@ -241,27 +192,10 @@ class UncoordinatedDecayGlobalProcess(Process):
     def informed(self) -> bool:
         return self.message is not None
 
-    def plan_signature(self, round_index: int):
-        # Rungs are private per node — only certain listeners can be
-        # shared. idle_feedback_noop stays False: every feedback call
-        # redraws the next rung from the node's RNG, so skipping idle
-        # rounds would desynchronize the stream.
-        if self._is_source:
-            return None if round_index == 0 else SILENT_SIGNATURE
-        if self.message is None or not self.joined:
-            return SILENT_SIGNATURE
-        return None
-
-    def plan_signature_expiry(self, round_index: int):
-        # Every state transition rides feedback (delivered to this
-        # process each round — it is never idle-skipped).
-        if self._is_source:
-            return 1 if round_index == 0 else None
-        return None
-
     def next_state_change(self, round_index: int):
         # Absent feedback the committed rung stays put, so the plan is
-        # clock-stable — but idle_feedback_noop is False, so the engine
+        # clock-stable — but idle_feedback_noop is False (every feedback
+        # call redraws the next rung from the node's RNG), so the engine
         # never actually elides a round for this class.
         if self._is_source:
             return 1 if round_index == 0 else None

@@ -26,8 +26,7 @@ Both processes keep their transition rule a pure function of
 expiry, back-off epochs) are *derived* lazily by an idempotent
 ``_advance(r)`` normalization instead of being pushed by per-round
 feedback, which is what licenses ``idle_feedback_noop`` /
-``transmit_feedback_noop`` and keeps the fast engine's incremental
-signature tracking exact (``tests/test_engine_equivalence.py`` holds
+``transmit_feedback_noop`` (``tests/test_engine_equivalence.py`` holds
 both protocols to full-trace identity across engines).
 """
 
@@ -38,7 +37,7 @@ from typing import Optional
 
 from repro.algorithms.base import AlgorithmSpec, clamp_probability, log2_ceil
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.mac.base import MessageAssignment, spec_messages
 from repro.mac.simulated import SimulatedMACLayer
 from repro.registry import register_algorithm
@@ -72,8 +71,8 @@ class GklnMultiMessageProcess(Process):
     Window expiry (the local MAC acknowledgment) is time-driven, so
     :meth:`_advance` folds any number of elapsed windows into the
     queue before every state read — idempotent, monotone in ``r``, and
-    therefore safe to call from ``plan``/``plan_signature`` on both
-    engines.
+    therefore safe to call from ``plan``/``next_state_change`` on
+    both engines.
 
     The abstract MAC contract acks a ``bcast`` only once every
     ``G``-neighbor holds it; the simulated realization's time-based
@@ -152,26 +151,6 @@ class GklnMultiMessageProcess(Process):
             return self._plan(self.persist_probability, message)
         slot = round_index - start
         return self._plan(2.0 ** (-(slot % self.rungs) - 1), self._queue[0])
-
-    def plan_signature(self, round_index: int):
-        self._advance(round_index)
-        start = self._head_start
-        if start is None:
-            message = self._background(round_index)
-            if message is None:
-                return SILENT_SIGNATURE
-            return ("bg", id(message))
-        slot = round_index - start
-        return (id(self._queue[0]), slot % self.rungs)
-
-    def plan_signature_expiry(self, round_index: int) -> Optional[int]:
-        # Serving nodes climb the ladder and persisting nodes rotate
-        # their knowledge every round; only truly silent (uninformed)
-        # nodes change state exclusively through reception.
-        self._advance(round_index)
-        if self._head_start is not None or self._all_known:
-            return round_index + 1
-        return None
 
     def next_state_change(self, round_index: int) -> Optional[int]:
         # Same shape as the expiry: serving and persisting plans move
@@ -263,16 +242,6 @@ class BackoffMultiMessageProcess(Process):
             probability=self._probability(round_index),
             message=self._current(round_index),
         )
-
-    def plan_signature(self, round_index: int):
-        if not self._known:
-            return SILENT_SIGNATURE
-        return (id(self._current(round_index)), self._probability(round_index))
-
-    def plan_signature_expiry(self, round_index: int) -> Optional[int]:
-        # The rotation moves every round while holding messages; empty
-        # nodes change only on reception.
-        return round_index + 1 if self._known else None
 
     def next_state_change(self, round_index: int) -> Optional[int]:
         return round_index + 1 if self._known else None

@@ -33,7 +33,7 @@ from typing import AbstractSet, Optional, Sequence
 
 from repro.algorithms.base import AlgorithmSpec, spec_broadcasters, spec_source
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -77,22 +77,6 @@ class RoundRobinLocalProcess(Process):
             self.message = Message(
                 MessageKind.DATA, origin=ctx.node_id, payload=payload
             )
-
-    def plan_signature(self, round_index: int):
-        # A broadcaster speaks only in its slot — one round per sweep —
-        # and is silent (with a predictable expiry) otherwise, so the
-        # whole schedule costs O(1) signature events per round.
-        if not self.is_broadcaster:
-            return SILENT_SIGNATURE
-        if round_index % self.ctx.n == self.slot:
-            return None  # the slot holder's plan is its own
-        return SILENT_SIGNATURE
-
-    def plan_signature_expiry(self, round_index: int):
-        if not self.is_broadcaster:
-            return None
-        delta = (self.slot - round_index) % self.ctx.n
-        return round_index + (delta if delta else 1)
 
     def next_state_change(self, round_index: int):
         # The plan is a pure function of ``r mod n``: silence until the
@@ -141,22 +125,6 @@ class RoundRobinGlobalProcess(Process):
     @property
     def informed(self) -> bool:
         return self.message is not None
-
-    def plan_signature(self, round_index: int):
-        # An informed node speaks only in its slot; between slots it is
-        # silent with a predictable expiry, and uninformed nodes wake
-        # only on feedback — O(1) signature events per round overall.
-        if self.message is None:
-            return SILENT_SIGNATURE
-        if round_index % self.ctx.n == self.slot:
-            return None  # the slot holder's plan is its own
-        return SILENT_SIGNATURE
-
-    def plan_signature_expiry(self, round_index: int):
-        if self.message is None:
-            return None  # adoption arrives via feedback
-        delta = (self.slot - round_index) % self.ctx.n
-        return round_index + (delta if delta else 1)
 
     def next_state_change(self, round_index: int):
         if self.message is None:

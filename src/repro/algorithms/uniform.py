@@ -21,7 +21,7 @@ from repro.algorithms.base import (
     spec_source,
 )
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -55,16 +55,6 @@ class UniformLocalProcess(Process):
             self.message = Message(
                 MessageKind.DATA, origin=ctx.node_id, payload=payload
             )
-
-    def plan_signature(self, round_index: int):
-        # Broadcasters carry per-node messages (origin = own id), so
-        # each forms a singleton class; both roles are permanent.
-        if not self.is_broadcaster:
-            return SILENT_SIGNATURE
-        return (id(self.message), self.probability)
-
-    def plan_signature_expiry(self, round_index: int):
-        return None  # roles never change
 
     def next_state_change(self, round_index: int):
         return None  # constant rate forever, in both roles
@@ -119,19 +109,6 @@ class UniformGlobalProcess(Process):
     @property
     def informed(self) -> bool:
         return self.message is not None
-
-    def plan_signature(self, round_index: int):
-        # All informed nodes relay the same message at the same rate.
-        if self.message is None:
-            return SILENT_SIGNATURE
-        if round_index == 0 and self.node_id == self.source:
-            return None
-        return (id(self.message), self.probability)
-
-    def plan_signature_expiry(self, round_index: int):
-        if round_index == 0 and self.message is not None and self.node_id == self.source:
-            return 1  # after the announcement the source joins the relays
-        return None  # otherwise transitions ride feedback
 
     def next_state_change(self, round_index: int):
         if round_index == 0 and self.message is not None and self.node_id == self.source:

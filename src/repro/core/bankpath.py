@@ -27,18 +27,19 @@ Three layers cooperate:
      arithmetic;
    * the **single-message decay family** (plain decay, permuted decay,
      static local decay, round robin, uniform) keeps (trials × nodes)
-     informed/participation state and shares one ``np.ldexp``
-     probability ladder (or schedule rung) across every lane per
-     round — one scalar probability per lane per round covers the
-     whole active set, which also makes the expected-transmitter sum
-     exact in O(1).
+     informed/participation state (with per-node window ends for
+     finite ``active_phases`` / ``epochs_per_node``) and shares one
+     ``np.ldexp`` probability ladder (or schedule rung) across every
+     lane per round — one scalar probability per lane per round covers
+     the whole active set, which also makes the expected-transmitter
+     sum exact in O(1).
 
    The kernels reproduce the reference engine's plans bit-for-bit
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
-   holds to full-trace identity. Algorithms without a kernel simply run
-   the lanes' signature-class plan stage — still batched at the
-   coins/reception layer, never falling back to a slower path.
+   holds to full-trace identity. Algorithms without a kernel run the
+   lanes' per-node plan stage (one ``plan()`` per node per round, as in
+   the reference engine), still batched at the coins/reception layer.
 3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
    round by round: transmission coins are drawn as a (trials × nodes)
    batch — one ``Generator.random(out=row)`` per lane against the same
@@ -118,9 +119,8 @@ class _MultiMessageKernelBase:
     """
 
     #: The MAC protocols are never provably silent (a node that knows
-    #: anything keeps a nonzero duty cycle), and the kernels do not
-    #: track the class state the skip probe reads — lanes run with
-    #: round skipping disabled.
+    #: anything keeps a nonzero duty cycle), so the kernels answer no
+    #: skip horizon — lanes run with round skipping disabled.
     supports_skip = False
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
@@ -439,9 +439,11 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
     Mirrors :class:`~repro.algorithms.decay.PlainDecayGlobalProcess`:
     ``start[t, u]`` is the node's ``participate_from`` (every join lies
     on a phase boundary — ``start ≡ 1 mod L`` — so one ladder rung
-    ``2^{-((r-1) mod L)-1}`` serves the whole informed set of a lane),
-    ``_NEVER`` marks uninformed nodes, and adoption computes the next
-    boundary exactly like ``on_feedback``.
+    ``2^{-((r-1) mod L)-1}`` serves the whole active set of a lane),
+    ``end[t, u]`` is the first round after its finite ``active_phases``
+    window (``_active_until``), ``_NEVER`` marks uninformed nodes
+    and open windows, and adoption computes the next boundary exactly
+    like ``on_feedback``.
     """
 
     @classmethod
@@ -458,9 +460,7 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
                 if (
                     process.source != first.source
                     or process.phase_length != first.phase_length
-                    # A finite active window re-ties the plan to each
-                    # node's join round; the generic lanes handle it.
-                    or process.active_phases is not None
+                    or process.active_phases != first.active_phases
                 ):
                     return False
                 if (process.message is not None) != (u == first.source):
@@ -473,12 +473,20 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
             [[bank[0].phase_length] for bank in banks], dtype=np.int64
         )
         self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
+        self.window = [
+            None if bank[0].active_phases is None
+            else bank[0].active_phases * bank[0].phase_length
+            for bank in banks
+        ]
         self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
+        self.end = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
         self.message: list[Message] = []
         for t, bank in enumerate(banks):
             for u, process in enumerate(bank):
                 if process.participate_from is not None:
                     self.start[t, u] = process.participate_from
+                    if self.window[t] is not None:
+                        self.end[t, u] = process.participate_from + self.window[t]
             self.message.append(bank[int(self.source[t])].message)
 
     def probabilities(self, r: int) -> np.ndarray:
@@ -489,7 +497,7 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
         if r == 0:
             self._probs = self._announcement_round(self.source)
             return self._probs
-        active = self.start <= r
+        active = (self.start <= r) & (r < self.end)
         rung = decay_ladder(r - 1, self.phase)  # (T, 1): shared rung
         self._probs = np.where(active, rung, 0.0)
         self._counts = active.sum(axis=1)
@@ -513,15 +521,18 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
             remainder = r % phase
             wait = 0 if remainder == 0 else phase - remainder
             start[t, u] = r + 1 + wait
+            if self.window[t] is not None:
+                self.end[t, u] = start[t, u] + self.window[t]
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
-        start = self.start[t]
-        informed = start[start != _NEVER]
-        if informed.size == 0:
+        # Each node's first round > r inside its window [start, end):
+        # an active participant rides the ladder every round, a waiting
+        # one wakes at its phase boundary, a closed window never again.
+        first = np.maximum(self.start[t], r + 1)
+        first = first[first < self.end[t]]
+        if first.size == 0:
             return None  # only a delivery can wake the lane
-        # An already-active participant rides the ladder every round;
-        # otherwise the earliest pending phase boundary is next.
-        return max(r + 1, int(informed.min()))
+        return int(first.min())
 
 
 class _PermutedDecayBankKernel(_SingleMessageKernelBase):
@@ -530,7 +541,9 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
     Mirrors :class:`~repro.algorithms.global_broadcast.ObliviousGlobalBroadcastProcess`:
     ``join_epoch[t, u]`` is the first epoch node ``u`` participates in
     (``_NEVER`` = uninformed; the source never joins — its role ends
-    with the announcement). Lemma 4.2's sharing structure does the rest:
+    with the announcement) and ``end_epoch[t, u]`` the first epoch after
+    a finite ``epochs_per_node`` budget (``_NEVER`` = open-ended).
+    Lemma 4.2's sharing structure does the rest:
     all active nodes of a lane read the same chunk of ``S`` for the same
     epoch, so the round's rung is one schedule lookup per lane.
     """
@@ -550,9 +563,7 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
                     process.source != first.source
                     or process.schedule != first.schedule
                     or process.num_chunks != first.num_chunks
-                    # A finite epoch budget re-ties the plan to each
-                    # node's join epoch; the generic lanes handle it.
-                    or process.epochs_per_node is not None
+                    or process.epochs_per_node != first.epochs_per_node
                 ):
                     return False
                 if (process.message is not None) != (u == first.source):
@@ -565,9 +576,11 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
         self.schedule = [bank[0].schedule for bank in banks]
         self.num_chunks = [bank[0].num_chunks for bank in banks]
         self.epoch_len = [bank[0].epoch_length for bank in banks]
+        self.budget = [bank[0].epochs_per_node for bank in banks]
         self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
         self.shared = [message.shared_bits for message in self.message]
         self.join_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
+        self.end_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
@@ -587,7 +600,7 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
             # One schedule lookup serves the lane's whole active set —
             # the same call plan() makes, so the float is identical.
             p = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
-            active = self.join_epoch[t] <= epoch
+            active = (self.join_epoch[t] <= epoch) & (epoch < self.end_epoch[t])
             np.multiply(active, p, out=probs[t])
             counts[t] = active.sum()
             rungs[t] = p
@@ -614,15 +627,21 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
                 continue
             # First epoch boundary strictly after this round.
             join[t, u] = (r + 1 + epoch_len - 1) // epoch_len
+            if self.budget[t] is not None:
+                self.end_epoch[t, u] = join[t, u] + self.budget[t]
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
+        # Each relay's first round > r inside its epochs [join, end).
+        # The source's role ends with the round-0 announcement, so with
+        # no relay left only a delivery can wake the lane.
         joins = self.join_epoch[t]
-        joined = joins[joins != _NEVER]
-        if joined.size == 0:
-            # The source's role ends with the round-0 announcement;
-            # only a delivery can create a relay.
+        joined = joins != _NEVER
+        epoch_len = self.epoch_len[t]
+        first = np.maximum(joins[joined] * epoch_len, r + 1)
+        first = first[first // epoch_len < self.end_epoch[t][joined]]
+        if first.size == 0:
             return None
-        return max(r + 1, int(joined.min()) * self.epoch_len[t])
+        return int(first.min())
 
 
 class _StaticDecayBankKernel(_SingleMessageKernelBase):
@@ -953,9 +972,9 @@ def build_bank_kernel(banks: Sequence[Sequence]):
     ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
     built only when *every* process of every lane belongs to the same
     supported protocol family with compatible parameters; anything else
-    returns ``None`` and the lanes run their signature-class plan
-    stage (still coin/reception-batched by the scheduler — this is a
-    capability probe, not a fallback to a slower engine).
+    returns ``None`` and the lanes call ``plan()`` per node per round
+    (still coin/reception-batched by the scheduler, but slower than a
+    kernel).
     """
     if not banks or not banks[0]:
         return None
@@ -965,8 +984,7 @@ def build_bank_kernel(banks: Sequence[Sequence]):
         if kernel_cls.eligible(banks):
             _obs_inc("bank.kernel.hit")
             return kernel_cls(banks)
-    # Not a slower path (the lanes stay coin/reception-batched), but a
-    # measurable one: per-trial plan stages instead of one kernel.
+    # Counted: per-trial plan stages instead of one kernel.
     _obs_inc("bank.kernel.fallback")
     return None
 
@@ -1202,8 +1220,8 @@ def run_bank_batch(
                 )
 
         # Stages 3–6 per lane (topology/deliveries reused when batched).
-        # The expected-transmitter sum goes through each engine's exact
-        # class/kernel reduction — bit-identical to fsum, O(1) for the
+        # The expected-transmitter sum goes through each engine's
+        # _expected_exact — bit-identical to fsum, O(1) for the
         # single-message kernels instead of an O(n) per-lane pass.
         if traced:
             t0 = perf_counter_ns()

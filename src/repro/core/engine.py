@@ -771,7 +771,7 @@ def create_engine(
     ``engine="bank"`` (or its alias ``"bitset"``) is the fast engine of
     :mod:`repro.core.fastpath`, which serves a vectorized protocol
     kernel from :mod:`repro.core.bankpath` whenever one accepts the
-    processes (a bank of one) and otherwise plans by signature class.
+    processes (a bank of one) and otherwise calls ``plan()`` per node.
     The cross-trial batching engages when an executor hands a whole
     seed bank to :func:`repro.core.bankpath.run_bank_batch`. The fast
     engine is seed-for-seed identical to the reference engine (same

@@ -40,16 +40,7 @@ __all__ = [
     "ProcessContext",
     "Process",
     "SilentProcess",
-    "SILENT_SIGNATURE",
 ]
-
-#: The universal plan signature of a process that certainly listens this
-#: round. Returning it from :meth:`Process.plan_signature` lets the
-#: fast engine collapse every silent node into one shared
-#: :meth:`RoundPlan.silence` without calling :meth:`Process.plan` —
-#: the dominant win on broadcast workloads, where most nodes are
-#: uninformed listeners for most of the execution.
-SILENT_SIGNATURE: tuple = ("silent",)
 
 #: A plan that listens for the round (probability zero, no message).
 _SILENCE_SENTINEL = None
@@ -121,17 +112,19 @@ class Process(abc.ABC):
 
     and that ``begin()`` runs exactly once before round 0.
 
-    Two *optional* fast-path hooks let the fast engine
-    (:mod:`repro.core.fastpath`) skip per-node Python work without
-    changing any observable behavior; both default to the conservative
-    "no promise" setting, so subclasses that ignore them are simulated
-    exactly as before:
+    Three *optional* hooks let the engines skip per-node Python work
+    without changing any observable behavior; all default to the
+    conservative "no promise" setting, so subclasses that ignore them
+    are simulated exactly as before:
 
     * :attr:`idle_feedback_noop` — class-level promise that
       ``on_feedback(r, sent=False, received=None)`` (the node listened
       and heard silence/collision) does not change process state.
-    * :meth:`plan_signature` — per-round plan-sharing key; see its
-      docstring for the exact contract.
+    * :attr:`transmit_feedback_noop` — the same promise for
+      ``sent=True`` feedback.
+    * :meth:`next_state_change` — the plan's horizon absent feedback,
+      which licenses round skipping; see its docstring for the exact
+      contract.
     """
 
     #: Promise that an *idle* feedback call — ``sent=False`` and
@@ -185,54 +178,6 @@ class Process(abc.ABC):
         receives (``sent`` implies ``received is None``).
         """
 
-    def plan_signature(self, round_index: int) -> Optional[tuple]:
-        """Optional plan-sharing key for the fast engine's class path.
-
-        Contract: if two processes of the *same concrete class* in the
-        same execution return equal non-``None`` signatures for round
-        ``r``, their :meth:`plan` calls for ``r`` must be
-        interchangeable — equal transmit probability, and messages that
-        are equal (for broadcast relays this is typically the *same*
-        :class:`~repro.core.messages.Message` object). The fast path
-        then calls :meth:`plan` once per distinct signature and shares
-        the result, which collapses the per-node Python cost of ladder
-        algorithms (all informed decay nodes march in lockstep).
-
-        Return ``None`` (the default) to opt out for this round — the
-        engine falls back to an ordinary per-node :meth:`plan` call.
-        Return :data:`SILENT_SIGNATURE` (the exact object) if and only
-        if :meth:`plan` would return :meth:`RoundPlan.silence` — the
-        engine substitutes the silence plan directly, without a
-        :meth:`plan` call or any per-class bookkeeping. Signatures must
-        be cheap: include only the state attributes :meth:`plan`
-        actually reads (plus ``id()`` of any shared message object),
-        never recompute the plan itself.
-        """
-        return None
-
-    def plan_signature_expiry(self, round_index: int) -> Optional[int]:
-        """How long the signature just returned stays valid.
-
-        Returns the first round strictly after ``round_index`` at which
-        :meth:`plan_signature` may return a *different* value without
-        this process having received an ``on_feedback`` call in
-        between; ``None`` means "only feedback can change it".
-
-        Overriding this (together with :meth:`plan_signature`) unlocks
-        the fast engine's *incremental* mode: instead of polling
-        every node every round, the engine tracks signature-class
-        membership as bitmasks and re-polls a node only when its
-        expiry round arrives or after delivering feedback to it. With
-        the registered broadcast algorithms this drops the Python work
-        per round from Θ(n) to O(state-change events + distinct
-        signatures) — the uninformed masses cost nothing at all.
-
-        The default makes no promise (expires next round), which the
-        engine reads as "poll this node every round" — exactly the
-        non-incremental behavior.
-        """
-        return round_index + 1
-
     def next_state_change(self, round_index: int) -> Optional[int]:
         """The skip contract: first round the *plan* itself can change.
 
@@ -242,10 +187,6 @@ class Process(abc.ABC):
         an ``on_feedback`` call in between; ``None`` means "only
         feedback can change my plan".
 
-        This is deliberately stronger than
-        :meth:`plan_signature_expiry`: a signature can stay stable
-        while the plan it names changes every round (a decay ladder's
-        rung advances with the clock under one constant signature).
         The round-skipping engines use this promise to fast-forward
         through spans ``[r, r')`` in which no plan can change — see
         ``docs/architecture.md`` ("Round skipping").
@@ -256,9 +197,6 @@ class Process(abc.ABC):
           ``on_feedback`` call is delivered in ``[round_index, c)``,
           then ``plan(r') == plan(round_index)`` for every ``r'`` in
           that span (``c`` the returned round);
-        * processes of the same concrete class whose
-          :meth:`plan_signature` values are equal must return equal
-          values (the engine queries one representative per class);
         * the call must be pure — no state mutation, no RNG draws.
 
         The default makes no promise (the plan may change next round),
@@ -283,12 +221,6 @@ class SilentProcess(Process):
 
     def plan(self, round_index: int) -> RoundPlan:
         return RoundPlan.silence()
-
-    def plan_signature(self, round_index: int) -> tuple:
-        return SILENT_SIGNATURE
-
-    def plan_signature_expiry(self, round_index: int) -> Optional[int]:
-        return None  # silent forever
 
     def next_state_change(self, round_index: int) -> Optional[int]:
         return None  # silent forever

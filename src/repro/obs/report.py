@@ -27,7 +27,7 @@ __all__ = ["PHASES", "read_trace", "summarize", "render_phase_table"]
 
 #: The engine phase taxonomy, in pipeline order. Every per-round span
 #: an engine records lands in exactly one of these:
-#: ``plan`` — signature classes / per-node ``plan()`` calls;
+#: ``plan`` — per-node ``plan()`` calls or a kernel's plan row;
 #: ``coins`` — the Bernoulli transmission draw;
 #: ``adversary`` — ``choose_topology`` + validation (mask minting);
 #: ``reception`` — matvec / packed-row / candidate-scan resolution;

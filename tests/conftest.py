@@ -17,8 +17,8 @@ from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 
-#: The fast engine forced onto its per-process signature-class plan
-#: path (``kernel=None``). Registered algorithms with a bank kernel
+#: The fast engine forced onto its per-process plan path
+#: (``kernel=None``). Registered algorithms with a bank kernel
 #: never reach that path through ``create_engine``, so the differential
 #: suites run it as a third engine variant beside ``"reference"`` and
 #: ``"bank"`` (which probes for a kernel).

@@ -28,10 +28,10 @@ from repro.core.trace import TraceCollector
 
 MASTER_SEED = 414213562
 
-#: MAC-kernel (gkln) and single-message-kernel (plain/permuted decay)
-#: workloads, a generic-lane workload (plain-decay with a finite
-#: active_phases window, which opts out of the decay kernel), a
-#: per-node-RNG workload (uncoordinated decay draws from LazyRng), and
+#: MAC-kernel (gkln) and single-message-kernel (plain/permuted decay,
+#: also with finite per-node windows) workloads, a generic-lane
+#: workload (geo-local has no kernel), a per-node-RNG workload
+#: (uncoordinated decay draws from LazyRng), and
 #: adaptive-adversary lanes on both kernel families (their views read
 #: the bank's probability rows and transmitter masks).
 SPECS = {
@@ -58,11 +58,25 @@ SPECS = {
         adversary=("cut-jammer", {"period": 4, "dense_rounds": 1, "side": "first-half"}),
         engine="bank",
     ),
-    "generic-lane": ScenarioSpec(
+    "decay-window-kernel": ScenarioSpec(
         graph=("line", {"n": 12, "extra_flaky_skips": 2}),
         problem=("global-broadcast", {"source": 0}),
         algorithm=("plain-decay", {"active_phases": 3}),
         adversary=("alternating", {"phase_lengths": [2, 3]}),
+        engine="bank",
+    ),
+    "permuted-budget-kernel": ScenarioSpec(
+        graph=("line", {"n": 12, "extra_flaky_skips": 2}),
+        problem=("global-broadcast", {"source": 0}),
+        algorithm=("permuted-decay", {"epochs_per_node": 1}),
+        adversary=("cut-jammer", {"period": 4, "dense_rounds": 1, "side": "first-half"}),
+        engine="bank",
+    ),
+    "generic-lane": ScenarioSpec(
+        graph=("geographic", {"n": 24}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("geo-local", {}),
+        adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
         engine="bank",
     ),
     "lazy-node-rng": ScenarioSpec(
@@ -100,6 +114,8 @@ EXPECTED_KERNEL = {
     "gkln-kernel": "_GklnBankKernel",
     "decay-kernel": "_PlainDecayBankKernel",
     "permuted-kernel": "_PermutedDecayBankKernel",
+    "decay-window-kernel": "_PlainDecayBankKernel",
+    "permuted-budget-kernel": "_PermutedDecayBankKernel",
     "generic-lane": None,
     "lazy-node-rng": None,
     "adaptive-online-lane": "_PlainDecayBankKernel",

@@ -174,12 +174,10 @@ def _workload(rng: random.Random) -> dict:
     if kind == "global":
         algorithm = rng.choice(
             [
-                # Bare plain-decay rides the single-message bank kernel;
-                # a finite active_phases window opts out of it, keeping
-                # the generic per-process lane in the fuzz pool too.
+                # Both decay kernels also take finite per-node windows.
                 ("plain-decay", {} if rng.random() < 0.5 else {"active_phases": 2}),
                 ("uncoordinated-decay", {}),
-                ("permuted-decay", {}),
+                ("permuted-decay", {} if rng.random() < 0.5 else {"epochs_per_node": 2}),
                 ("round-robin-global", {"random_slots": rng.random() < 0.5}),
                 ("uniform-global", {"probability": round(rng.uniform(0.05, 0.3), 2)}),
             ]

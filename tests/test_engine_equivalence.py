@@ -3,26 +3,30 @@ full-trace six-way differential harness.
 
 The fast engine (:mod:`repro.core.fastpath`) restructures the round
 pipeline — batched coins, matvec/bitset reception, feedback skipping —
-and plans either by signature class (per-process plan path) or through
-a struct-of-arrays protocol kernel of :mod:`repro.core.bankpath`,
-which it probes for at construction. Every restructuring is licensed
-by a documented contract, so the observable execution must be
-*identical*: same :class:`~repro.core.engine.ExecutionResult`, same
+and plans either per process (one ``plan()`` per node per round, as
+the reference engine does) or through a struct-of-arrays protocol
+kernel of :mod:`repro.core.bankpath`, which it probes for at
+construction. Every restructuring is licensed by a documented
+contract, so the observable execution must be *identical*: same
+:class:`~repro.core.engine.ExecutionResult`, same
 :class:`~repro.core.trace.RoundRecord` stream (transmitter masks,
 delivery tuples, expected transmitter counts), for every seed, for
 both fast plan paths, against the reference engine. The plan path is
-forced with ``kernel=None`` (the ``bank-nokernel`` variant), so
-``plan_signature*`` on every registered algorithm stays compared
-against the reference engine even where a kernel exists.
+forced with ``kernel=None`` (the ``bank-nokernel`` variant), so the
+batched coin/reception/feedback stages stay compared against the
+reference engine on every registered algorithm, even where a kernel
+exists.
 
 The matrix below covers **every registered component at least once**:
 all 14 graph families, all 11 algorithms (including both multi-message
 MAC protocols), and all 15 adversaries — oblivious and adaptive alike —
 exercise the fast engines directly. The adaptive rows include
 kernel-backed lanes, whose typed views are built from the bank's
-probability rows and transmitter masks. The M-experiment cells (M1–M3)
-are checked against the *actual registered experiment specs* on top of
-the synthetic matrix.
+probability rows and transmitter masks. Registered experiment cells
+are checked against the *actual experiment specs* on top of the
+synthetic matrix: the M1–M3 kernel cells, and the E9/A2/A3 cells that
+no kernel serves, so the per-process plan path stays exercised by
+registered workloads.
 
 Each of the three variants additionally runs with event-driven round
 skipping forced on and forced off — the six-way matrix. Skipping
@@ -39,6 +43,7 @@ import warnings
 import pytest
 
 from repro.api.spec import ScenarioSpec
+from repro.core.bankpath import build_bank_kernel
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
@@ -149,6 +154,19 @@ EQUIVALENCE_MATRIX = [
         ("static-local-decay", {}),
         ("bracelet-attacker", {"threshold_factor": 1.0}),
     ),
+    # Finite per-node windows on the two decay kernels.
+    (
+        ("line", {"n": 16, "extra_flaky_skips": 2}),
+        ("global-broadcast", {"source": 0}),
+        ("plain-decay", {"active_phases": 2}),
+        ("alternating", {"phase_lengths": [2, 3]}),
+    ),
+    (
+        ("line", {"n": 16, "extra_flaky_skips": 2}),
+        ("global-broadcast", {"source": 0}),
+        ("permuted-decay", {"epochs_per_node": 1}),
+        ("cut-jammer", {"period": 4, "dense_rounds": 2, "side": "first-half"}),
+    ),
     # Adaptive adversaries: the views carry the probability vector,
     # the history window and (offline) the realized transmitter mask.
     (
@@ -198,12 +216,13 @@ EQUIVALENCE_MATRIX = [
 ]
 
 #: Rows whose fast engine must run a vectorized kernel (MAC protocols,
-#: the kernel-backed adaptive rows, and both E1b_large cells at tiny
-#: n), not the per-process plan path.
+#: the windowed decay rows, the kernel-backed adaptive rows, and both
+#: E1b_large cells at tiny n), not the per-process plan path.
 KERNEL_ROWS = [
     row
     for row in EQUIVALENCE_MATRIX
     if row[2][0] in ("gkln-multi-message", "backoff-multi-message")
+    or {"active_phases", "epochs_per_node"} & set(row[2][1])
     or (row[3][0] == "online-dense-sparse" and "count_scope" in row[3][1])
 ] + [
     (
@@ -351,38 +370,86 @@ class TestFastEngineEquivalence:
         assert fast == reference
 
 
+#: Registered cells no bank kernel serves: the fast engine runs them
+#: on its per-process plan path.
+KERNEL_LESS_CELLS = [
+    ("E9", "geo-local §4.3 vs GE-fade", 32),
+    ("A2", "uncoordinated decay (private rungs)", 16),
+    ("A3", "geo-local with init stage", 32),
+]
+
 #: (experiment id, series label, smallest tiny-scale parameter) — the
-#: registered M-experiment cells the three-way harness replays. The
+#: registered experiment cells the three-way harness replays. The
 #: oracle-MAC series bypass the engines by design and are exercised
 #: elsewhere.
-M_EXPERIMENT_CELLS = [
+EXPERIMENT_CELLS = [
     ("M1", "gkln-queued vs GE-fade", 4),
     ("M1", "backoff-concurrent vs GE-fade", 4),
     ("M2", "gkln-queued vs G-only", 32),
     ("M2", "gkln-queued vs GE-fade", 32),
     ("M2", "gkln-queued vs offline-solo-blocker", 32),
     ("M3", "gkln on simulated MAC", 32),
-]
+] + KERNEL_LESS_CELLS
+
+
+def _experiment_cell_spec(cell) -> ScenarioSpec:
+    from repro.experiments import ALL_EXPERIMENTS
+
+    exp_id, series_label, parameter = cell
+    experiment = ALL_EXPERIMENTS[exp_id]
+    series = next(s for s in experiment.series if s.label == series_label)
+    return series.scenario_for(parameter)
+
+
+def _cell_id(cell) -> str:
+    return f"{cell[0]}/{cell[1]}/{cell[2]}"
 
 
 class TestMExperimentCells:
-    """Three-way equivalence on the actual registered M1–M3 specs."""
+    """Three-way equivalence on actual registered experiment specs."""
 
     @pytest.mark.parametrize("engine", (NO_KERNEL, "bank"))
-    @pytest.mark.parametrize(
-        "cell", M_EXPERIMENT_CELLS, ids=lambda c: f"{c[0]}/{c[1]}/{c[2]}"
-    )
+    @pytest.mark.parametrize("cell", EXPERIMENT_CELLS, ids=_cell_id)
     def test_experiment_cell_traces_identical(self, cell, engine):
-        from repro.experiments import ALL_EXPERIMENTS
-
-        exp_id, series_label, parameter = cell
-        experiment = ALL_EXPERIMENTS[exp_id]
-        series = next(s for s in experiment.series if s.label == series_label)
-        spec = series.scenario_for(parameter)
+        spec = _experiment_cell_spec(cell)
         _, ref_result, ref_records = _run_traced(spec, SEEDS[1], "reference")
         _, fast_result, fast_records = _run_traced(spec, SEEDS[1], engine)
         assert fast_result == ref_result
         assert fast_records == ref_records
+
+    @pytest.mark.parametrize("cell", KERNEL_LESS_CELLS, ids=_cell_id)
+    def test_kernel_less_cells_have_no_kernel(self, cell):
+        """These rows exist to exercise the per-process plan path; if a
+        kernel is added for one, replace it with a cell that has none."""
+        trial = _experiment_cell_spec(cell).build(SEEDS[1])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[1]
+        )
+        assert build_bank_kernel([processes]) is None
+
+
+class TestPerNodePlanPath:
+    """Without a kernel the fast engine plans like the reference engine,
+    even for lockstep protocols whose nodes share one plan."""
+
+    def test_plan_runs_once_per_node_per_round(self):
+        trial = _spec(EQUIVALENCE_MATRIX[0]).build(SEEDS[0])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        )
+        calls = [0] * trial.network.n
+        for u, process in enumerate(processes):
+            def counted(r, u=u, plan=process.plan):
+                calls[u] += 1
+                return plan(r)
+
+            process.plan = counted
+        engine = make_engine(
+            NO_KERNEL, trial.network, processes, trial.link_process,
+            seed=SEEDS[0], skip=False,
+        )
+        engine.run(max_rounds=20)
+        assert calls == [20] * trial.network.n
 
 
 class TestEngineSelection:

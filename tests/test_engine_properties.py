@@ -3,7 +3,6 @@ and adversaries (hypothesis)."""
 
 from __future__ import annotations
 
-import math
 import random
 
 from hypothesis import given, settings
@@ -13,7 +12,6 @@ from repro.adversaries.base import AdversaryClass, LinkProcess, RoundTopology
 from repro.adversaries.static import AllFlakyLinks, AlternatingLinks, NoFlakyLinks
 from repro.adversaries.stochastic import BernoulliNodeFade, GilbertElliottNodeFade
 from repro.core.engine import RadioNetworkEngine
-from repro.core.fastpath import _fsum_of_counts
 from repro.core.trace import TraceCollector, iter_bits, popcount
 from repro.graphs.builders import er_dual
 from tests.conftest import scripted_processes
@@ -199,25 +197,3 @@ class TestCoinIndependenceFromAdversary:
             return [r.transmitter_mask for r in collector.records]
 
         assert masks_for(NoFlakyLinks()) == masks_for(AllFlakyLinks())
-
-
-class TestExactExpectedSum:
-    """The fast path's O(#classes) expected-transmitter sum must equal
-    the reference engine's fsum over the expanded vector, bit for bit."""
-
-    @given(
-        terms=st.lists(
-            st.tuples(
-                st.one_of(
-                    st.floats(0.0, 1.0),
-                    st.integers(0, 60).map(lambda k: 2.0 ** -k),
-                ),
-                st.integers(1, 300),
-            ),
-            max_size=12,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_fsum_of_expanded_vector(self, terms):
-        expanded = [p for p, count in terms for _ in range(count)]
-        assert _fsum_of_counts(terms) == math.fsum(expanded)

@@ -23,7 +23,10 @@ scenarios with nothing to skip at all):
   cannot rot into vacuously comparing two non-skipping loops;
 * **one horizon for both skip loops** — on every kernel row a bank
   engine's ``run()`` executes and skips exactly the rounds its
-  one-lane ``run_bank_batch`` does.
+  one-lane ``run_bank_batch`` does;
+* **one probe without a kernel** — on every row the fast engine's
+  per-process path executes exactly the rounds the reference engine
+  does, because it asks the same skip probe.
 
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
@@ -141,6 +144,33 @@ CORPUS = [
         ),
         400,
         False,
+    ),
+    (
+        "plain-decay-window-line",  # closed windows: silent for good
+        dict(
+            # One active phase per node: once every informed node's
+            # window has closed, the kernel's horizon is None and the
+            # lane fast-forwards to the cap.
+            graph=("line", {"n": 24}),
+            problem=("global-broadcast", {"source": 12}),
+            algorithm=("plain-decay", {"active_phases": 1}),
+            adversary=("alternating", {"phase_lengths": [2, 3]}),
+        ),
+        400,
+        True,
+    ),
+    (
+        "permuted-decay-budget-line",  # per-relay epoch budgets
+        dict(
+            # One epoch per relay: each hop's budget closes as the
+            # next relay joins, so the kernel's window ends are live.
+            graph=("line", {"n": 16}),
+            problem=("global-broadcast", {"source": 0}),
+            algorithm=("permuted-decay", {"epochs_per_node": 1}),
+            adversary=("none", {}),
+        ),
+        600,
+        True,
     ),
     (
         "static-local-decay-ring",  # static decay kernel, constant churn
@@ -310,6 +340,21 @@ class TestRunSkipsLikeItsBankLane:
         assert solo == lane
         for counter in ("rounds.executed", "rounds.skipped"):
             assert solo_counts.get(counter, 0) == lane_counts.get(counter, 0), counter
+
+
+class TestKernelLessSkipsLikeReference:
+    """Without a kernel the fast engine asks the reference engine's skip
+    probe, so both execute exactly the same rounds in full."""
+
+    @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_result_and_executed_rounds(self, row, seed):
+        _, kwargs, max_rounds, _ = row
+        spec = _spec(kwargs)
+        fast_bytes, _, _, fast_full = _run_probed(spec, seed, NO_KERNEL, True, max_rounds)
+        ref_bytes, _, _, ref_full = _run_probed(spec, seed, "reference", True, max_rounds)
+        assert fast_bytes == ref_bytes
+        assert fast_full == ref_full
 
 
 class TestMaxRoundsMidSpan:
