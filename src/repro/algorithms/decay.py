@@ -103,10 +103,9 @@ class PlainDecayGlobalProcess(Process):
             self.participate_from = 1  # decays start after the announcement
             self._refresh_active_until()
 
-    #: The state machine reacts only to data receptions, so both
-    #: idle-listen and pure-transmit feedback are skippable.
+    #: The state machine reacts only to data receptions, so idle-listen
+    #: feedback is skippable.
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     @property
     def informed(self) -> bool:

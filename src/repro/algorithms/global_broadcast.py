@@ -104,10 +104,9 @@ class ObliviousGlobalBroadcastProcess(Process):
                 MessageKind.DATA, origin=source, payload=payload, shared_bits=shared
             )
 
-    #: State only changes on first reception of ⟨m', S⟩; idle and
-    #: pure-transmit feedback are both safe to skip.
+    #: State only changes on first reception of ⟨m', S⟩; idle
+    #: feedback is safe to skip.
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     @property
     def informed(self) -> bool:

@@ -25,9 +25,9 @@ Both processes keep their transition rule a pure function of
 ``(feedback history, round index)``: time-driven transitions (window
 expiry, back-off epochs) are *derived* lazily by an idempotent
 ``_advance(r)`` normalization instead of being pushed by per-round
-feedback, which is what licenses ``idle_feedback_noop`` /
-``transmit_feedback_noop`` (``tests/test_engine_equivalence.py`` holds
-both protocols to full-trace identity across engines).
+feedback, which is what licenses ``idle_feedback_noop``
+(``tests/test_engine_equivalence.py`` holds both protocols to
+full-trace identity across engines).
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class GklnMultiMessageProcess(Process):
     """
 
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     def __init__(
         self,
@@ -196,7 +195,6 @@ class BackoffMultiMessageProcess(Process):
     """
 
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     def __init__(
         self,

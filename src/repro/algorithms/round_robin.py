@@ -117,10 +117,9 @@ class RoundRobinGlobalProcess(Process):
         if ctx.node_id == source:
             self.message = Message(MessageKind.DATA, origin=source, payload=payload)
 
-    #: The only transition is message adoption on reception; idle and
-    #: pure-transmit feedback are both skippable.
+    #: The only transition is message adoption on reception; idle
+    #: feedback is skippable.
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     @property
     def informed(self) -> bool:

@@ -101,10 +101,9 @@ class UniformGlobalProcess(Process):
         if ctx.node_id == source:
             self.message = Message(MessageKind.DATA, origin=source, payload=payload)
 
-    #: Only "first data reception" mutates state; idle and
-    #: pure-transmit feedback are both skippable.
+    #: Only "first data reception" mutates state; idle feedback is
+    #: skippable.
     idle_feedback_noop = True
-    transmit_feedback_noop = True
 
     @property
     def informed(self) -> bool:

@@ -25,7 +25,12 @@ if TYPE_CHECKING:  # executors live above this layer; type-only import
 
 from repro.adversaries.base import LinkProcess
 from repro.algorithms.base import AlgorithmSpec
-from repro.core.engine import ExecutionResult, create_engine
+from repro.core.engine import (
+    ExecutionResult,
+    RadioNetworkEngine,
+    create_engine,
+    resolve_engine_choice,
+)
 from repro.core.rng import derive_seed
 from repro.graphs.dual_graph import DualGraph
 from repro.problems.base import Problem
@@ -51,7 +56,8 @@ class PreparedTrial:
     (:data:`repro.core.engine.ENGINE_NAMES`): ``"reference"``, or the
     seed-for-seed identical fast engine ``"bank"`` (alias
     ``"bitset"``), which is additionally batched *across trials* when
-    a whole seed bank reaches :func:`run_bank_trials`.
+    a whole seed bank reaches :func:`run_bank_trials`. A ``"bank"``
+    trial that no protocol kernel serves runs on the reference engine.
 
     ``mac`` (optional) is the trial's abstract MAC layer
     (:class:`repro.mac.base.AbstractMACLayer`). Engine-mode layers are
@@ -61,8 +67,8 @@ class PreparedTrial:
     simulation in :mod:`repro.mac.oracle`.
 
     ``skip`` controls event-driven round skipping (``None`` = the
-    resolved engine's default: on for the fast engines, off for
-    ``reference``); like the engine choice it cannot change results.
+    routed engine's default: on for the fast engine, off for the
+    reference engine); like the engine choice it cannot change results.
     ``label`` names the scenario in engine-fallback warnings.
     """
 
@@ -247,9 +253,10 @@ def run_prepared_trial(
 def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
     """The :class:`EngineFallbackWarning` texts this trial would emit.
 
-    Builds the trial's processes (cheap relative to a run) and resolves
-    the engine + skip choice exactly as :func:`run_prepared_trial`
-    will, *without* emitting anything — executors call this once per
+    Builds the trial's processes (cheap relative to a run) and routes
+    them through :func:`~repro.core.engine.resolve_engine_choice`, the
+    rule :func:`run_prepared_trial` and :func:`run_bank_trials` apply,
+    *without* emitting anything — executors call this once per
     scenario, warn once with the scenario label attached, and then run
     every trial with ``warn_fallback=False``. Oracle-mode MAC trials
     have no engine and therefore no fallbacks.
@@ -257,13 +264,11 @@ def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
     mac = trial.mac
     if mac is not None and getattr(mac, "mode", "engine") == "oracle":
         return []
-    from repro.core.engine import resolve_engine_choice
-
     processes = trial.algorithm.build_processes(
         trial.network.n, trial.network.max_degree, seed=seed
     )
-    _, _, notes = resolve_engine_choice(
-        trial.engine, processes, trial.link_process, skip=trial.skip
+    _, _, notes, _ = resolve_engine_choice(
+        trial.engine, [processes], trial.link_process, skip=trial.skip
     )
     if trial.label:
         notes = [f"{note} [scenario: {trial.label}]" for note in notes]
@@ -286,7 +291,10 @@ def run_bank_trials(
     lanes in lockstep rounds with batched coins and (where topologies
     coincide) batched reception. Results are identical to running each
     seed through :func:`run_prepared_trial` — only the batching axis
-    changes.
+    changes. The bank is routed once, through
+    :func:`~repro.core.engine.resolve_engine_choice`: when no kernel
+    accepts it, each trial runs on the reference engine with the
+    processes already built.
 
     ``first`` optionally passes a pre-built (and still unused) trial
     for ``seeds[0]`` so executors that peeked at the scenario don't pay
@@ -318,7 +326,8 @@ def run_bank_trials(
     if any(t.network.n != lead.network.n for t in trials):
         return _per_trial()
 
-    from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
+    from repro.core.bankpath import BankLane, run_bank_batch
+    from repro.core.errors import EngineFallbackWarning
     from repro.core.fastpath import BitsetRadioNetworkEngine
 
     banks = [
@@ -327,13 +336,10 @@ def run_bank_trials(
         )
         for trial, seed in zip(trials, seeds)
     ]
-    # Lanes bypass create_engine, so resolve the skip flag (and emit
-    # any contract-gap warning, once for the whole bank) here.
-    from repro.core.engine import resolve_engine_choice
-    from repro.core.errors import EngineFallbackWarning
-
-    _, resolved_skip, notes = resolve_engine_choice(
-        "bank", banks[0], lead.link_process, skip=lead.skip
+    # Lanes bypass create_engine, so route the bank (and emit any
+    # contract-gap warning, once for the whole bank) here.
+    _, resolved_skip, notes, kernel = resolve_engine_choice(
+        "bank", banks, lead.link_process, skip=lead.skip
     )
     if warn_fallback:
         import warnings
@@ -345,32 +351,40 @@ def run_bank_trials(
                 note = f"{note} [scenario: {lead.label}]"
             _obs_inc("engine.fallback.warned")
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
-    kernel = build_bank_kernel(banks)
-    lanes = []
-    for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
+
+    def lane(index: int) -> BankLane:
+        trial = trials[index]
         observer = trial.problem.make_observer()
-        engine = BitsetRadioNetworkEngine(
+        engine_cls: type = RadioNetworkEngine
+        extra = {}
+        if kernel:
+            engine_cls = BitsetRadioNetworkEngine
+            extra = {"kernel": kernel, "lane": index}
+        engine = engine_cls(
             trial.network,
-            banks[lane_index],
+            banks[index],
             trial.link_process,
-            seed=seed,
+            seed=seeds[index],
             algorithm_info=trial.algorithm.info(),
             validate_topologies=trial.validate_topologies,
             observers=[observer],
-            kernel=kernel,
-            lane=lane_index,
             skip=resolved_skip,
+            **extra,
         )
-        lanes.append(
-            BankLane(
-                engine=engine,
-                stop=(lambda obs=observer: obs.solved),
-                max_rounds=trial.max_rounds,
-            )
+        return BankLane(
+            engine=engine, stop=lambda: observer.solved, max_rounds=trial.max_rounds
         )
-    results = run_bank_batch(
-        lanes, max_rounds=max(t.max_rounds for t in trials)
-    )
+
+    if kernel:
+        results = run_bank_batch(
+            [lane(index) for index in range(len(trials))],
+            max_rounds=max(t.max_rounds for t in trials),
+        )
+    else:
+        results = []
+        for index in range(len(trials)):
+            solo = lane(index)
+            results.append(solo.engine.run(max_rounds=solo.max_rounds, stop=solo.stop))
     return [
         TrialResult(solved=res.solved, rounds=res.rounds, seed=seed)
         for res, seed in zip(results, seeds)

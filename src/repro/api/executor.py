@@ -55,16 +55,16 @@ class SerialExecutor(TrialExecutor):
     loop: the whole seed batch is handed to
     :func:`~repro.analysis.runner.run_bank_trials`, which runs it as
     lockstep lanes of one struct-of-arrays kernel — lanes may carry
-    different round caps, retiring individually as they hit them.
-    Results are seed-for-seed identical to the plain loop — the batch
-    only changes where the numpy work happens.
+    different round caps, retiring individually as they hit them — or,
+    when no kernel serves the bank, trial by trial on the reference
+    engine. Results are seed-for-seed identical to the plain loop — the
+    batch only changes where the numpy work happens.
 
     A scenario that degrades (a component without the skip contract)
-    warns exactly once per ``run_trials`` batch — the first trial
-    carries the :class:`~repro.core.errors.EngineFallbackWarning`,
-    every later trial runs silenced. ``warn_fallback=False`` silences
-    the batch entirely (the parallel executor's workers use this; the
-    parent has already warned).
+    warns exactly once per ``run_trials`` batch, through the first
+    trial or the bank's routing; every later trial runs silenced.
+    ``warn_fallback=False`` silences the batch entirely (the parallel
+    executor's workers use this; the parent has already warned).
     """
 
     #: Class-level default so subclasses that override ``__init__``

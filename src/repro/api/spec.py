@@ -125,7 +125,8 @@ class ScenarioSpec:
     ``engine`` picks the round-loop implementation
     (:data:`~repro.core.engine.ENGINE_NAMES`): ``"reference"``
     (default) or ``"bank"``, the vectorized fast engine — executors
-    run a ``"bank"`` scenario's whole seed list as one lockstep bank.
+    run a ``"bank"`` scenario's whole seed list as one lockstep bank,
+    or on the reference engine when no protocol kernel serves it.
     ``"bitset"`` is an alias of ``"bank"``, resolved at execution time,
     so the spelling stays part of the spec's identity. The fast engine
     is seed-for-seed identical to the reference loop for every
@@ -136,12 +137,12 @@ class ScenarioSpec:
 
     ``skip`` controls event-driven round skipping (see
     ``docs/architecture.md`` "Round skipping"): ``None`` (default)
-    resolves to the engine's default — on for the fast engine, off
-    for ``reference`` — while ``True``/``False`` force it. Like the
-    engine, skipping is trace-identical by construction, so this is a
-    performance knob too; it is omitted from the serialized form (and
-    the spec hash) when ``None`` so stored specs and artifacts keep
-    their identities.
+    resolves to the routed engine's default — on for the fast engine,
+    off for the reference engine — while ``True``/``False`` force it.
+    Like the engine, skipping is trace-identical by construction, so
+    this is a performance knob too; it is omitted from the serialized
+    form (and the spec hash) when ``None`` so stored specs and
+    artifacts keep their identities.
     """
 
     graph: ComponentRef

@@ -90,7 +90,9 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         help=(
             "round-loop implementation: 'bank' is the vectorized fast "
             "engine ('bitset' is an alias of it), seed-for-seed identical "
-            "to 'reference' for every adversary class"
+            "to 'reference' for every adversary class; it runs on a "
+            "protocol kernel, and algorithms no kernel serves run on "
+            "'reference'"
         ),
     )
     parser.add_argument(
@@ -99,8 +101,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "force event-driven round skipping on (--skip) or off "
-            "(--no-skip); default: the engine's own default (on for "
-            "bank/bitset, off for reference). Trial results are "
+            "(--no-skip); default: on for bank/bitset when a kernel "
+            "serves the algorithm, otherwise off. Trial results are "
             "identical either way"
         ),
     )

@@ -11,10 +11,12 @@ runs once for the whole bank instead of once per trial.
 Three layers cooperate:
 
 1. **Per-trial lanes.** Each trial owns one fast engine, built with the
-   bank's shared kernel and its lane index. A standalone ``run()`` of
-   the same engine class probes its own processes for a kernel (a bank
-   of one) and runs the shared per-trial skip loop; the cross-trial
-   wins need the batch entry points below.
+   bank's shared kernel and its lane index. A standalone engine holds
+   a kernel built over its own processes (a bank of one) and runs the
+   shared per-trial skip loop; the cross-trial wins need the batch
+   entry points below. A bank that no kernel accepts never reaches
+   this module: :func:`~repro.core.engine.resolve_engine_choice`
+   routes its trials to the reference engine.
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state:
 
@@ -37,9 +39,7 @@ Three layers cooperate:
    The kernels reproduce the reference engine's plans bit-for-bit
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
-   holds to full-trace identity. Algorithms without a kernel run the
-   lanes' per-node plan stage (one ``plan()`` per node per round, as in
-   the reference engine), still batched at the coins/reception layer.
+   holds to full-trace identity.
 3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
    round by round: transmission coins are drawn as a (trials × nodes)
    batch — one ``Generator.random(out=row)`` per lane against the same
@@ -972,9 +972,9 @@ def build_bank_kernel(banks: Sequence[Sequence]):
     ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
     built only when *every* process of every lane belongs to the same
     supported protocol family with compatible parameters; anything else
-    returns ``None`` and the lanes call ``plan()`` per node per round
-    (still coin/reception-batched by the scheduler, but slower than a
-    kernel).
+    returns ``None``, and
+    :func:`~repro.core.engine.resolve_engine_choice` routes the trials
+    to the reference engine.
     """
     if not banks or not banks[0]:
         return None
@@ -984,7 +984,7 @@ def build_bank_kernel(banks: Sequence[Sequence]):
         if kernel_cls.eligible(banks):
             _obs_inc("bank.kernel.hit")
             return kernel_cls(banks)
-    # Counted: per-trial plan stages instead of one kernel.
+    # Counted: the bank runs on the reference engine instead.
     _obs_inc("bank.kernel.fallback")
     return None
 

@@ -28,9 +28,11 @@ interleave game guesses between simulated rounds.
 straight-line per-node loop that everything else is audited against.
 A seed-for-seed identical vectorized implementation (the ``bank``
 fast engine, also spelled ``bitset``) lives in
-:mod:`repro.core.fastpath`; select between them with
-:func:`create_engine` (or the ``engine=`` field on
-:class:`~repro.api.spec.ScenarioSpec` and the CLI's ``--engine``).
+:mod:`repro.core.fastpath` and runs only with a protocol kernel;
+select between them with :func:`create_engine` (or the ``engine=``
+field on :class:`~repro.api.spec.ScenarioSpec` and the CLI's
+``--engine``), which routes a ``bank`` request that no kernel serves
+to this engine (:func:`resolve_engine_choice`).
 Both run their single trials through one skip loop,
 :meth:`RadioNetworkEngine._run_skipping`, over one hook each engine
 answers its own way, :meth:`~RadioNetworkEngine._skip_horizon`; the
@@ -709,33 +711,42 @@ def _skip_contract_gaps(
 
 def resolve_engine_choice(
     engine: str,
-    processes: Sequence[Process],
+    banks: Sequence[Sequence[Process]],
     link_process: LinkProcess,
     *,
     skip: Optional[bool] = None,
-) -> tuple[str, bool, list[str]]:
-    """Resolve the engine name and skip flag for one execution.
+) -> tuple[str, bool, list[str], object]:
+    """Route one execution, or one seed bank, to an engine.
 
-    Returns ``(engine_name, skip, fallback_messages)`` — the messages
-    are the :class:`EngineFallbackWarning` texts :func:`create_engine`
-    would emit, exposed separately so executors can probe the outcome
-    once per scenario (and warn once) instead of once per trial.
+    ``banks[t]`` is trial ``t``'s process list (``[processes]`` for a
+    single execution). Returns ``(engine_name, skip, fallback_messages,
+    kernel)``. The messages are the :class:`EngineFallbackWarning`
+    texts :func:`create_engine` would emit, exposed separately so
+    executors can probe the outcome once per scenario (and warn once)
+    instead of once per trial.
 
-    ``"bitset"`` is an alias: it resolves to ``"bank"``, the one fast
-    engine. ``skip=None`` resolves to the engine's default: on for the
-    fast engine, off for the reference engine. One fallback applies: a
-    component lacking the skip contract forces ``skip=False``.
+    This is the one routing rule. ``"bitset"`` is an alias of
+    ``"bank"``. A ``"bank"`` request runs the fast engine when
+    :func:`~repro.core.bankpath.build_bank_kernel` accepts the banks,
+    and the reference engine otherwise. ``skip=None`` resolves to the
+    routed engine's default: on for the fast engine, off for the
+    reference engine. One fallback applies: a component lacking the
+    skip contract forces ``skip=False``.
     """
     if engine not in ENGINE_NAMES:
         raise EngineError(
             f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
-    if engine == "bitset":
-        engine = "bank"
+    kernel = None
+    if engine != "reference":
+        from repro.core.bankpath import build_bank_kernel
+
+        kernel = build_bank_kernel(banks)
+    engine = "bank" if kernel else "reference"
     notes: list[str] = []
-    resolved_skip = engine == "bank" if skip is None else bool(skip)
+    resolved_skip = bool(kernel) if skip is None else bool(skip)
     if resolved_skip:
-        gaps = _skip_contract_gaps(processes, link_process)
+        gaps = _skip_contract_gaps(banks[0], link_process)
         if gaps:
             notes.append(
                 "round skipping disabled: "
@@ -748,7 +759,7 @@ def resolve_engine_choice(
         # create_engine calls alike), mirroring the deduped
         # EngineFallbackWarning surface as a measurable quantity.
         _obs_inc("engine.fallback", len(notes))
-    return engine, resolved_skip, notes
+    return engine, resolved_skip, notes, kernel
 
 
 def create_engine(
@@ -767,26 +778,27 @@ def create_engine(
 ) -> RadioNetworkEngine:
     """Build the requested engine implementation for one execution.
 
-    ``engine="reference"`` is the straight-line round loop above;
+    ``engine="reference"`` is the straight-line round loop above.
     ``engine="bank"`` (or its alias ``"bitset"``) is the fast engine of
-    :mod:`repro.core.fastpath`, which serves a vectorized protocol
-    kernel from :mod:`repro.core.bankpath` whenever one accepts the
-    processes (a bank of one) and otherwise calls ``plan()`` per node.
-    The cross-trial batching engages when an executor hands a whole
-    seed bank to :func:`repro.core.bankpath.run_bank_batch`. The fast
-    engine is seed-for-seed identical to the reference engine (same
-    coin stream, same records, same results) for every adversary class.
+    :mod:`repro.core.fastpath` when a vectorized protocol kernel from
+    :mod:`repro.core.bankpath` accepts the processes (a bank of one),
+    and the reference engine otherwise (see
+    :func:`resolve_engine_choice`). The cross-trial batching engages
+    when an executor hands a whole seed bank to
+    :func:`repro.core.bankpath.run_bank_batch`. The fast engine is
+    seed-for-seed identical to the reference engine (same coin stream,
+    same records, same results) for every adversary class.
 
     ``skip`` controls event-driven round skipping (``None`` = the
-    engine's default: on for the fast engine, off for ``reference``); a
-    component lacking the skip contract downgrades it to ``False`` with
-    an :class:`EngineFallbackWarning`. ``label`` names the scenario in
-    those warnings, and ``warn=False`` suppresses them entirely
-    (executors probe the outcome once per scenario via
-    :func:`resolve_engine_choice` and warn there instead).
+    routed engine's default: on for the fast engine, off for the
+    reference engine); a component lacking the skip contract
+    downgrades it to ``False`` with an :class:`EngineFallbackWarning`.
+    ``label`` names the scenario in those warnings, and ``warn=False``
+    suppresses them entirely (executors probe the outcome once per
+    scenario via :func:`resolve_engine_choice` and warn there instead).
     """
-    resolved, resolved_skip, notes = resolve_engine_choice(
-        engine, processes, link_process, skip=skip
+    _, resolved_skip, notes, kernel = resolve_engine_choice(
+        engine, [processes], link_process, skip=skip
     )
     if warn:
         for note in notes:
@@ -794,12 +806,12 @@ def create_engine(
                 note = f"{note} [scenario: {label}]"
             _obs_inc("engine.fallback.warned")
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
-    if resolved == "bank":
+    engine_cls: type = RadioNetworkEngine
+    extra = {}
+    if kernel:
         from repro.core.fastpath import BitsetRadioNetworkEngine
 
-        engine_cls: type = BitsetRadioNetworkEngine
-    else:
-        engine_cls = RadioNetworkEngine
+        engine_cls, extra = BitsetRadioNetworkEngine, {"kernel": kernel}
     return engine_cls(
         network,
         processes,
@@ -809,4 +821,5 @@ def create_engine(
         validate_topologies=validate_topologies,
         observers=observers,
         skip=resolved_skip,
+        **extra,
     )

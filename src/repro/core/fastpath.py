@@ -4,14 +4,13 @@
 ``"bitset"``) executes exactly the round pipeline of
 :class:`~repro.core.engine.RadioNetworkEngine` — same plans, same
 coins, same reception rule, same records — but batches each stage in
-numpy or word-parallel bitsets where it can:
+numpy or word-parallel bitsets where it can. It runs only with a
+vectorized protocol kernel of :mod:`repro.core.bankpath`;
+:func:`~repro.core.engine.resolve_engine_choice` routes a trial whose
+processes no kernel accepts to the reference engine instead.
 
-1. **Plans** come from a vectorized protocol kernel of
-   :mod:`repro.core.bankpath` when one accepts the processes (probed
-   at construction; shared across lanes by the bank scheduler).
-   Otherwise every node's :meth:`~repro.core.process.Process.plan`
-   runs once per round, exactly as in the reference engine, into a
-   reused probability buffer.
+1. **Plans** come from the kernel (shared across lanes by the bank
+   scheduler, each engine reading its own lane's row).
 2. **Coins** come from :func:`repro.core.rng.transmission_coins` — the
    same helper, against the same ``("engine", "coins")`` child stream,
    that the reference engine consumes, so coin alignment is shared by
@@ -22,18 +21,15 @@ numpy or word-parallel bitsets where it can:
    churn fresh topologies every round, by the paper's own bitset rule
    ``popcount(transmitters & mask[u]) == 1`` restricted to the union
    of the transmitters' neighborhoods.
-4. **Feedback** calls are skipped for nodes that provably cannot react:
-   a node that neither transmitted nor received is only called when its
-   process class overrides ``on_feedback`` without promising
-   :attr:`~repro.core.process.Process.idle_feedback_noop`.
+4. **Feedback** goes to the kernel, and only for rounds that delivered
+   something: kernel protocols change state on receptions alone.
 
 **Round skipping** asks one hook, :meth:`BitsetRadioNetworkEngine._skip_horizon`,
 after every executed round — from the per-trial
 :meth:`~repro.core.engine.RadioNetworkEngine._run_skipping` loop and
 from the bank scheduler alike, so a standalone run skips exactly what
 its bank lane skips. A skip-capable kernel answers it from
-``next_active_round``; without a kernel the engine asks the reference
-engine's probe, which polls every process's ``next_state_change``.
+``next_active_round``.
 
 Every adversary class is served. Adaptive views carry only the
 per-node probability vector, the public history window and (offline)
@@ -60,9 +56,8 @@ from repro.adversaries.base import (
 )
 from repro.core import rng as rng_mod
 from repro.core.engine import RadioNetworkEngine
-from repro.core.errors import PlanError
 from repro.core.messages import Message
-from repro.core.process import Process, RoundPlan
+from repro.core.process import Process
 from repro.core.trace import Delivery, Observer, RoundRecord
 from repro.graphs.dual_graph import masks_to_neighbor_matrix
 
@@ -90,14 +85,13 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     """The fast engine, seed-for-seed identical to the reference one.
 
     Construction signature and public behavior match
-    :class:`~repro.core.engine.RadioNetworkEngine`, plus the
-    ``kernel``/``lane`` pair. By default (``kernel=...``) the engine
-    probes :func:`~repro.core.bankpath.build_bank_kernel` with its own
-    processes (a bank of one); the bank scheduler's lanes share one
-    kernel, each at its lane index; ``kernel=None`` selects the
-    per-process plan path. A kernel supplies plans, messages and
-    feedback (:meth:`~repro.core.process.Process.plan` is then never
-    called); every other stage is the same either way.
+    :class:`~repro.core.engine.RadioNetworkEngine`, plus the required
+    ``kernel`` and its ``lane`` index: a kernel that
+    :func:`~repro.core.bankpath.build_bank_kernel` built over the
+    trial's processes (a bank of one, ``lane=0``), or over a whole
+    seed bank whose lanes share it. The kernel supplies plans, messages
+    and feedback (:meth:`~repro.core.process.Process.plan` is never
+    called); every other stage is the reference pipeline, batched.
     """
 
     engine_name = "bank"
@@ -113,7 +107,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         validate_topologies: bool = True,
         observers: Sequence[Observer] = (),
         skip: bool = False,
-        kernel=...,
+        kernel,
         lane: int = 0,
     ) -> None:
         super().__init__(
@@ -127,39 +121,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             skip=skip,
         )
         n = network.n
-        # Per-node trait masks, assembled in byte rows: ``mask |= 1 << u``
-        # on a growing bigint is O(u/64) per node — O(n²/64) for the
-        # whole loop — while a bytearray bit-set plus one ``from_bytes``
-        # is O(n) total. Traits are class-level decisions resolved once.
-        nbytes = (n + 7) // 8
-        always_bits = bytearray(nbytes)     # idle feedback cannot be skipped
-        send_skip_bits = bytearray(nbytes)  # pure-transmit feedback is a no-op
-        class_traits: dict = {}
-        for u, process in enumerate(self.processes):
-            klass = type(process)
-            traits = class_traits.get(klass)
-            if traits is None:
-                overridden = klass.on_feedback is not Process.on_feedback
-                traits = (
-                    overridden and not klass.idle_feedback_noop,
-                    not overridden or klass.transmit_feedback_noop,
-                )
-                class_traits[klass] = traits
-            bit = 1 << (u & 7)
-            if traits[0]:
-                always_bits[u >> 3] |= bit
-            if traits[1]:
-                send_skip_bits[u >> 3] |= bit
-        self._always_feedback_mask = int.from_bytes(always_bits, "little")
-        self._send_feedback_skip_mask = int.from_bytes(send_skip_bits, "little")
-        # This round's per-node plans (kernel-less path only).
-        self._plans: list[RoundPlan] = []
         # Round-scratch and reception state. Transmitter j is encoded
         # as 1 + (j+1)(n+1), so one matvec yields, per listener, both
         # the transmitting-neighbor count (mod n+1) and — when that
         # count is 1 — the sender id (div n+1). Totals stay integral
         # and far below 2⁵³, hence exact in float64.
-        self._prob_buffer = np.zeros(n, dtype=np.float64)
         self._x_buffer = np.empty(n, dtype=np.float64)
         self._sender_encoding = 1.0 + np.arange(1, n + 1, dtype=np.float64) * (n + 1)
         self._matrix_cache: dict[int, np.ndarray] = {}
@@ -167,17 +133,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         self._validated_topologies: dict[int, object] = {}
         # Packed uint64 neighborhood matrices for the skip-gated
         # solo-cover reception (n beyond the dense-matrix cap).
-        self._packed_words = (n + 63) // 64
         self._packed_cache: dict[int, np.ndarray] = {}
         self._packed_keepalive: list = []
-        if kernel is ...:
-            from repro.core.bankpath import build_bank_kernel
-
-            kernel = build_bank_kernel([self.processes])
-            lane = 0
         self._kernel = kernel
         self._lane = lane
-        if kernel is not None and not kernel.supports_skip:
+        if not kernel.supports_skip:
             # The multi-message kernels answer no skip horizon — those
             # protocols are never provably silent (a node that knows
             # anything keeps a nonzero duty cycle). The single-message
@@ -219,27 +179,12 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         return self._finish_round(r, probs, transmit, transmitter_mask, expected)
 
     def _plan_probs(self, r: int) -> np.ndarray:
-        """Stage 1: the round's per-node transmission probabilities.
-
-        Without a kernel, also keeps the round's per-node plans for
-        :meth:`_message_for`.
-        """
-        if self._kernel is not None:
-            return self._kernel.probabilities(r)[self._lane]
-        plans = [process.plan(r) for process in self.processes]
-        self._plans = plans
-        probs = self._prob_buffer
-        probs[:] = [plan.probability for plan in plans]
-        return probs
+        """Stage 1: the round's per-node transmission probabilities."""
+        return self._kernel.probabilities(r)[self._lane]
 
     def _message_for(self, u: int) -> Message:
         """The message transmitter ``u`` put on the air this round."""
-        if self._kernel is not None:
-            return self._kernel.message_for(self._lane, u)
-        message = self._plans[u].message
-        if message is None:  # pragma: no cover - PlanError guards this
-            raise PlanError(f"transmitter {u} has no message")
-        return message
+        return self._kernel.message_for(self._lane, u)
 
     def _choose_topology(self, r: int, probs: np.ndarray, transmitter_mask: int):
         """Stage 3: the adversary picks the topology through its typed view.
@@ -283,40 +228,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                 return self._resolve_packed(transmitter_mask, topology.masks, packed)
         return self._resolve_candidates(transmitter_mask, topology.masks)
 
-    def _apply_feedback(
-        self, r: int, transmitter_mask: int, deliveries: Sequence[Delivery]
-    ) -> None:
-        """Stage 5: feedback, restricted to nodes that can react.
-
-        Transmitters whose class promised transmit_feedback_noop are
-        skipped outright — in dense rounds they are the bulk of the
-        calls, and their state provably cannot have changed. Under a
-        kernel only receivers carry state changes (eligibility pins
-        process types with no-op idle and transmit feedback).
-        """
-        if self._kernel is not None:
-            if deliveries:
-                self._kernel.apply_feedback(self._lane, r, deliveries)
-            return
-        processes = self.processes
-        pending = (
-            transmitter_mask & ~self._send_feedback_skip_mask
-        ) | self._always_feedback_mask
-        received_by: dict[int, Delivery] = {}
-        for delivery in deliveries:
-            received_by[delivery.receiver] = delivery
-            pending |= 1 << delivery.receiver
-        while pending:
-            low = pending & -pending
-            u = low.bit_length() - 1
-            pending ^= low
-            delivery = received_by.get(u)
-            processes[u].on_feedback(
-                r,
-                bool((transmitter_mask >> u) & 1),
-                delivery.message if delivery is not None else None,
-            )
-
     def _finish_round(
         self,
         r: int,
@@ -349,7 +260,9 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                 t1 = perf_counter_ns()
                 ph["reception"] += t1 - t0
                 t0 = t1
-        self._apply_feedback(r, transmitter_mask, deliveries)
+        # 5. Feedback: kernel protocols change state on receptions only.
+        if deliveries:
+            self._kernel.apply_feedback(self._lane, r, deliveries)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["feedback"] += t1 - t0
@@ -384,15 +297,14 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         correctly rounded and hence independent of summation order.
         """
         kernel = self._kernel
-        if kernel is not None and kernel.supports_skip:
+        if kernel.supports_skip:
             return kernel.expected_exact(self._lane, kernel._r)
         return math.fsum(probs.tolist())
 
     def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
-        Without a kernel this is the reference engine's probe. A
-        skip-capable kernel answers from its struct-of-arrays state,
+        A skip-capable kernel answers from its struct-of-arrays state,
         whatever round ``r`` did: its ``next_active_round`` promises
         every round before it silent (state changes ride deliveries
         only, and silent rounds deliver nothing), so the span from one
@@ -401,8 +313,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         adversary's ``next_boundary``.
         """
         kernel = self._kernel
-        if kernel is None:
-            return super()._skip_horizon(record, limit)
         r = record.round_index
         if not kernel.supports_skip:
             return r + 1

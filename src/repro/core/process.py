@@ -112,39 +112,27 @@ class Process(abc.ABC):
 
     and that ``begin()`` runs exactly once before round 0.
 
-    Three *optional* hooks let the engines skip per-node Python work
-    without changing any observable behavior; all default to the
-    conservative "no promise" setting, so subclasses that ignore them
-    are simulated exactly as before:
+    Two *optional* hooks license round skipping without changing any
+    observable behavior; both default to the conservative "no promise"
+    setting, so subclasses that ignore them are simulated exactly as
+    before:
 
     * :attr:`idle_feedback_noop` — class-level promise that
       ``on_feedback(r, sent=False, received=None)`` (the node listened
       and heard silence/collision) does not change process state.
-    * :attr:`transmit_feedback_noop` — the same promise for
-      ``sent=True`` feedback.
-    * :meth:`next_state_change` — the plan's horizon absent feedback,
-      which licenses round skipping; see its docstring for the exact
-      contract.
+    * :meth:`next_state_change` — the plan's horizon absent feedback;
+      see its docstring for the exact contract.
     """
 
     #: Promise that an *idle* feedback call — ``sent=False`` and
-    #: ``received=None`` — is a state no-op, letting the fast path skip
-    #: it. Processes whose feedback consumes randomness every round
+    #: ``received=None`` — is a state no-op, letting the skip probe
+    #: elide all-silent rounds. Processes whose feedback consumes randomness every round
     #: (e.g. private rung redraws, leader-election coins) must leave
     #: this ``False``: skipping their idle calls would desynchronize
     #: their RNG streams. Subclasses that do not override
     #: :meth:`on_feedback` at all are detected automatically and need
     #: not set it.
     idle_feedback_noop: ClassVar[bool] = False
-
-    #: Promise that a *transmit* feedback call — ``sent=True`` (which
-    #: implies ``received=None``: a transmitting node never receives) —
-    #: is a state no-op. True for every algorithm whose state machine
-    #: reacts only to receptions (decay ladders, round robin, uniform
-    #: relays); it lets the fast path skip the per-transmitter Python
-    #: calls that dominate dense rounds. Same caveats as
-    #: :attr:`idle_feedback_noop`.
-    transmit_feedback_noop: ClassVar[bool] = False
 
     def __init__(self, ctx: ProcessContext) -> None:
         self.ctx = ctx

@@ -1,4 +1,11 @@
-"""Shared fixtures and helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+The differential suites compare two engines, ``"reference"`` and
+``"bank"``, through :func:`repro.core.engine.create_engine`. A
+``"bank"`` request that no protocol kernel serves runs on the
+reference engine, so kernel-less rows compare the reference engine
+with itself and the rows with a kernel carry the fast-engine coverage.
+"""
 
 from __future__ import annotations
 
@@ -12,20 +19,8 @@ from repro.adversaries.base import (
     ObliviousView,
     RoundTopology,
 )
-from repro.core.engine import create_engine, resolve_engine_choice
-from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
-
-#: The fast engine forced onto its per-process plan path
-#: (``kernel=None``). Registered algorithms with a bank kernel
-#: never reach that path through ``create_engine``, so the differential
-#: suites run it as a third engine variant beside ``"reference"`` and
-#: ``"bank"`` (which probes for a kernel).
-NO_KERNEL = "bank-nokernel"
-
-#: Every engine variant the differential suites compare.
-ENGINE_VARIANTS = ("reference", NO_KERNEL, "bank")
 
 
 class ReliableOnlyLinks(LinkProcess):
@@ -69,18 +64,6 @@ class ScriptedProcess(Process):
             self.sent_rounds.append(round_index)
         if received is not None:
             self.received.append((round_index, received))
-
-
-def make_engine(variant: str, network, processes, link_process, **kwargs):
-    """``create_engine`` for an engine name or :data:`NO_KERNEL`."""
-    if variant != NO_KERNEL:
-        return create_engine(network, processes, link_process, engine=variant, **kwargs)
-    _, skip, _ = resolve_engine_choice(
-        "bank", processes, link_process, skip=kwargs.pop("skip", None)
-    )
-    return BitsetRadioNetworkEngine(
-        network, processes, link_process, kernel=None, skip=skip, **kwargs
-    )
 
 
 def make_context(node_id: int, n: int, max_degree: int = 4, seed: int = 0) -> ProcessContext:

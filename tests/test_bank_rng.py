@@ -10,6 +10,9 @@ directly (post-run stream positions, not just trace equality), pin the
 absence of cross-trial leakage (a trial's trace cannot depend on which
 other trials share its bank, including lanes that retire early), and
 cover the ``LazyRng`` deferred-seeding path for per-node streams.
+Specs that no kernel serves route to the reference engine, which runs
+each trial over the processes the routing probe already built; the
+stream and bank-composition checks hold there too.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import pytest
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
 from repro.core import rng as rng_mod
-from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
-from repro.core.engine import create_engine
+from repro.core.bankpath import BankLane, run_bank_batch
+from repro.core.engine import RadioNetworkEngine, create_engine, resolve_engine_choice
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.rng import LazyRng, derive_seed
 from repro.core.trace import TraceCollector
@@ -29,9 +32,9 @@ from repro.core.trace import TraceCollector
 MASTER_SEED = 414213562
 
 #: MAC-kernel (gkln) and single-message-kernel (plain/permuted decay,
-#: also with finite per-node windows) workloads, a generic-lane
-#: workload (geo-local has no kernel), a per-node-RNG workload
-#: (uncoordinated decay draws from LazyRng), and
+#: also with finite per-node windows) workloads, two kernel-less
+#: workloads (geo-local, and uncoordinated decay, which draws from
+#: per-node LazyRng streams), and
 #: adaptive-adversary lanes on both kernel families (their views read
 #: the bank's probability rows and transmitter masks).
 SPECS = {
@@ -108,8 +111,9 @@ SPECS = {
 }
 
 #: Which kernel class (by name) each spec's bank must select; ``None``
-#: pins the generic per-process lane. Rotting expectations here would
-#: silently turn the kernel rows above into generic-lane rows.
+#: means no kernel serves it, so the bank routes to the reference
+#: engine. Rotting expectations here would silently turn the kernel
+#: rows above into reference-engine rows.
 EXPECTED_KERNEL = {
     "gkln-kernel": "_GklnBankKernel",
     "decay-kernel": "_PlainDecayBankKernel",
@@ -129,9 +133,8 @@ def _seeds(count: int) -> list[int]:
     return [derive_seed(MASTER_SEED, "trial", index) for index in range(count)]
 
 
-def _bank_lanes(spec: ScenarioSpec, seeds):
-    """Build the bank exactly the way :func:`run_bank_trials` does,
-    keeping the engines accessible for stream inspection."""
+def _banks(spec: ScenarioSpec, seeds):
+    """Each seed's trial and process bank."""
     trials = [spec.build(seed) for seed in seeds]
     banks = [
         trial.algorithm.build_processes(
@@ -139,12 +142,29 @@ def _bank_lanes(spec: ScenarioSpec, seeds):
         )
         for trial, seed in zip(trials, seeds)
     ]
-    kernel = build_bank_kernel(banks)
+    return trials, banks
+
+
+def _bank_lanes(spec: ScenarioSpec, seeds):
+    """Build the bank exactly the way :func:`run_bank_trials` does,
+    keeping the engines accessible for stream inspection: one routing
+    probe for the whole bank, then fast-engine lanes on its kernel or,
+    when no kernel serves the bank, reference engines over the same
+    already-built processes."""
+    trials, banks = _banks(spec, seeds)
+    _, skip, _, kernel = resolve_engine_choice(
+        "bank", banks, trials[0].link_process, skip=trials[0].skip
+    )
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
         observer = trial.problem.make_observer()
         collector = TraceCollector()
-        engine = BitsetRadioNetworkEngine(
+        engine_cls = RadioNetworkEngine
+        extra = {}
+        if kernel:
+            engine_cls = BitsetRadioNetworkEngine
+            extra = {"kernel": kernel, "lane": lane_index}
+        engine = engine_cls(
             trial.network,
             banks[lane_index],
             trial.link_process,
@@ -152,13 +172,23 @@ def _bank_lanes(spec: ScenarioSpec, seeds):
             algorithm_info=trial.algorithm.info(),
             validate_topologies=True,
             observers=[observer, collector],
-            kernel=kernel,
-            lane=lane_index,
+            skip=skip,
+            **extra,
         )
         lanes.append(
             (BankLane(engine=engine, stop=(lambda obs=observer: obs.solved)), collector)
         )
     return trials, lanes
+
+
+def _run_lanes(lanes):
+    """Run the lanes the way :func:`run_bank_trials` does: one lockstep
+    batch on a kernel, otherwise each lane on its own."""
+    engines = [lane.engine for lane, _ in lanes]
+    if all(type(engine) is BitsetRadioNetworkEngine for engine in engines):
+        return run_bank_batch([lane for lane, _ in lanes], max_rounds=MAX_ROUNDS)
+    assert all(type(engine) is RadioNetworkEngine for engine in engines)
+    return [lane.engine.run(max_rounds=MAX_ROUNDS, stop=lane.stop) for lane, _ in lanes]
 
 
 def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str):
@@ -183,18 +213,20 @@ def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str):
 
 
 class TestKernelSelection:
-    """Each spec engages exactly the kernel (or generic lane) it pins."""
+    """Each spec engages exactly the kernel it pins, or none."""
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_expected_kernel_engages(self, name):
-        _, lanes = _bank_lanes(SPECS[name], _seeds(2))
+        trials, banks = _banks(SPECS[name], _seeds(2))
+        _, _, _, kernel = resolve_engine_choice("bank", banks, trials[0].link_process)
         expected = EXPECTED_KERNEL[name]
+        if expected is None:
+            assert kernel is None
+            return
+        assert type(kernel).__name__ == expected
+        _, lanes = _bank_lanes(SPECS[name], _seeds(2))
         for lane, _ in lanes:
-            kernel = lane.engine._kernel
-            if expected is None:
-                assert kernel is None
-            else:
-                assert type(kernel).__name__ == expected
+            assert type(lane.engine._kernel).__name__ == expected
 
 
 class TestPerTrialStreamIdentity:
@@ -205,13 +237,13 @@ class TestPerTrialStreamIdentity:
         """After the run, each lane's coin generator must sit at the
         *same stream position* as its serial counterpart: the next 8
         uniforms agree. Trace equality alone wouldn't catch a lane that
-        drew extra coins after its trial solved."""
+        drew extra coins after its trial solved. Kernel-less banks run
+        on the reference engine over processes the routing probe has
+        already seen, so the probe must leave their streams untouched."""
         spec = SPECS[name]
         seeds = _seeds(5)
         _, lanes = _bank_lanes(spec, seeds)
-        results = run_bank_batch(
-            [lane for lane, _ in lanes], max_rounds=MAX_ROUNDS
-        )
+        results = _run_lanes(lanes)
         for (lane, collector), seed, result in zip(lanes, seeds, results):
             serial_engine, serial_result, serial_collector = _serial_engine(
                 spec, seed, "reference"
@@ -286,7 +318,7 @@ class TestLazyRngPath:
         seeds = _seeds(3)
         _, lanes = _bank_lanes(spec, seeds)
         assert all(lane.engine._kernel is not None for lane, _ in lanes)
-        run_bank_batch([lane for lane, _ in lanes], max_rounds=MAX_ROUNDS)
+        _run_lanes(lanes)
         for lane, _ in lanes:
             for process in lane.engine.processes:
                 rng = process.ctx.rng
@@ -294,16 +326,16 @@ class TestLazyRngPath:
                 assert rng._rng is None
 
     def test_lazy_node_streams_match_serial(self):
-        """Generic lanes do run the per-node plan stage; processes that
-        draw from their LazyRng (uncoordinated decay) must land on the
-        same stream position as a serial run."""
+        """No kernel serves uncoordinated decay, so its bank runs each
+        trial on the reference engine over the processes the routing
+        probe built. Those processes draw from their LazyRng, and every
+        node stream must land on the same position as a serial run."""
         spec = SPECS["lazy-node-rng"]
         seeds = _seeds(4)
         _, lanes = _bank_lanes(spec, seeds)
-        results = run_bank_batch(
-            [lane for lane, _ in lanes], max_rounds=MAX_ROUNDS
-        )
+        results = _run_lanes(lanes)
         for (lane, collector), seed, result in zip(lanes, seeds, results):
+            assert type(lane.engine) is RadioNetworkEngine
             serial_engine, serial_result, serial_collector = _serial_engine(
                 spec, seed, "reference"
             )

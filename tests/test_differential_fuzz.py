@@ -1,4 +1,4 @@
-"""Randomized differential testing across the engine variants.
+"""Randomized differential testing across the two engines.
 
 The equivalence matrix (`test_engine_equivalence.py`) pins every
 registered component at hand-picked parameters; this fuzzer samples the
@@ -7,8 +7,8 @@ registry-keyed generators (bounded n and round caps so a case stays
 cheap), JSON round-tripped through ``to_dict``/``from_dict`` before
 running (so what we test is exactly what a campaign file or the serve
 layer would replay), and held to full-trace identity across the
-reference engine ≡ the fast engine on its per-process plan path
-(``kernel=None``) ≡ the fast engine with its auto-probed kernel, plus
+reference engine ≡ a ``"bank"`` request (the fast engine where a
+protocol kernel serves the case, the reference engine otherwise), plus
 serial ≡ parallel executor identity.
 Each case also draws a random round-skipping setting (``None`` /
 ``False`` / ``True``) carried on the spec, so the fuzz sweep samples
@@ -38,10 +38,10 @@ import pytest
 from repro.analysis.runner import run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
+from repro.core.engine import create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.rng import derive_seed
 from repro.core.trace import TraceCollector
-from tests.conftest import ENGINE_VARIANTS, make_engine
 
 #: Deterministic fuzz: the whole case list is a pure function of this.
 MASTER_SEED = 20130731
@@ -314,11 +314,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
         # Every registered component is served by every engine: a
         # fallback under fuzz is a failure, not noise.
         warnings.simplefilter("error", EngineFallbackWarning)
-        eng = make_engine(
-            engine,
+        eng = create_engine(
             trial.network,
             processes,
             trial.link_process,
+            engine=engine,
             seed=seed,
             algorithm_info=trial.algorithm.info(),
             validate_topologies=True,
@@ -329,11 +329,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
     return result, collector.records
 
 
-def _assert_three_way_identical(spec: ScenarioSpec, seed: int) -> None:
-    # Baseline: reference engine, skipping off. Every variant runs
-    # with the case's fuzzed skip setting (None = engine default).
+def _assert_two_way_identical(spec: ScenarioSpec, seed: int) -> None:
+    # Baseline: reference engine, skipping off. Both engines run with
+    # the case's fuzzed skip setting (None = engine default).
     ref_result, ref_records = _run_traced(spec, seed, "reference", skip=False)
-    for engine in ENGINE_VARIANTS:
+    for engine in ("reference", "bank"):
         result, records = _run_traced(spec, seed, engine, skip=spec.skip)
         assert result == ref_result, f"{engine} result diverged"
         assert len(records) == len(ref_records), f"{engine} round count diverged"
@@ -367,7 +367,7 @@ def test_fuzzed_spec_cross_engine_identity(case_index, shared_pool):
     spec = _round_trip(generate_spec(case_index))
     seed = derive_seed(MASTER_SEED, "fuzz-run", case_index)
     try:
-        _assert_three_way_identical(spec, seed)
+        _assert_two_way_identical(spec, seed)
         if case_index % PARALLEL_EVERY == 0:
             _assert_executors_identical(spec, shared_pool)
     except Exception as error:
@@ -380,7 +380,7 @@ def test_regression_corpus(name, shared_pool):
     spec = _round_trip(ScenarioSpec.from_dict(REGRESSION_CORPUS[name]))
     seed = derive_seed(MASTER_SEED, "corpus", name)
     try:
-        _assert_three_way_identical(spec, seed)
+        _assert_two_way_identical(spec, seed)
         _assert_executors_identical(spec, shared_pool)
     except Exception as error:
         _dump_failing_spec(f"corpus-{name}", spec, seed, error)

@@ -2,37 +2,35 @@
 full-trace six-way differential harness.
 
 The fast engine (:mod:`repro.core.fastpath`) restructures the round
-pipeline — batched coins, matvec/bitset reception, feedback skipping —
-and plans either per process (one ``plan()`` per node per round, as
-the reference engine does) or through a struct-of-arrays protocol
-kernel of :mod:`repro.core.bankpath`, which it probes for at
-construction. Every restructuring is licensed by a documented
-contract, so the observable execution must be *identical*: same
-:class:`~repro.core.engine.ExecutionResult`, same
+pipeline — kernel plans, batched coins, matvec/bitset reception,
+kernel feedback — and runs only with a struct-of-arrays protocol
+kernel of :mod:`repro.core.bankpath`. A ``"bank"`` request that no
+kernel serves is routed to the reference engine. Every restructuring
+is licensed by a documented contract, so the observable execution must
+be *identical*: same :class:`~repro.core.engine.ExecutionResult`, same
 :class:`~repro.core.trace.RoundRecord` stream (transmitter masks,
-delivery tuples, expected transmitter counts), for every seed, for
-both fast plan paths, against the reference engine. The plan path is
-forced with ``kernel=None`` (the ``bank-nokernel`` variant), so the
-batched coin/reception/feedback stages stay compared against the
-reference engine on every registered algorithm, even where a kernel
-exists.
+delivery tuples, expected transmitter counts), for every seed, against
+the reference engine.
 
 The matrix below covers **every registered component at least once**:
 all 14 graph families, all 11 algorithms (including both multi-message
-MAC protocols), and all 15 adversaries — oblivious and adaptive alike —
-exercise the fast engines directly. The adaptive rows include
-kernel-backed lanes, whose typed views are built from the bank's
-probability rows and transmitter masks. Registered experiment cells
-are checked against the *actual experiment specs* on top of the
-synthetic matrix: the M1–M3 kernel cells, and the E9/A2/A3 cells that
-no kernel serves, so the per-process plan path stays exercised by
-registered workloads.
+MAC protocols), and all 15 adversaries — oblivious and adaptive alike.
+Every adversary also appears on a kernel row, so each one is exercised
+on the fast engine itself. The adaptive rows include kernel-backed
+lanes, whose typed views are built from the bank's probability rows
+and transmitter masks. Registered experiment cells are checked against
+the *actual experiment specs* on top of the synthetic matrix: the M1–M3
+kernel cells, and the E9/A2/A3 cells that no kernel serves, which are
+also held to their routing.
 
-Each of the three variants additionally runs with event-driven round
-skipping forced on and forced off — the six-way matrix. Skipping
-elides provably silent rounds but must replay them into the trace and
-advance the coin RNG exactly as if they had run, so all six variants
-compare against one baseline: the reference engine with skipping off.
+Every engine name — ``"reference"`` and the fast engine's ``"bank"``
+and its alias ``"bitset"``, each routed through
+:func:`~repro.core.engine.create_engine` — additionally runs with
+event-driven round skipping forced on and forced off: the six-way
+matrix. Skipping elides provably silent rounds but must replay them
+into the trace and advance the coin RNG exactly as if they had run, so
+all six variants compare against one baseline: the reference engine
+with skipping off.
 """
 
 from __future__ import annotations
@@ -44,25 +42,31 @@ import pytest
 
 from repro.api.spec import ScenarioSpec
 from repro.core.bankpath import build_bank_kernel
-from repro.core.engine import ENGINE_NAMES, create_engine
+from repro.core.engine import ENGINE_NAMES, RadioNetworkEngine, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
-from tests.conftest import ENGINE_VARIANTS, NO_KERNEL, make_engine
 
 #: The engine names that must reproduce the reference engine's traces
 #: (``"bitset"`` is an alias of ``"bank"``).
 FAST_ENGINES = ("bitset", "bank")
 
-#: The full six-way grid: every engine variant with skipping forced on
-#: and forced off. The (reference, skip=False) cell is the baseline the
+#: The full six-way grid: every engine name (the reference engine and
+#: the fast engine under both its names) with skipping forced on and
+#: forced off. The (reference, skip=False) cell is the baseline the
 #: other five compare against.
 BASELINE = ("reference", False)
 SIX_WAY_MATRIX = [
-    (engine, skip) for engine in ENGINE_VARIANTS for skip in (False, True)
+    (engine, skip)
+    for engine in ("reference",) + FAST_ENGINES
+    for skip in (False, True)
 ]
 VARIANTS = [cell for cell in SIX_WAY_MATRIX if cell != BASELINE]
+
+#: Registered algorithms no bank kernel serves: their ``"bank"``
+#: requests run on the reference engine.
+KERNEL_LESS_ALGORITHMS = ("uncoordinated-decay", "geo-local")
 
 #: (graph, problem, algorithm, adversary) — one spec per row; together
 #: the rows cover the full registered component sets (asserted below).
@@ -83,6 +87,13 @@ EQUIVALENCE_MATRIX = [
         ("grid", {"rows": 4, "cols": 4, "flaky_diagonals": True}),
         ("global-broadcast", {"source": 0}),
         ("uncoordinated-decay", {}),
+        ("bernoulli-node-fade", {"p_clear": 0.7}),
+    ),
+    # The same adversary on a kernel, so the fast engine serves it too.
+    (
+        ("grid", {"rows": 3, "cols": 4}),
+        ("global-broadcast", {"source": 0}),
+        ("plain-decay", {}),
         ("bernoulli-node-fade", {"p_clear": 0.7}),
     ),
     (
@@ -215,15 +226,11 @@ EQUIVALENCE_MATRIX = [
     ),
 ]
 
-#: Rows whose fast engine must run a vectorized kernel (MAC protocols,
-#: the windowed decay rows, the kernel-backed adaptive rows, and both
-#: E1b_large cells at tiny n), not the per-process plan path.
+#: Rows whose ``"bank"`` request must run the fast engine on a
+#: vectorized kernel: every matrix row of an algorithm with a kernel,
+#: plus both E1b_large cells at tiny n.
 KERNEL_ROWS = [
-    row
-    for row in EQUIVALENCE_MATRIX
-    if row[2][0] in ("gkln-multi-message", "backoff-multi-message")
-    or {"active_phases", "epochs_per_node"} & set(row[2][1])
-    or (row[3][0] == "online-dense-sparse" and "count_scope" in row[3][1])
+    row for row in EQUIVALENCE_MATRIX if row[2][0] not in KERNEL_LESS_ALGORITHMS
 ] + [
     (
         ("ring", {"n": 128}),
@@ -265,11 +272,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
     )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
-    eng = make_engine(
-        engine,
+    eng = create_engine(
         trial.network,
         processes,
         trial.link_process,
+        engine=engine,
         seed=seed,
         algorithm_info=trial.algorithm.info(),
         validate_topologies=True,
@@ -313,6 +320,12 @@ class TestComponentCoverage:
         covered = {row[3][0] for row in EQUIVALENCE_MATRIX}
         assert covered == set(ADVERSARIES.names())
 
+    def test_every_adversary_has_a_kernel_row(self):
+        """Kernel-less rows run on the reference engine, so only kernel
+        rows put an adversary in front of the fast engine."""
+        covered = {row[3][0] for row in KERNEL_ROWS}
+        assert covered == set(ADVERSARIES.names())
+
 
 class TestFastEngineEquivalence:
     @pytest.mark.parametrize(
@@ -331,10 +344,13 @@ class TestFastEngineEquivalence:
         fast_engine, fast_result, fast_records = _run_traced(
             spec, seed, engine, skip=skip
         )
-        if engine != "reference":
-            assert type(fast_engine) is BitsetRadioNetworkEngine
-        if engine == NO_KERNEL:
-            assert fast_engine._kernel is None
+        if engine in FAST_ENGINES:
+            routed = (
+                BitsetRadioNetworkEngine
+                if EQUIVALENCE_MATRIX[row_index] in KERNEL_ROWS
+                else RadioNetworkEngine
+            )
+            assert type(fast_engine) is routed
         expected_skip = skip
         kernel = getattr(fast_engine, "_kernel", None)
         if kernel is not None and not kernel.supports_skip:
@@ -352,9 +368,9 @@ class TestFastEngineEquivalence:
     @pytest.mark.parametrize("row", KERNEL_ROWS, ids=_row_id)
     def test_bank_kernel_engages_on_kernel_rows(self, row):
         """The kernel rows must exercise the vectorized kernels, not the
-        per-process plan path — otherwise the matrix would silently
-        stop covering the struct-of-arrays code, and kernel selection
-        would be checked only through bench timings."""
+        reference engine — otherwise the matrix would silently stop
+        covering the fast engine, and kernel selection would be
+        checked only through bench timings."""
         engine, _, _ = _run_traced(_spec(row), SEEDS[0], "bank")
         assert engine._kernel is not None
 
@@ -370,8 +386,8 @@ class TestFastEngineEquivalence:
         assert fast == reference
 
 
-#: Registered cells no bank kernel serves: the fast engine runs them
-#: on its per-process plan path.
+#: Registered cells no bank kernel serves: their ``"bank"`` requests
+#: run on the reference engine.
 KERNEL_LESS_CELLS = [
     ("E9", "geo-local §4.3 vs GE-fade", 32),
     ("A2", "uncoordinated decay (private rungs)", 16),
@@ -379,7 +395,9 @@ KERNEL_LESS_CELLS = [
 ]
 
 #: (experiment id, series label, smallest tiny-scale parameter) — the
-#: registered experiment cells the three-way harness replays. The
+#: registered experiment cells the harness replays: the M1–M3 kernel
+#: cells, and the kernel-less cells, whose fast-engine requests must
+#: route to the reference engine and so reproduce its traces too. The
 #: oracle-MAC series bypass the engines by design and are exercised
 #: elsewhere.
 EXPERIMENT_CELLS = [
@@ -406,50 +424,124 @@ def _cell_id(cell) -> str:
 
 
 class TestMExperimentCells:
-    """Three-way equivalence on actual registered experiment specs."""
+    """Bank ≡ reference on actual registered experiment specs."""
 
-    @pytest.mark.parametrize("engine", (NO_KERNEL, "bank"))
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     @pytest.mark.parametrize("cell", EXPERIMENT_CELLS, ids=_cell_id)
     def test_experiment_cell_traces_identical(self, cell, engine):
         spec = _experiment_cell_spec(cell)
         _, ref_result, ref_records = _run_traced(spec, SEEDS[1], "reference")
-        _, fast_result, fast_records = _run_traced(spec, SEEDS[1], engine)
+        fast_engine, fast_result, fast_records = _run_traced(spec, SEEDS[1], engine)
+        routed = (
+            RadioNetworkEngine
+            if cell in KERNEL_LESS_CELLS
+            else BitsetRadioNetworkEngine
+        )
+        assert type(fast_engine) is routed
         assert fast_result == ref_result
         assert fast_records == ref_records
 
-    @pytest.mark.parametrize("cell", KERNEL_LESS_CELLS, ids=_cell_id)
-    def test_kernel_less_cells_have_no_kernel(self, cell):
-        """These rows exist to exercise the per-process plan path; if a
-        kernel is added for one, replace it with a cell that has none."""
-        trial = _experiment_cell_spec(cell).build(SEEDS[1])
+
+def _kernel_less_specs() -> dict:
+    """Every registered kernel-less cell, plus the bank-RNG suite's two
+    kernel-less specs (geo-local and the per-node-RNG workload)."""
+    from tests.test_bank_rng import SPECS
+
+    specs = {_cell_id(cell): _experiment_cell_spec(cell) for cell in KERNEL_LESS_CELLS}
+    for name in ("generic-lane", "lazy-node-rng"):
+        specs[name] = SPECS[name]
+    return specs
+
+
+KERNEL_LESS_SPECS = _kernel_less_specs()
+
+#: Seeds for the kernel-less routing batches.
+ROUTING_SEEDS = [21, 22, 23]
+
+
+@pytest.fixture(scope="module")
+def routing_pool():
+    from repro.api.executor import ParallelExecutor
+
+    with ParallelExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_LESS_SPECS))
+class TestKernelLessRoutesToReference:
+    """A ``"bank"`` request no kernel serves runs the reference engine,
+    with the reference skip default, through every entry point."""
+
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    def test_create_engine_routes_to_reference(self, name, engine):
+        spec = KERNEL_LESS_SPECS[name]
+        trial = spec.build(SEEDS[1])
         processes = trial.algorithm.build_processes(
             trial.network.n, trial.network.max_degree, seed=SEEDS[1]
         )
         assert build_bank_kernel([processes]) is None
-
-
-class TestPerNodePlanPath:
-    """Without a kernel the fast engine plans like the reference engine,
-    even for lockstep protocols whose nodes share one plan."""
-
-    def test_plan_runs_once_per_node_per_round(self):
-        trial = _spec(EQUIVALENCE_MATRIX[0]).build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        eng = create_engine(
+            trial.network, processes, trial.link_process, engine=engine, seed=SEEDS[1]
         )
-        calls = [0] * trial.network.n
-        for u, process in enumerate(processes):
-            def counted(r, u=u, plan=process.plan):
-                calls[u] += 1
-                return plan(r)
+        assert type(eng) is RadioNetworkEngine
+        assert eng.skip is False
 
-            process.plan = counted
-        engine = make_engine(
-            NO_KERNEL, trial.network, processes, trial.link_process,
-            seed=SEEDS[0], skip=False,
+    def test_parent_probe_routes_like_the_run(self, name, monkeypatch):
+        """The executors' parent-side probe and the bank run reach the
+        same routing rule and get the same answer from it."""
+        from repro.analysis import runner
+
+        routes = []
+        original = runner.resolve_engine_choice
+
+        def recorded(*args, **kwargs):
+            route = original(*args, **kwargs)
+            routes.append(route)
+            return route
+
+        monkeypatch.setattr(runner, "resolve_engine_choice", recorded)
+        bank = KERNEL_LESS_SPECS[name].with_param("engine", "bank").build
+        lead = bank(ROUTING_SEEDS[0])
+        assert runner.probe_engine_fallbacks(lead, ROUTING_SEEDS[0]) == []
+        runner.run_bank_trials(bank, ROUTING_SEEDS)
+        assert routes == [("reference", False, [], None)] * 2
+
+    def test_executors_match_reference(self, name, routing_pool):
+        from repro.api.executor import SerialExecutor
+
+        spec = KERNEL_LESS_SPECS[name]
+        bank = spec.with_param("engine", "bank").build
+        reference = SerialExecutor().run_trials(
+            spec.with_param("engine", "reference").build, ROUTING_SEEDS
         )
-        engine.run(max_rounds=20)
-        assert calls == [20] * trial.network.n
+        assert SerialExecutor().run_trials(bank, ROUTING_SEEDS) == reference
+        assert routing_pool.run_trials(bank, ROUTING_SEEDS) == reference
+
+    def test_traced_batch_names_the_reference_engine(self, name, tmp_path, monkeypatch):
+        from repro.algorithms.base import AlgorithmSpec
+        from repro.api.executor import SerialExecutor
+        from repro.obs.recorder import disable, enable
+        from repro.obs.report import read_trace
+
+        builds = []
+        original = AlgorithmSpec.build_processes
+
+        def counted(self, *args, **kwargs):
+            builds.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgorithmSpec, "build_processes", counted)
+        bank = KERNEL_LESS_SPECS[name].with_param("engine", "bank").build
+        path = tmp_path / "trace.jsonl"
+        rec = enable(str(path))
+        try:
+            SerialExecutor().run_trials(bank, ROUTING_SEEDS)
+        finally:
+            disable()
+        records = [r for r in read_trace(str(path)) if r["kind"] == "trial"]
+        assert [r["engine"] for r in records] == ["reference"] * len(ROUTING_SEEDS)
+        assert rec.counters.get("bank.kernel.fallback") == 1
+        assert len(builds) == len(ROUTING_SEEDS)
 
 
 class TestEngineSelection:
@@ -466,6 +558,16 @@ class TestEngineSelection:
                 trial.link_process,
                 engine="warp",
                 seed=SEEDS[0],
+            )
+
+    def test_fast_engine_requires_a_kernel(self):
+        trial = _spec(EQUIVALENCE_MATRIX[0]).build(SEEDS[0])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        )
+        with pytest.raises(TypeError, match="kernel"):
+            BitsetRadioNetworkEngine(
+                trial.network, processes, trial.link_process, seed=SEEDS[0]
             )
 
     def test_spec_validates_engine_name(self):
@@ -490,7 +592,7 @@ class TestEngineSelection:
     def test_no_registered_adversary_falls_back(self, adversary, engine):
         """Every registered adversary, adaptive ones included, is served
         by the requested fast engine without an EngineFallbackWarning."""
-        row = next(row for row in EQUIVALENCE_MATRIX if row[3][0] == adversary)
+        row = next(row for row in KERNEL_ROWS if row[3][0] == adversary)
         trial = _spec(row).build(SEEDS[0])
         processes = trial.algorithm.build_processes(
             trial.network.n, trial.network.max_degree, seed=SEEDS[0]
@@ -520,8 +622,8 @@ class TestBitsetAlias:
         processes = trial.algorithm.build_processes(
             trial.network.n, trial.network.max_degree, seed=SEEDS[0]
         )
-        resolved, skip, _ = resolve_engine_choice(
-            "bitset", processes, trial.link_process
+        resolved, skip, _, _ = resolve_engine_choice(
+            "bitset", [processes], trial.link_process
         )
         assert (resolved, skip) == ("bank", True)
         path = tmp_path / "trace.jsonl"

@@ -209,7 +209,10 @@ class TestDeterminism:
 
     def test_bitset_falls_back_for_process_without_skip_contract(self):
         reference = run_prepared_trial(mm_spec().build(3), 3)
-        trial = mm_spec().with_param("engine", "bitset").build(3)
+        # No kernel serves the gap class, so the request runs on the
+        # reference engine: skip is forced on to reach the contract check.
+        spec = mm_spec().with_param("engine", "bitset").with_param("skip", True)
+        trial = spec.build(3)
         factory = trial.algorithm.factory
 
         def without_contract(ctx):

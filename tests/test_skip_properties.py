@@ -23,10 +23,7 @@ scenarios with nothing to skip at all):
   cannot rot into vacuously comparing two non-skipping loops;
 * **one horizon for both skip loops** — on every kernel row a bank
   engine's ``run()`` executes and skips exactly the rounds its
-  one-lane ``run_bank_batch`` does;
-* **one probe without a kernel** — on every row the fast engine's
-  per-process path executes exactly the rounds the reference engine
-  does, because it asks the same skip probe.
+  one-lane ``run_bank_batch`` does.
 
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
@@ -35,7 +32,9 @@ boundary (one uint64 word vs two). Adaptive link processes that
 declare a long ``next_boundary`` must see the same history on the bank
 as on the reference engine, even across skipped spans. Fallback-warning
 dedup (one ``EngineFallbackWarning`` per scenario batch, naming the
-component and the scenario) is pinned for both executors at the bottom.
+component and the scenario) is pinned for both executors at the bottom,
+together with its routing: a kernel-less component reaches the skip
+contract check only when the spec forces skipping on.
 """
 
 from __future__ import annotations
@@ -59,11 +58,6 @@ from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.process import Process
 from repro.core.trace import TraceCollector
 from repro.obs.recorder import disable, enable
-from tests.conftest import NO_KERNEL, make_engine
-
-#: Every engine name plus the fast engine's per-process plan path,
-#: which registered algorithms with a kernel reach only when forced.
-PROBED_ENGINES = ENGINE_NAMES + (NO_KERNEL,)
 
 #: Scenario corpus: (id, spec kwargs, max_rounds, expect_skip) rows.
 #: ``expect_skip`` marks the silence-heavy rows on which a skip-enabled
@@ -218,11 +212,11 @@ def _run_probed(spec: ScenarioSpec, seed: int, engine: str, skip: bool, max_roun
     )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
-    eng = make_engine(
-        engine,
+    eng = create_engine(
         trial.network,
         processes,
         trial.link_process,
+        engine=engine,
         seed=seed,
         algorithm_info=trial.algorithm.info(),
         validate_topologies=True,
@@ -252,7 +246,7 @@ def _corpus_id(row) -> str:
 class TestSkipTraceByteEquality:
     """skip=True vs skip=False: byte-identical traces, per engine."""
 
-    @pytest.mark.parametrize("engine", PROBED_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_trace_and_rng_stream_identical(self, row, seed, engine):
@@ -342,21 +336,6 @@ class TestRunSkipsLikeItsBankLane:
             assert solo_counts.get(counter, 0) == lane_counts.get(counter, 0), counter
 
 
-class TestKernelLessSkipsLikeReference:
-    """Without a kernel the fast engine asks the reference engine's skip
-    probe, so both execute exactly the same rounds in full."""
-
-    @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_same_result_and_executed_rounds(self, row, seed):
-        _, kwargs, max_rounds, _ = row
-        spec = _spec(kwargs)
-        fast_bytes, _, _, fast_full = _run_probed(spec, seed, NO_KERNEL, True, max_rounds)
-        ref_bytes, _, _, ref_full = _run_probed(spec, seed, "reference", True, max_rounds)
-        assert fast_bytes == ref_bytes
-        assert fast_full == ref_full
-
-
 class TestMaxRoundsMidSpan:
     """``max_rounds`` landing inside a skip span must cut it exactly."""
 
@@ -365,7 +344,7 @@ class TestMaxRoundsMidSpan:
     #: below force the cut mid-span.
     SPEC_KWARGS = CORPUS[0][1]
 
-    @pytest.mark.parametrize("engine", PROBED_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     @pytest.mark.parametrize("cap", (7, 23, 48))
     def test_cap_mid_span_is_exact(self, engine, cap):
         spec = _spec(self.SPEC_KWARGS)
@@ -623,8 +602,10 @@ class _NoSkipContractProcess(UniformGlobalProcess):
     next_state_change = Process.next_state_change
 
 
-#: A process class lacking the skip contract: the fast engines run it
-#: with skipping off and one EngineFallbackWarning per batch.
+#: A process class lacking the skip contract. No kernel serves it, so
+#: a fast-engine request runs the reference engine; skipping is forced
+#: on, which the contract check downgrades to off with one
+#: EngineFallbackWarning per batch.
 _GAP_SPEC = ScenarioSpec(
     graph=("dual-clique", {"half": 6}),
     problem=("global-broadcast", {"source": 0}),
@@ -632,13 +613,14 @@ _GAP_SPEC = ScenarioSpec(
     adversary=("none", {}),
     name="dedup-probe",
     max_rounds=300,
+    skip=True,
 )
 
 
-def _gap_scenario(seed, *, engine):
+def _gap_scenario(seed, *, engine, skip=True):
     """The spec's trial with its processes swapped for the gap class
     (module level, so the parallel executor can pickle it)."""
-    trial = _GAP_SPEC.with_param("engine", engine).build(seed)
+    trial = _GAP_SPEC.with_param("engine", engine).with_param("skip", skip).build(seed)
     trial.algorithm = AlgorithmSpec(
         name="uniform-global-without-skip-contract",
         factory=functools.partial(_NoSkipContractProcess, source=0, probability=0.1),
@@ -650,11 +632,11 @@ def _gap_scenario(seed, *, engine):
 class TestFallbackWarningDedup:
     """One EngineFallbackWarning per scenario batch, fully labelled."""
 
-    def _collect(self, executor, seeds, engine):
+    def _collect(self, executor, seeds, engine, skip=True):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             executor.run_trials(
-                functools.partial(_gap_scenario, engine=engine), list(seeds)
+                functools.partial(_gap_scenario, engine=engine, skip=skip), list(seeds)
             )
         return [w for w in caught if issubclass(w.category, EngineFallbackWarning)]
 
@@ -674,6 +656,14 @@ class TestFallbackWarningDedup:
         assert "_NoSkipContractProcess.next_state_change" in message
         assert "dedup-probe" in message
 
+    def test_unset_skip_never_reaches_the_gap_check(self, engine):
+        """Routed to the reference engine, the gap component takes its
+        skip default (off), so neither executor warns; the parent-side
+        probe routes exactly as the run does."""
+        assert self._collect(SerialExecutor(), range(3), engine, skip=None) == []
+        with ParallelExecutor(max_workers=2, chunksize=1) as pool:
+            assert self._collect(pool, range(3), engine, skip=None) == []
+
     def test_silenced_serial_executor_stays_silent(self, engine):
         assert self._collect(SerialExecutor(warn_fallback=False), range(3), engine) == []
 
@@ -684,6 +674,6 @@ class TestFallbackWarningDedup:
             functools.partial(_gap_scenario, engine=engine), seeds
         )
         reference = SerialExecutor().run_trials(
-            functools.partial(_gap_scenario, engine="reference"), seeds
+            functools.partial(_gap_scenario, engine="reference", skip=False), seeds
         )
         assert fast == reference

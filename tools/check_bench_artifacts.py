@@ -16,9 +16,9 @@ stopped paying cannot merge quietly:
 * **decay kernels pay** — the committed E1b_large ``bank`` cells must
   beat the committed ``reference`` cells by >= 3x at the largest
   parameter of both single-message series ("round-robin",
-  "static-local-decay"). The per-process plan path is byte-identical,
-  just slow, so traces cannot show a kernel that stopped paying; only
-  the committed timings can;
+  "static-local-decay"). Without a kernel the cell runs on the
+  reference engine, byte-identical, just slow, so traces cannot show a
+  kernel that stopped paying; only the committed timings can;
 * **skipping conserves rounds** — for every (experiment, scale,
   engine) cell with both a skip-enabled ``TRACE_*.json`` and a
   ``-noskip`` one, ``(rounds.executed + rounds.skipped) / repeats``
