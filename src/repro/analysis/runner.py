@@ -287,8 +287,8 @@ def run_bank_trials(
     This is the cross-trial entry point of ``engine="bank"`` (and its
     alias ``"bitset"``):
     every seed's trial becomes one lane of a shared struct-of-arrays
-    kernel, and :func:`repro.core.bankpath.run_bank_batch` advances all
-    lanes in lockstep rounds with batched coins and (where topologies
+    kernel, and :func:`repro.core.bankpath.run_bank_batch` advances the
+    lanes in shared bank rounds with batched coins and (where topologies
     coincide) batched reception. Results are identical to running each
     seed through :func:`run_prepared_trial` — only the batching axis
     changes. The bank is routed once, through
@@ -302,7 +302,7 @@ def run_bank_trials(
     layers, or banks whose trials disagree on the node count — take the
     per-trial path instead.
     Heterogeneous ``max_rounds`` is fine: each lane carries its own cap
-    and retires from the lockstep batch when it reaches it.
+    and retires from the bank when it reaches it.
     """
     seeds = list(seeds)
     if not seeds:

@@ -54,7 +54,7 @@ class SerialExecutor(TrialExecutor):
     ``"bitset"``) are the one structured deviation from the literal
     loop: the whole seed batch is handed to
     :func:`~repro.analysis.runner.run_bank_trials`, which runs it as
-    lockstep lanes of one struct-of-arrays kernel — lanes may carry
+    the lanes of one struct-of-arrays kernel — lanes may carry
     different round caps, retiring individually as they hit them — or,
     when no kernel serves the bank, trial by trial on the reference
     engine. Results are seed-for-seed identical to the plain loop — the

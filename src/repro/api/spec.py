@@ -125,7 +125,7 @@ class ScenarioSpec:
     ``engine`` picks the round-loop implementation
     (:data:`~repro.core.engine.ENGINE_NAMES`): ``"reference"``
     (default) or ``"bank"``, the vectorized fast engine — executors
-    run a ``"bank"`` scenario's whole seed list as one lockstep bank,
+    run a ``"bank"`` scenario's whole seed list as one bank,
     or on the reference engine when no protocol kernel serves it.
     ``"bitset"`` is an alias of ``"bank"``, resolved at execution time,
     so the spelling stays part of the spec's identity. The fast engine

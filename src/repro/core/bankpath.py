@@ -1,12 +1,12 @@
 """Trial batching for the fast engine: struct-of-arrays protocol kernels
-and the lockstep bank scheduler.
+and the bank scheduler.
 
 The fast engine (:class:`~repro.core.fastpath.BitsetRadioNetworkEngine`,
 ``engine="bank"``) batches *across nodes* within one trial; this module
 batches *across trials*: an entire seed bank of independent executions
-advances in lockstep rounds, and the per-round numpy work — Bernoulli
+advances in shared bank rounds, and the per-round numpy work — Bernoulli
 comparisons, transmit-mask packing, and the dense reception matvec —
-runs once for the whole bank instead of once per trial.
+runs once for the lanes due in a round instead of once per trial.
 
 Three layers cooperate:
 
@@ -40,21 +40,23 @@ Three layers cooperate:
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
    holds to full-trace identity.
-3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
-   round by round: transmission coins are drawn as a (trials × nodes)
+3. **The bank scheduler.** :func:`run_bank_batch` runs each lane on
+   its own clock. A bank round is the earliest round any lane is due
+   at; its transmission coins are drawn as a (due lanes × nodes)
    batch — one ``Generator.random(out=row)`` per lane against the same
    per-trial ``("engine", "coins")`` stream the other engines consume,
    so per-trial draw order is untouched — then compared and bit-packed
    in one shot. Lanes whose stop condition fires (or whose per-lane
    ``max_rounds`` cap elapses — caps may differ across lanes) retire
    from the bank: their RNGs stop drawing, exactly like a serial run
-   ending. Round skipping asks the lanes' own skip horizon, the hook a
-   standalone ``run()`` asks, so a lane skips exactly what its solo
-   run skips; for the single-message kernels that hook is
-   :meth:`next_active_round`. Provably silent spans fast-forward
-   through :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
-   when every observer on a lane accepts the batched quiet-span hook,
-   and degrade to per-round records otherwise.
+   ending. After each round a lane asks its own skip horizon, the hook
+   a standalone ``run()`` asks (for the single-message kernels,
+   :meth:`next_active_round`), emits the provably silent span at once
+   and parks until the horizon, so it executes exactly the rounds its
+   solo run executes. The span goes through one
+   :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
+   when every observer on the lane accepts the batched quiet-span
+   hook, and degrades to per-round records otherwise.
 
 Every adversary class is served. Adaptive adversaries see their typed
 views built from the lane's probability row and transmitter mask, both
@@ -74,7 +76,7 @@ from repro.algorithms.decay import decay_ladder
 from repro.core.engine import ExecutionResult, StopCondition
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.messages import Message
-from repro.core.trace import Delivery, RoundRecord
+from repro.core.trace import Delivery
 from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
 
@@ -378,6 +380,12 @@ class _SingleMessageKernelBase:
     ``p`` (``count`` is exactly representable, and ``fsum`` rounds the
     same real number once), so it is bit-identical to the reference
     engine's fsum — the licence round skipping needs.
+
+    :meth:`probabilities` must be a *pure* function of the
+    feedback-driven state and ``r``: computing any other round in
+    between leaves round ``r``'s rows, ``_counts`` and ``_rungs``
+    unchanged. The bank scheduler relies on it — it computes every
+    lane's row each bank round, including lanes parked past that round.
 
     State changes ride deliveries only (eligibility pins the exact
     process types, whose idle/transmit feedback are no-ops), so the
@@ -990,7 +998,7 @@ def build_bank_kernel(banks: Sequence[Sequence]):
 
 
 # ----------------------------------------------------------------------
-# The lockstep bank scheduler
+# The bank scheduler
 # ----------------------------------------------------------------------
 @dataclass
 class BankLane:
@@ -1009,7 +1017,7 @@ class BankLane:
 def run_bank_batch(
     lanes: Sequence[BankLane], *, max_rounds: int
 ) -> list[ExecutionResult]:
-    """Run a bank of single-trial lanes in lockstep rounds.
+    """Run a bank of single-trial lanes, each on its own round clock.
 
     Per-lane results are identical to running each engine's ``run()``
     separately — the batch changes *where* the numpy work happens, not
@@ -1030,16 +1038,18 @@ def run_bank_batch(
     Lanes whose stop condition fires — or whose per-lane ``max_rounds``
     cap elapses — retire immediately: they stop drawing coins and stop
     observing rounds, exactly like a serial execution that ended, while
-    the surviving lanes keep the lockstep going.
+    the surviving lanes run on.
 
-    When every lane was built with ``skip=True`` the bank fast-forwards
-    the spans in which *all surviving* lanes are provably silent: after
-    every round it asks each lane's
+    Each bank round is the earliest round any surviving lane is due at,
+    and only the lanes due at it run. Without skipping every lane is due
+    every round. When every lane was built with ``skip=True``, a lane
+    that just ran round ``r`` asks its own
     :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._skip_horizon`
-    — the hook a standalone ``run()`` asks — and the lockstep schedule
-    licenses a skip only up to the ``min`` across lanes (each clamped to
-    its own cap). A lane whose observers all accept the batched
-    quiet-span hook emits the span through one
+    ``h`` (clamped to its cap) — the hook a standalone ``run()`` asks —
+    emits ``[r + 1, h)`` at once and is next due at ``h``, so it executes
+    exactly the rounds its standalone run executes. A lane whose
+    observers all accept the batched quiet-span hook emits the span
+    through one
     :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
     (one RNG jump-ahead, one observer call); any other lane emits round
     by round through ``_emit_quiet_rounds``, exactly as ``run()`` does,
@@ -1058,6 +1068,8 @@ def run_bank_batch(
         )
         if lane.stop is not None and lane.stop():
             results[i] = ExecutionResult(rounds=0, solved=True, solve_round=-1)
+        elif caps[i] <= 0:
+            results[i] = ExecutionResult(rounds=caps[i], solved=False, solve_round=None)
         else:
             active.append(i)
     if not lanes:
@@ -1096,28 +1108,22 @@ def run_bank_batch(
     ]
     coin_buffer = np.empty((len(lanes), n), dtype=np.float64)
     prob_buffer = np.empty((len(lanes), n), dtype=np.float64)
-    executed = 0
+    # Each lane runs on its own clock: ``due[i]`` is the next round
+    # lane i executes. A bank round is the earliest due round, and only
+    # the lanes due at it run; a lane parked past it (fast-forwarded
+    # over a provably silent span) sits it out. Without skipping every
+    # lane is due every round, so the no-skip path reuses ``active``.
+    due = [0] * len(lanes)
     while active:
-        # Retire lanes whose own round budget has elapsed (the lockstep
-        # clock equals every active lane's rounds-run count, so a lane
-        # at its cap has run exactly caps[i] rounds).
-        if any(caps[i] <= executed for i in active):
-            for i in active:
-                if caps[i] <= executed:
-                    results[i] = ExecutionResult(
-                        rounds=caps[i], solved=False, solve_round=None
-                    )
-            active = [i for i in active if caps[i] > executed]
-            if not active:
-                break
-        r = executed
-        m = len(active)
+        r = min(due[i] for i in active)
+        running = [i for i in active if due[i] == r] if bank_skip else active
+        m = len(running)
         coins = coin_buffer[:m]
         probs = prob_buffer[:m]
 
         # Stages 1–2, batched: per-lane plans and per-trial coin rows,
         # one comparison + packbits for the whole bank.
-        for j, i in enumerate(active):
+        for j, i in enumerate(running):
             engine = lanes[i].engine
             if traced:
                 ta = perf_counter_ns()
@@ -1138,7 +1144,7 @@ def run_bank_batch(
             for j in range(m)
         ]
         if traced:
-            _credit("coins", perf_counter_ns() - t0, active)
+            _credit("coins", perf_counter_ns() - t0, running)
 
         # Stage 3 per lane (adaptive views read the lane's probability
         # row and mask); stage 4 batched. Lanes whose topology hits
@@ -1150,7 +1156,7 @@ def run_bank_batch(
         # masks — one ``unpackbits`` plus one batched matvec for the
         # whole bank instead of per-lane bigint candidate scans.
         topologies = []
-        for j, i in enumerate(active):
+        for j, i in enumerate(running):
             engine = lanes[i].engine
             if traced:
                 ta = perf_counter_ns()
@@ -1163,7 +1169,7 @@ def run_bank_batch(
             if masks[j] == 0:
                 shared_deliveries[j] = []  # silent round: nothing to hear
                 continue
-            engine = lanes[active[j]].engine
+            engine = lanes[running[j]].engine
             if traced:
                 ta = perf_counter_ns()
             matrix = engine._matrix_for(topology.masks)
@@ -1196,7 +1202,7 @@ def run_bank_batch(
                 packed_masks, axis=2, bitorder="little", count=n
             ).astype(np.float64)
             rows = transmit[fresh]
-            weighted = rows * lanes[active[fresh[0]]].engine._sender_encoding
+            weighted = rows * lanes[running[fresh[0]]].engine._sender_encoding
             totals = (neighbors @ weighted[:, :, None])[..., 0].astype(np.int64)
             solo = (totals % modulus == 1) & ~rows
             for position, j in enumerate(fresh):
@@ -1204,7 +1210,7 @@ def run_bank_batch(
                 receivers = np.nonzero(solo[position])[0]
                 if receivers.size:
                     senders = totals[position, receivers] // modulus - 1
-                    message_for = lanes[active[j]].engine._message_for
+                    message_for = lanes[running[j]].engine._message_for
                     for u, sender in zip(receivers.tolist(), senders.tolist()):
                         deliveries.append(
                             Delivery(
@@ -1216,7 +1222,7 @@ def run_bank_batch(
                 _credit(
                     "reception",
                     perf_counter_ns() - t0,
-                    [active[j] for j in fresh],
+                    [running[j] for j in fresh],
                 )
 
         # Stages 3–6 per lane (topology/deliveries reused when batched).
@@ -1226,14 +1232,14 @@ def run_bank_batch(
         if traced:
             t0 = perf_counter_ns()
         expecteds = [
-            lanes[i].engine._expected_exact(probs[j]) for j, i in enumerate(active)
+            lanes[i].engine._expected_exact(probs[j]) for j, i in enumerate(running)
         ]
         if traced:
-            _credit("plan", perf_counter_ns() - t0, active)
-        survivors: list[tuple[int, RoundRecord]] = []
-        for j, i in enumerate(active):
+            _credit("plan", perf_counter_ns() - t0, running)
+        for j, i in enumerate(running):
             lane = lanes[i]
-            record = lane.engine._finish_round(
+            engine = lane.engine
+            record = engine._finish_round(
                 r,
                 probs[j],
                 transmit[j],
@@ -1246,45 +1252,33 @@ def run_bank_batch(
                 results[i] = ExecutionResult(
                     rounds=r + 1, solved=True, solve_round=record.round_index
                 )
-            else:
-                survivors.append((i, record))
-        active = [i for i, _ in survivors]
-        executed += 1
-
-        # Lockstep round skipping: the bank may fast-forward only to
-        # the earliest per-lane horizon (each clamped to its own cap).
-        # A lane that just retired no longer constrains it.
-        if not (bank_skip and active):
-            continue
-        if traced:
-            ts = perf_counter_ns()
-            probed = active
-        h = min(
-            lanes[i].engine._skip_horizon(record, caps[i]) for i, record in survivors
-        )
-        if h > executed:
-            still_active: list[int] = []
-            for i in active:
-                lane = lanes[i]
+                continue
+            # Parking: the lane asks its own skip horizon — the hook its
+            # standalone run() asks — and emits the silent span at once.
+            h = r + 1
+            if bank_skip:
+                if traced:
+                    ts = perf_counter_ns()
+                h = engine._skip_horizon(record, caps[i])
                 if span_ok[i]:
                     # Batch-capable observers are span-invariant over
                     # all-silent rounds, so the stop condition (a
                     # function of observer state) cannot fire mid-span:
                     # one call covers the whole span.
-                    lane.engine._emit_quiet_span(executed, h)
-                    still_active.append(i)
-                    continue
-                solved = lane.engine._emit_quiet_rounds(executed, h, lane.stop)
-                if solved is None:
-                    still_active.append(i)
+                    if h > r + 1:
+                        engine._emit_quiet_span(r + 1, h)
                 else:
-                    results[i] = ExecutionResult(
-                        rounds=solved + 1, solved=True, solve_round=solved
-                    )
-            active = still_active
-            executed = h
-        if traced:
-            _credit("skip", perf_counter_ns() - ts, probed)
+                    solved = engine._emit_quiet_rounds(r + 1, h, lane.stop)
+                    if solved is not None:
+                        results[i] = ExecutionResult(
+                            rounds=solved + 1, solved=True, solve_round=solved
+                        )
+                if traced:
+                    engine._phase_ns["skip"] += perf_counter_ns() - ts
+            if results[i] is None and h >= caps[i]:
+                results[i] = ExecutionResult(rounds=caps[i], solved=False, solve_round=None)
+            due[i] = h
+        active = [i for i in active if results[i] is None]
     if traced:
         for lane, result in zip(lanes, results):
             lane.engine._trace = None

@@ -36,7 +36,7 @@ to this engine (:func:`resolve_engine_choice`).
 Both run their single trials through one skip loop,
 :meth:`RadioNetworkEngine._run_skipping`, over one hook each engine
 answers its own way, :meth:`~RadioNetworkEngine._skip_horizon`; the
-bank scheduler's lockstep loop asks the same hook.
+bank scheduler asks the same hook to park each lane.
 """
 
 from __future__ import annotations

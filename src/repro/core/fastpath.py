@@ -149,7 +149,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     # ------------------------------------------------------------------
     # ``step`` is decomposed into stages so the bank scheduler
     # (:func:`repro.core.bankpath.run_bank_batch`) can drive many lanes
-    # in lockstep: ``_plan_probs`` (stage 1), the shared coin draw
+    # per bank round: ``_plan_probs`` (stage 1), the shared coin draw
     # (stage 2, batched across lanes by the scheduler), and
     # ``_finish_round`` (stages 3–6). Each stage preserves the
     # reference semantics exactly; only *where* the work happens moves.

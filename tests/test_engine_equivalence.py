@@ -38,10 +38,11 @@ from __future__ import annotations
 import functools
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.core.bankpath import build_bank_kernel
+from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import ENGINE_NAMES, RadioNetworkEngine, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
@@ -384,6 +385,66 @@ class TestFastEngineEquivalence:
         reference = Simulation.from_spec(spec).run_trial(SEEDS[0])
         fast = Simulation.from_spec(spec, engine=engine).run_trial(SEEDS[0])
         assert fast == reference
+
+
+#: Kernel rows served by a skip-capable kernel (the multi-message
+#: kernels are not: their ``probabilities`` folds ack windows).
+SKIP_KERNEL_ROWS = [row for row in KERNEL_ROWS if row[1][0] != "multi-message"]
+
+
+class TestSkipKernelPlansArePure:
+    """The invariant bank parking relies on: a skip-capable kernel's
+    ``probabilities(r)`` is a pure function of its feedback-driven
+    state and ``r``. The bank computes one row per lane every bank
+    round, parked lanes included, so computing a round a lane does not
+    execute must leave that lane's later rows untouched."""
+
+    PRIMING_ROUNDS = 40
+
+    @pytest.mark.parametrize("row", SKIP_KERNEL_ROWS, ids=_row_id)
+    def test_probabilities_depend_only_on_state_and_round(self, row):
+        spec = _spec(row)
+        trials = [spec.build(seed) for seed in SEEDS]
+        banks = [
+            trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            )
+            for trial, seed in zip(trials, SEEDS)
+        ]
+        kernel = build_bank_kernel(banks)
+        assert kernel is not None and kernel.supports_skip
+
+        def probe(r):
+            probs = kernel.probabilities(r).copy()
+            return probs, kernel._counts.copy(), kernel._rungs.copy()
+
+        def check_pure():
+            start = self.PRIMING_ROUNDS
+            for r1, r2 in ((1, 17), (start + 5, start + 1), (0, start)):
+                first = probe(r1)
+                probe(r2)
+                again = probe(r1)
+                for before, after in zip(first, again):
+                    assert np.array_equal(before, after), (r1, r2)
+
+        check_pure()
+        # Again from a mid-run state, after some feedback has landed.
+        lanes = [
+            BankLane(
+                engine=BitsetRadioNetworkEngine(
+                    trial.network,
+                    bank,
+                    trial.link_process,
+                    seed=seed,
+                    algorithm_info=trial.algorithm.info(),
+                    kernel=kernel,
+                    lane=index,
+                )
+            )
+            for index, (trial, bank, seed) in enumerate(zip(trials, banks, SEEDS))
+        ]
+        run_bank_batch(lanes, max_rounds=self.PRIMING_ROUNDS)
+        check_pure()
 
 
 #: Registered cells no bank kernel serves: their ``"bank"`` requests

@@ -23,7 +23,9 @@ scenarios with nothing to skip at all):
   cannot rot into vacuously comparing two non-skipping loops;
 * **one horizon for both skip loops** — on every kernel row a bank
   engine's ``run()`` executes and skips exactly the rounds its
-  one-lane ``run_bank_batch`` does.
+  one-lane ``run_bank_batch`` does, and in a bank of several lanes
+  each lane parks until its own next active round, executing exactly
+  its standalone run's rounds.
 
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
@@ -40,6 +42,7 @@ contract check only when the spec forces skipping on.
 from __future__ import annotations
 
 import functools
+import json
 import warnings
 
 import numpy as np
@@ -52,11 +55,11 @@ from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
 from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
-from repro.core.engine import ENGINE_NAMES, create_engine
+from repro.core.engine import ENGINE_NAMES, ExecutionResult, create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.process import Process
-from repro.core.trace import TraceCollector
+from repro.core.trace import RoundRecord, TraceCollector
 from repro.obs.recorder import disable, enable
 
 #: Scenario corpus: (id, spec kwargs, max_rounds, expect_skip) rows.
@@ -334,6 +337,200 @@ class TestRunSkipsLikeItsBankLane:
         assert solo == lane
         for counter in ("rounds.executed", "rounds.skipped"):
             assert solo_counts.get(counter, 0) == lane_counts.get(counter, 0), counter
+
+
+class _SpanCollector:
+    """Retains every round, batched quiet spans included.
+
+    It accepts the batched span hook, so a bank lane carrying it takes
+    the ``_emit_quiet_span`` path; each span is materialized as the
+    all-silent records a per-round emission would have produced, so the
+    lane still yields a full trace to compare.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[RoundRecord] = []
+
+    def on_round(self, record: RoundRecord) -> None:
+        self.records.append(record)
+
+    def on_round_batch(self, start: int, stop: int) -> None:
+        self.records.extend(
+            RoundRecord(
+                round_index=i,
+                transmitter_mask=0,
+                deliveries=(),
+                expected_transmitters=0.0,
+            )
+            for i in range(start, stop)
+        )
+
+
+#: Footnote-4 round robin with 1/64 broadcasters: each lane transmits
+#: only in its own broadcasters' slots, so the lanes' slot rounds differ.
+_OWN_CLOCK_SPEC = ScenarioSpec(
+    graph=("ring", {"n": 256}),
+    problem=("local-broadcast", {"fraction": 1 / 64}),
+    algorithm=("round-robin-local", {}),
+    adversary=("none", {}),
+)
+
+
+class TestBankLanesRunOnTheirOwnClock:
+    """A bank lane parks until its own next active round: it executes
+    exactly the rounds its standalone ``run()`` executes, not the union
+    of its bank-mates' slot rounds, and its records, result and coin
+    stream match that run's.
+
+    Lane 0 carries a per-round observer (a :class:`TraceCollector`), so
+    it emits its spans round by round through ``_emit_quiet_rounds``;
+    its stop condition also fires inside a silent span. The other lanes
+    take the batched ``_emit_quiet_span`` path.
+    """
+
+    SEEDS = (41, 42, 43, 44)
+    MAX_ROUNDS = 2000
+
+    def _parts(self, seed, per_round, stop_at):
+        """One trial's processes, observers and stop condition."""
+        trial = _OWN_CLOCK_SPEC.build(seed)
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=seed
+        )
+        observer = trial.problem.make_observer()
+        collector = TraceCollector() if per_round else _SpanCollector()
+
+        def stop():
+            return observer.solved or (
+                stop_at is not None and len(collector.records) > stop_at
+            )
+
+        return trial, processes, [observer, collector], collector, stop
+
+    def _solo(self, seed, *, per_round=False, stop_at=None, max_rounds=MAX_ROUNDS):
+        """The seed's standalone skip-enabled run, traced."""
+        trial, processes, observers, collector, stop = self._parts(
+            seed, per_round, stop_at
+        )
+        engine = create_engine(
+            trial.network,
+            processes,
+            trial.link_process,
+            engine="bank",
+            seed=seed,
+            algorithm_info=trial.algorithm.info(),
+            observers=observers,
+            skip=True,
+        )
+        assert engine._kernel is not None and engine.skip
+        rec = enable()
+        try:
+            result = engine.run(max_rounds=max_rounds, stop=stop)
+        finally:
+            disable()
+        return result, collector.records, engine._coin_rng, rec.counters
+
+    def _lanes(self, stop_at=None, caps=None):
+        """The bank: lane 0 per-round (with ``stop_at``), the rest span-capable."""
+        caps = caps or [None] * len(self.SEEDS)
+        parts = [
+            self._parts(seed, index == 0, stop_at if index == 0 else None)
+            for index, seed in enumerate(self.SEEDS)
+        ]
+        kernel = build_bank_kernel([processes for _, processes, *_ in parts])
+        assert kernel is not None
+        lanes, collectors = [], []
+        for index, (seed, (trial, processes, observers, collector, stop)) in enumerate(
+            zip(self.SEEDS, parts)
+        ):
+            engine = BitsetRadioNetworkEngine(
+                trial.network,
+                processes,
+                trial.link_process,
+                seed=seed,
+                algorithm_info=trial.algorithm.info(),
+                observers=observers,
+                kernel=kernel,
+                lane=index,
+                skip=True,
+            )
+            lanes.append(BankLane(engine=engine, stop=stop, max_rounds=caps[index]))
+            collectors.append(collector)
+        return lanes, collectors
+
+    def _mid_span_round(self, records):
+        """A silent round strictly inside a span after the first slot."""
+        first = next(r.round_index for r in records[1:] if r.transmitter_mask)
+        stop_at = first + 2
+        assert all(not r.transmitter_mask for r in records[first + 1 : first + 4])
+        return stop_at
+
+    def test_each_lane_matches_its_standalone_run(self, tmp_path):
+        uncut, uncut_records, _, _ = self._solo(self.SEEDS[0], per_round=True)
+        stop_at = self._mid_span_round(uncut_records)
+        assert uncut.solve_round > stop_at
+        solos = [
+            self._solo(seed, per_round=index == 0, stop_at=stop_at if index == 0 else None)
+            for index, seed in enumerate(self.SEEDS)
+        ]
+        lanes, collectors = self._lanes(stop_at=stop_at)
+        trace_path = tmp_path / "bank.jsonl"
+        enable(str(trace_path))
+        try:
+            results = run_bank_batch(lanes, max_rounds=self.MAX_ROUNDS)
+        finally:
+            disable()
+        trials = {
+            record["seed"]: record["counters"]
+            for record in map(json.loads, trace_path.read_text().splitlines())
+            if record["kind"] == "trial"
+        }
+        # Lane 0 stopped inside a silent span, on exactly its solo round.
+        assert results[0] == ExecutionResult(
+            rounds=stop_at + 1, solved=True, solve_round=stop_at
+        )
+        slot_rounds = set()
+        for seed, lane, collector, result, solo in zip(
+            self.SEEDS, lanes, collectors, results, solos
+        ):
+            solo_result, solo_records, solo_rng, solo_counts = solo
+            counts = trials[seed]
+            assert result == solo_result
+            assert collector.records == solo_records
+            assert lane.engine._coin_rng.bit_generator.state == solo_rng.bit_generator.state
+            assert counts["rounds.executed"] == solo_counts["rounds.executed"]
+            assert (
+                counts["rounds.executed"] + counts.get("rounds.skipped", 0)
+                == solo_counts["rounds.executed"] + solo_counts.get("rounds.skipped", 0)
+                == result.rounds
+            )
+            slot_rounds |= {r.round_index for r in solo_records if r.transmitter_mask}
+        # The lanes' slot rounds differ: a lockstep bank would execute
+        # their union on every lane.
+        assert max(trials[seed]["rounds.executed"] for seed in self.SEEDS) < len(
+            slot_rounds
+        )
+
+    def test_lane_capped_inside_its_own_span_retires_alone(self):
+        """Per-lane caps under parking: lane 0's own horizon lies beyond
+        its cap, so it retires at the cap while its bank-mates run on."""
+        _, records, _, _ = self._solo(self.SEEDS[0])
+        cap = self._mid_span_round(records)
+        caps = [cap, None, self.MAX_ROUNDS, self.MAX_ROUNDS - 1]
+        lanes, collectors = self._lanes(caps=caps)
+        results = run_bank_batch(lanes, max_rounds=self.MAX_ROUNDS)
+        assert results[0] == ExecutionResult(rounds=cap, solved=False, solve_round=None)
+        for index, (seed, lane, collector, result) in enumerate(
+            zip(self.SEEDS, lanes, collectors, results)
+        ):
+            solo_result, solo_records, solo_rng, _ = self._solo(
+                seed, max_rounds=caps[index] or self.MAX_ROUNDS
+            )
+            assert result == solo_result
+            assert collector.records == solo_records
+            assert lane.engine._coin_rng.bit_generator.state == solo_rng.bit_generator.state
+            if index:
+                assert result.solved and result.rounds > cap
 
 
 class TestMaxRoundsMidSpan:
