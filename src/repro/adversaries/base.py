@@ -40,11 +40,10 @@ import numpy as np
 
 from repro.core.errors import TopologyViolationError
 from repro.core.trace import iter_bits
-from repro.graphs.dual_graph import DualGraph, Edge, normalize_edge, pack_mask_rows
+from repro.graphs.dual_graph import DualGraph, Edge, normalize_edge
 
 __all__ = [
     "AdversaryClass",
-    "PACKED_ROWS_MAX_N",
     "RoundTopology",
     "ObliviousView",
     "OnlineAdaptiveView",
@@ -52,12 +51,6 @@ __all__ = [
     "AlgorithmInfo",
     "LinkProcess",
 ]
-
-
-#: Above this node count a topology's packed word rows cost more memory
-#: (n²/8 bytes per distinct pattern) than the engines save; the bitset
-#: resolver switches to candidate scanning in the same regime.
-PACKED_ROWS_MAX_N = 16384
 
 
 class AdversaryClass(enum.Enum):
@@ -85,7 +78,10 @@ class RoundTopology:
     legal topology satisfies ``G ⊆ topology ⊆ G'`` per node; the engine
     validates this when constructed with ``validate=True``.
 
-    Use the factory helpers — they precompute masks once per pattern:
+    Use the factory helpers — they build masks once per pattern. An
+    adversary that returns the same instance round after round lets
+    the fast engine reuse one cached reception matrix (keyed by the
+    ``masks`` tuple's identity) instead of scanning:
 
     * :meth:`reliable_only` — no flaky edge participates (bare ``G``);
     * :meth:`all_links` — every flaky edge participates (full ``G'``);
@@ -100,31 +96,12 @@ class RoundTopology:
     @classmethod
     def reliable_only(cls, network: DualGraph) -> "RoundTopology":
         """Only the reliable edges of ``G``."""
-        topology = cls(masks=network.g_masks, label="G-only")
-        topology._seed_packed_from(network, use_gp=False)
-        return topology
+        return cls(masks=network.g_masks, label="G-only")
 
     @classmethod
     def all_links(cls, network: DualGraph) -> "RoundTopology":
         """Every potential edge of ``G'``."""
-        topology = cls(masks=network.gp_masks, label="G'-all")
-        topology._seed_packed_from(network, use_gp=True)
-        return topology
-
-    def _seed_packed_from(self, network: DualGraph, *, use_gp: bool) -> None:
-        """Adopt the graph's cached word rows for a whole-graph pattern.
-
-        The stock adversaries rebuild the ``G``-only / full-``G'``
-        topologies once per trial, but sweeps share one registry-cached
-        graph — adopting :meth:`DualGraph.packed_mask_rows` here means
-        the pack cost is paid once per graph, not once per trial. Gated
-        like :meth:`publish_packed`: above ``PACKED_ROWS_MAX_N`` the
-        engines stop consuming packed rows, so nothing is packed.
-        """
-        if len(self.masks) <= PACKED_ROWS_MAX_N:
-            object.__setattr__(
-                self, "_packed_rows_cache", network.packed_mask_rows(use_gp=use_gp)
-            )
+        return cls(masks=network.gp_masks, label="G'-all")
 
     @classmethod
     def without_cut(cls, network: DualGraph, side_mask: int, *, label: str = "cut-off") -> "RoundTopology":
@@ -191,35 +168,6 @@ class RoundTopology:
             else:
                 masks.append(network.g_masks[u])
         return cls(masks=tuple(masks), label=label)
-
-    def packed_rows(self) -> np.ndarray:
-        """The masks as a shared ``(n, ⌈n/64⌉)`` uint64 word matrix.
-
-        Built lazily and cached on the (frozen) instance with the same
-        ``object.__setattr__`` idiom as :meth:`DualGraph.word_masks`.
-        Static and cyclic adversaries reuse one :class:`RoundTopology`
-        object across all rounds (and the bank scheduler shares it
-        across lanes), so the pack cost is paid once per *pattern* per
-        run instead of once per round per lane. Treat the array as
-        read-only; it is shared between callers.
-        """
-        rows = getattr(self, "_packed_rows_cache", None)
-        if rows is None:
-            rows = pack_mask_rows(self.masks, len(self.masks))
-            object.__setattr__(self, "_packed_rows_cache", rows)
-        return rows
-
-    def publish_packed(self) -> "RoundTopology":
-        """Precompute :meth:`packed_rows` eagerly; returns ``self``.
-
-        Adversaries that mint their whole mask schedule in ``start()``
-        call this on each cached topology so the word form exists
-        before the first round. A no-op above ``PACKED_ROWS_MAX_N``,
-        where the engines stop consuming packed rows.
-        """
-        if len(self.masks) <= PACKED_ROWS_MAX_N:
-            self.packed_rows()
-        return self
 
     def validate(self, network: DualGraph) -> None:
         """Check ``G ⊆ topology ⊆ G'`` and symmetry; raise on violation."""

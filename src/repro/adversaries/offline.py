@@ -67,10 +67,10 @@ class OfflineSoloBlockerAttacker(LinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng) -> None:
         super().start(network, algorithm, rng)
-        self._flood = RoundTopology.all_links(network).publish_packed()
+        self._flood = RoundTopology.all_links(network)
         self._severed = RoundTopology.without_cut(
             network, self.side_mask, label="solo-blocker-cut"
-        ).publish_packed()
+        )
         self.solo_rounds = 0
         self.flooded_rounds = 0
 

@@ -125,10 +125,10 @@ class PredictedDenseSparseAttacker(LinkProcess):
         super().start(network, algorithm, rng)
         if self.threshold is None:
             self.threshold = 2.0 * math.log2(max(network.n, 2))
-        self._dense = RoundTopology.all_links(network).publish_packed()
+        self._dense = RoundTopology.all_links(network)
         self._sparse = RoundTopology.without_cut(
             network, self.side_mask, label="predicted-sparse"
-        ).publish_packed()
+        )
         self.dense_history = []
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
@@ -161,10 +161,10 @@ class PrecomputedDenseSparseLinks(LinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng) -> None:
         super().start(network, algorithm, rng)
-        self._dense = RoundTopology.all_links(network).publish_packed()
+        self._dense = RoundTopology.all_links(network)
         self._sparse = RoundTopology.without_cut(
             network, self.side_mask, label="precomputed-sparse"
-        ).publish_packed()
+        )
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         r = view.round_index

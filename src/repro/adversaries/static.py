@@ -40,7 +40,7 @@ class NoFlakyLinks(LinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng) -> None:
         super().start(network, algorithm, rng)
-        self._topology = RoundTopology.reliable_only(network).publish_packed()
+        self._topology = RoundTopology.reliable_only(network)
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         return self._topology
@@ -56,7 +56,7 @@ class AllFlakyLinks(LinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng) -> None:
         super().start(network, algorithm, rng)
-        self._topology = RoundTopology.all_links(network).publish_packed()
+        self._topology = RoundTopology.all_links(network)
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         return self._topology
@@ -77,7 +77,7 @@ class FixedFlakyLinks(LinkProcess):
         super().start(network, algorithm, rng)
         self._topology = RoundTopology.from_flaky_edges(
             network, self._edges, label="fixed-subset"
-        ).publish_packed()
+        )
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         return self._topology
@@ -104,8 +104,8 @@ class AlternatingLinks(LinkProcess):
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng) -> None:
         super().start(network, algorithm, rng)
         self._topologies = [
-            RoundTopology.all_links(network).publish_packed(),
-            RoundTopology.reliable_only(network).publish_packed(),
+            RoundTopology.all_links(network),
+            RoundTopology.reliable_only(network),
         ]
         self._period = sum(self._phase_lengths)
 

@@ -1033,7 +1033,7 @@ def run_bank_batch(
       resolve by cached matvec; cache misses (per-round fading masks)
       are folded into one dense batched matvec for the whole bank; only
       networks past ``_DENSE_BATCH_MAX_N`` fall back to the per-lane
-      scan over the adversary's published packed mask rows.
+      bigint candidate scan.
 
     Lanes whose stop condition fires — or whose per-lane ``max_rounds``
     cap elapses — retire immediately: they stop drawing coins and stop
@@ -1154,7 +1154,8 @@ def run_bank_batch(
         # id-keyed cache fills and stays cold) are folded into ONE
         # dense (lanes × n × n) neighbor batch built straight from the
         # masks — one ``unpackbits`` plus one batched matvec for the
-        # whole bank instead of per-lane bigint candidate scans.
+        # whole bank instead of per-lane bigint candidate scans. Past
+        # ``_DENSE_BATCH_MAX_N`` that batch costs more than the scans.
         topologies = []
         for j, i in enumerate(running):
             engine = lanes[i].engine
@@ -1177,10 +1178,15 @@ def run_bank_batch(
                 shared_deliveries[j] = engine._resolve_with_matrix(
                     transmit[j], matrix
                 )
-                if traced:
-                    engine._phase_ns["reception"] += perf_counter_ns() - ta
             elif n <= _DENSE_BATCH_MAX_N:
                 fresh.append(j)
+                continue
+            else:
+                shared_deliveries[j] = engine._resolve_candidates(
+                    masks[j], topology.masks
+                )
+            if traced:
+                engine._phase_ns["reception"] += perf_counter_ns() - ta
         if fresh:
             if traced:
                 t0 = perf_counter_ns()
@@ -1246,7 +1252,7 @@ def run_bank_batch(
                 masks[j],
                 expecteds[j],
                 topology=topologies[j],
-                deliveries=shared_deliveries.get(j),
+                deliveries=shared_deliveries[j],
             )
             if lane.stop is not None and lane.stop():
                 results[i] = ExecutionResult(

@@ -17,10 +17,10 @@ processes no kernel accepts to the reference engine instead.
    construction rather than re-proved.
 3. **Reception** is resolved either by two BLAS matvecs against a
    cached dense 0/1 neighbor matrix (static round topologies — the
-   common case for oblivious adversaries) or, for adversaries that
-   churn fresh topologies every round, by the paper's own bitset rule
-   ``popcount(transmitters & mask[u]) == 1`` restricted to the union
-   of the transmitters' neighborhoods.
+   common case for oblivious adversaries) or — past ``_MATRIX_MAX_N``
+   nodes, or for adversaries that churn fresh topologies every round —
+   by the paper's own bitset rule ``popcount(transmitters & mask[u]) ==
+   1`` restricted to the union of the transmitters' neighborhoods.
 4. **Feedback** goes to the kernel, and only for rounds that delivered
    something: kernel protocols change state on receptions alone.
 
@@ -48,7 +48,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.adversaries.base import (
-    PACKED_ROWS_MAX_N,
     AdversaryClass,
     AlgorithmInfo,
     LinkProcess,
@@ -73,12 +72,6 @@ _MATRIX_MAX_N = 2048
 #: stochastic adversaries mint a fresh tuple every round and overflow
 #: this budget immediately, which routes them to the bigint scan.
 _MATRIX_CACHE_SIZE = 8
-
-#: Above this node count the packed uint64 solo-cover matrices stop
-#: paying for their O(n²/8) memory (32 MiB per topology at the cap).
-#: Shared with the adversaries' eager publication cap so a published
-#: schedule is exactly what this engine consumes.
-_PACKED_MAX_N = PACKED_ROWS_MAX_N
 
 
 class BitsetRadioNetworkEngine(RadioNetworkEngine):
@@ -131,10 +124,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         self._matrix_cache: dict[int, np.ndarray] = {}
         self._matrix_keepalive: list = []
         self._validated_topologies: dict[int, object] = {}
-        # Packed uint64 neighborhood matrices for the skip-gated
-        # solo-cover reception (n beyond the dense-matrix cap).
-        self._packed_cache: dict[int, np.ndarray] = {}
-        self._packed_keepalive: list = []
         self._kernel = kernel
         self._lane = lane
         if not kernel.supports_skip:
@@ -216,16 +205,17 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     def _resolve(
         self, transmit: np.ndarray, transmitter_mask: int, topology
     ) -> list[Delivery]:
-        """Stage 4: exactly-one-transmitting-neighbor reception."""
+        """Stage 4: exactly-one-transmitting-neighbor reception.
+
+        A cached neighbor matrix answers by matvec; any other topology
+        (past ``_MATRIX_MAX_N``, or churn past the cache budget) goes
+        to the bigint candidate scan.
+        """
         if not transmitter_mask:
             return []
         matrix = self._matrix_for(topology.masks)
         if matrix is not None:
             return self._resolve_with_matrix(transmit, matrix)
-        if self.skip:
-            packed = self._packed_for(topology)
-            if packed is not None:
-                return self._resolve_packed(transmitter_mask, topology.masks, packed)
         return self._resolve_candidates(transmitter_mask, topology.masks)
 
     def _finish_round(
@@ -240,10 +230,9 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     ) -> RoundRecord:
         """Stages 3–6: topology, reception, feedback, record keeping.
 
-        The bank scheduler passes ``topology``/``deliveries`` when it
-        already resolved them (batched matvec reception across lanes
-        that share a round topology); left as ``None``, the stages run
-        per engine exactly as in a standalone ``step``.
+        The bank scheduler passes ``topology``/``deliveries``, having
+        resolved stages 3–4 itself (batching the matvecs across lanes);
+        a standalone ``step`` leaves them ``None`` and they run here.
         """
         ph = self._phase_ns if self._trace is not None else None
         if ph is not None:
@@ -382,8 +371,12 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         so the scan covers the union of the transmitters' neighborhoods
         instead of all ``n`` nodes — the word-parallel
         ``popcount(X & mask[u]) == 1`` test then picks out solo
-        receptions exactly as the reference loop does.
+        receptions exactly as the reference loop does. Traced runs
+        count each scanned round as ``reception.scan``.
         """
+        if self._trace is not None:
+            counts = self._trace_counts
+            counts["reception.scan"] = counts.get("reception.scan", 0) + 1
         reach = 0
         t = transmitter_mask
         while t:
@@ -405,95 +398,4 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                 deliveries.append(
                     Delivery(receiver=u, sender=sender, message=message_for(sender))
                 )
-        return deliveries
-
-    def _packed_for(self, topology) -> Optional[np.ndarray]:
-        """Word-packed ``(n, n//64)`` neighborhood matrix, if cached.
-
-        The dense count/sender matvec stops paying for itself beyond
-        ``_MATRIX_MAX_N``; up to ``_PACKED_MAX_N`` the uint64-packed
-        rows keep reception word-parallel (64 listeners per machine
-        word) with a footprint of ``n²/8`` bytes instead of ``8n²``.
-        Same id-keyed cache discipline as :meth:`_matrix_for`; the rows
-        themselves come from :meth:`RoundTopology.packed_rows`, so a
-        schedule an adversary published in ``start()`` is shared across
-        every engine lane rather than re-packed per engine.
-        """
-        n = self.network.n
-        if n > _PACKED_MAX_N:
-            return None
-        counts = self._trace_counts if self._trace is not None else None
-        masks = topology.masks
-        key = id(masks)
-        packed = self._packed_cache.get(key)
-        if packed is not None:
-            if counts is not None:
-                counts["cache.packed.hit"] = counts.get("cache.packed.hit", 0) + 1
-            return packed
-        if counts is not None:
-            counts["cache.packed.miss"] = counts.get("cache.packed.miss", 0) + 1
-        if len(self._packed_cache) >= _MATRIX_CACHE_SIZE:
-            return None  # topology churn: the bigint scan is cheaper
-        packed = topology.packed_rows()
-        self._packed_cache[key] = packed
-        self._packed_keepalive.append(masks)
-        return packed
-
-    def _resolve_packed(
-        self, transmitter_mask: int, masks: Sequence[int], packed: np.ndarray
-    ) -> list[Delivery]:
-        """Reception via a saturating popcount over packed rows.
-
-        By topology symmetry, listener ``v`` hears solo transmitter
-        ``u`` iff bit ``v`` is set in row ``u``; a tree reduction over
-        the transmitters' rows carries (covered-once, covered-twice)
-        word pairs — combine is ``(a1|b1, a2|b2|(a1&b1))`` — so
-        ``cover & ~twice`` marks exactly the listeners with one
-        transmitting neighbor.
-        """
-        if not (transmitter_mask & (transmitter_mask - 1)):
-            # Single transmitter: its neighborhood row is the solo set.
-            u = transmitter_mask.bit_length() - 1
-            message = self._message_for(u)
-            receivers = masks[u] & ~transmitter_mask
-            deliveries: list[Delivery] = []
-            while receivers:
-                low = receivers & -receivers
-                receivers ^= low
-                deliveries.append(
-                    Delivery(
-                        receiver=low.bit_length() - 1, sender=u, message=message
-                    )
-                )
-            return deliveries
-        t_ids = []
-        t = transmitter_mask
-        while t:
-            low = t & -t
-            t_ids.append(low.bit_length() - 1)
-            t ^= low
-        cover = packed[t_ids]
-        twice = np.zeros_like(cover)
-        while cover.shape[0] > 1:
-            half = cover.shape[0] // 2
-            a1, b1 = cover[:half], cover[half : 2 * half]
-            a2, b2 = twice[:half], twice[half : 2 * half]
-            new_cover = a1 | b1
-            new_twice = a2 | b2 | (a1 & b1)
-            if cover.shape[0] & 1:
-                new_cover = np.concatenate([new_cover, cover[-1:]])
-                new_twice = np.concatenate([new_twice, twice[-1:]])
-            cover, twice = new_cover, new_twice
-        solo = int.from_bytes((cover[0] & ~twice[0]).tobytes(), "little")
-        solo &= ~transmitter_mask
-        deliveries = []
-        message_for = self._message_for
-        while solo:
-            low = solo & -solo
-            u = low.bit_length() - 1
-            solo ^= low
-            sender = (masks[u] & transmitter_mask).bit_length() - 1
-            deliveries.append(
-                Delivery(receiver=u, sender=sender, message=message_for(sender))
-            )
         return deliveries

@@ -160,15 +160,10 @@ def _first_asymmetric_edge(packed: np.ndarray, n: int) -> Optional[tuple[int, in
 def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     """Bitmasks as a read-only ``(len(masks), ⌈n/64⌉)`` uint64 word matrix.
 
-    This is the engines' shared word form: the fast engine's packed
-    reception resolver and the bank scheduler both consume it, and
-    static/cyclic adversaries publish their whole mask schedule through
-    it once per run instead of letting every engine lane re-pack the
-    same big-int tuples round after round. Single-word graphs take the
-    direct ``np.array`` route; wider graphs serialize through
-    little-endian bytes so each row's words are ``mask``'s 64-bit limbs
-    in ascending order. The result is frozen — it is shared between
-    engine lanes.
+    Single-word graphs take the direct ``np.array`` route; wider graphs
+    serialize through little-endian bytes so each row's words are
+    ``mask``'s 64-bit limbs in ascending order. The result is frozen —
+    it is shared between callers.
     """
     words = (n + 63) // 64
     if words == 1:
@@ -401,26 +396,19 @@ class DualGraph:
             object.__setattr__(self, "_word_mask_cache", arrays)
         return arrays
 
-    def packed_mask_rows(self, *, use_gp: bool = False) -> np.ndarray:
-        """``g_masks`` (or ``gp_masks``) through :func:`pack_mask_rows`, cached.
+    def packed_mask_rows(self) -> np.ndarray:
+        """``g_masks`` through :func:`pack_mask_rows`, cached.
 
-        The two static round topologies — reliable-only and full-``G'``
-        — are rebuilt per trial by the stock adversaries, but their
-        word form depends only on the graph, which sweeps share across
-        trials via the registry cache. Caching the packed rows here
-        means a sweep packs each pattern once instead of once per
-        trial. The rows are frozen; treat them as read-only.
+        The word form depends only on the graph, which sweeps share
+        across trials via the registry cache, so a sweep packs it once
+        instead of once per trial. Its consumer is
+        :func:`repro.problems.local_broadcast.receiver_set`. The rows
+        are frozen; treat them as read-only.
         """
-        cache = getattr(self, "_packed_rows_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_packed_rows_cache", cache)
-        key = "gp" if use_gp else "g"
-        rows = cache.get(key)
+        rows = getattr(self, "_packed_rows_cache", None)
         if rows is None:
-            masks = self.gp_masks if use_gp else self.g_masks
-            rows = pack_mask_rows(masks, self.n)
-            cache[key] = rows
+            rows = pack_mask_rows(self.g_masks, self.n)
+            object.__setattr__(self, "_packed_rows_cache", rows)
         return rows
 
     def g_neighbors(self, u: int) -> list[int]:

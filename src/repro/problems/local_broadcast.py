@@ -18,7 +18,6 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from repro.adversaries.base import PACKED_ROWS_MAX_N
 from repro.core.errors import SpecError
 from repro.core.trace import RoundRecord, iter_bits, popcount
 from repro.graphs.dual_graph import DualGraph
@@ -26,6 +25,11 @@ from repro.problems.base import Problem, ProblemObserver
 from repro.registry import cut_mask_for, register_problem
 
 __all__ = ["LocalBroadcastProblem", "LocalBroadcastObserver", "receiver_set"]
+
+#: Above this node count the graph's packed word rows cost more memory
+#: (n²/8 bytes, 32 MiB at the cap) than one vectorized AND saves over
+#: n bigint ANDs.
+PACKED_ROWS_MAX_N = 16384
 
 
 def receiver_set(network: DualGraph, broadcasters: AbstractSet[int]) -> frozenset[int]:
@@ -40,8 +44,8 @@ def receiver_set(network: DualGraph, broadcasters: AbstractSet[int]) -> frozense
     n = network.n
     if n <= PACKED_ROWS_MAX_N:
         # One vectorized AND over the graph's cached word rows instead
-        # of n bigint ANDs (each O(n/64)) — the rows are the same cache
-        # the stock adversaries adopt, so this is usually a cache hit.
+        # of n bigint ANDs (each O(n/64)); sweeps share one cached
+        # graph, so trials after the first reuse the rows.
         rows = network.packed_mask_rows()
         b_row = np.frombuffer(
             b_mask.to_bytes(rows.shape[1] * 8, "little"), dtype=np.uint64

@@ -42,11 +42,17 @@ import numpy as np
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
+from repro.core.bankpath import (
+    _DENSE_BATCH_MAX_N,
+    BankLane,
+    build_bank_kernel,
+    run_bank_batch,
+)
 from repro.core.engine import ENGINE_NAMES, RadioNetworkEngine, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
+from repro.obs.recorder import disable, enable
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
 
 #: The engine names that must reproduce the reference engine's traces
@@ -265,7 +271,15 @@ def _spec(row) -> ScenarioSpec:
     )
 
 
-def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
+def _run_traced(
+    spec: ScenarioSpec,
+    seed: int,
+    engine: str,
+    skip=None,
+    *,
+    max_rounds: int = MAX_ROUNDS,
+    validate: bool = True,
+):
     """One execution with full round records collected."""
     trial = spec.build(seed)
     processes = trial.algorithm.build_processes(
@@ -280,11 +294,11 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
         engine=engine,
         seed=seed,
         algorithm_info=trial.algorithm.info(),
-        validate_topologies=True,
+        validate_topologies=validate,
         observers=[observer, collector],
         skip=skip,
     )
-    result = eng.run(max_rounds=MAX_ROUNDS, stop=lambda: observer.solved)
+    result = eng.run(max_rounds=max_rounds, stop=lambda: observer.solved)
     return eng, result, collector.records
 
 
@@ -445,6 +459,130 @@ class TestSkipKernelPlansArePure:
         ]
         run_bank_batch(lanes, max_rounds=self.PRIMING_ROUNDS)
         check_pure()
+
+
+#: (row, reference skip) — rows where the fast engine's reception has
+#: no dense matrix and falls to the bigint candidate scan:
+#:
+#: * the E1b_large ring cells past ``_MATRIX_MAX_N``: static-local-decay
+#:   has multi-transmitter rounds; round-robin-local's reference run
+#:   skips the silent sweep rounds to stay cheap;
+#: * a fading adversary minting a topology per round, past the bank's
+#:   ``_DENSE_BATCH_MAX_N``.
+ABOVE_CAP_ROWS = [
+    (
+        (
+            ("ring", {"n": 2100}),
+            ("local-broadcast", {"fraction": 1 / 64}),
+            ("static-local-decay", {}),
+            ("none", {}),
+        ),
+        None,
+    ),
+    (
+        (
+            ("ring", {"n": 2100}),
+            ("local-broadcast", {"fraction": 1 / 64}),
+            ("round-robin-local", {}),
+            ("none", {}),
+        ),
+        True,
+    ),
+    (
+        (
+            ("geographic", {"n": 600, "grey_ratio": 2.0}),
+            ("global-broadcast", {"source": 0}),
+            ("plain-decay", {}),
+            ("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
+        ),
+        None,
+    ),
+]
+ABOVE_CAP_IDS = [
+    f"{_row_id(row)}/n{row[0][1]['n']}" for row, _ in ABOVE_CAP_ROWS
+]
+
+#: Enough for every above-cap row to solve (a round-robin sweep is n).
+ABOVE_CAP_MAX_ROUNDS = 3000
+
+
+@functools.lru_cache(maxsize=None)
+def _above_cap_reference(row_index: int, seed: int):
+    row, reference_skip = ABOVE_CAP_ROWS[row_index]
+    _, result, records = _run_traced(
+        _spec(row),
+        seed,
+        "reference",
+        skip=reference_skip,
+        max_rounds=ABOVE_CAP_MAX_ROUNDS,
+        validate=False,
+    )
+    return result, records
+
+
+class TestReceptionAboveTheDenseCaps:
+    """Bank lanes and standalone runs ≡ reference where the fast
+    engine's reception has no dense matrix: the regime of the headline
+    ring cells. Topology validation is off on every side — it is
+    checked elsewhere, and per round it costs more than the run."""
+
+    @pytest.mark.parametrize("row_index", range(len(ABOVE_CAP_ROWS)), ids=ABOVE_CAP_IDS)
+    def test_bank_lanes_match_reference(self, row_index):
+        spec = _spec(ABOVE_CAP_ROWS[row_index][0])
+        trials = [spec.build(seed) for seed in SEEDS]
+        banks = [
+            trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            )
+            for trial, seed in zip(trials, SEEDS)
+        ]
+        kernel = build_bank_kernel(banks)
+        assert kernel is not None
+        # No lane takes the bank's dense batch: a matrix miss scans.
+        assert trials[0].network.n > _DENSE_BATCH_MAX_N
+        lanes, collectors = [], []
+        for index, (trial, bank, seed) in enumerate(zip(trials, banks, SEEDS)):
+            observer = trial.problem.make_observer()
+            collector = TraceCollector()
+            engine = BitsetRadioNetworkEngine(
+                trial.network,
+                bank,
+                trial.link_process,
+                seed=seed,
+                algorithm_info=trial.algorithm.info(),
+                validate_topologies=False,
+                observers=[observer, collector],
+                kernel=kernel,
+                lane=index,
+                skip=True,
+            )
+            lanes.append(BankLane(engine=engine, stop=lambda o=observer: o.solved))
+            collectors.append(collector)
+        results = run_bank_batch(lanes, max_rounds=ABOVE_CAP_MAX_ROUNDS)
+        for seed, result, collector in zip(SEEDS, results, collectors):
+            ref_result, ref_records = _above_cap_reference(row_index, seed)
+            assert ref_result.solved
+            assert result == ref_result
+            assert collector.records == ref_records
+
+    @pytest.mark.parametrize("row_index", range(len(ABOVE_CAP_ROWS)), ids=ABOVE_CAP_IDS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_standalone_run_matches_reference(self, row_index, seed):
+        rec = enable()
+        try:
+            engine, result, records = _run_traced(
+                _spec(ABOVE_CAP_ROWS[row_index][0]),
+                seed,
+                "bank",
+                max_rounds=ABOVE_CAP_MAX_ROUNDS,
+                validate=False,
+            )
+        finally:
+            disable()
+        assert type(engine) is BitsetRadioNetworkEngine
+        assert (result, records) == _above_cap_reference(row_index, seed)
+        # The rows really exercise the scan, not a cached matrix.
+        assert rec.counters.get("reception.scan", 0) > 0
 
 
 #: Registered cells no bank kernel serves: their ``"bank"`` requests

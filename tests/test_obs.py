@@ -269,6 +269,10 @@ class TestTracingDeterminism:
         assert {"seed", "n", "rounds", "solved", "phases", "counters"} <= set(record)
         assert set(record["phases"]) <= set(PHASES)
         assert sum(record["phases"].values()) > 0
+        if record["engine"] == "bank":
+            # GE-fade mints a fresh topology every round, so once the
+            # matrix cache budget is spent the scan resolves reception.
+            assert record["counters"]["reception.scan"] > 0
 
     def test_disabled_run_emits_nothing(self, tmp_path):
         path = tmp_path / "trace.jsonl"
