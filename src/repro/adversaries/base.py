@@ -40,7 +40,13 @@ import numpy as np
 
 from repro.core.errors import TopologyViolationError
 from repro.core.trace import iter_bits
-from repro.graphs.dual_graph import DualGraph, Edge, normalize_edge
+from repro.graphs.dual_graph import (
+    DualGraph,
+    Edge,
+    _first_asymmetric_edge,
+    _packed_adjacency,
+    normalize_edge,
+)
 
 __all__ = [
     "AdversaryClass",
@@ -170,23 +176,39 @@ class RoundTopology:
         return cls(masks=tuple(masks), label=label)
 
     def validate(self, network: DualGraph) -> None:
-        """Check ``G ⊆ topology ⊆ G'`` and symmetry; raise on violation."""
-        if len(self.masks) != network.n:
+        """Check ``G ⊆ topology ⊆ G'`` and symmetry; raise on violation.
+
+        The checks run on packed byte rows. The error names the lowest
+        offending node (a dropped ``G`` edge before an added non-``G'``
+        edge at the same node), then the lexicographically first
+        asymmetric pair: the violation a node-by-node scan meets first.
+        """
+        n = network.n
+        if len(self.masks) != n:
             raise TopologyViolationError("topology mask count differs from n")
-        for u in range(network.n):
-            mask = self.masks[u]
-            if network.g_masks[u] & ~mask:
+        width = 8 * ((n + 7) // 8)
+        try:
+            rows = _packed_adjacency(self.masks, n)
+            overflow = np.zeros(n, dtype=bool)
+        except OverflowError:
+            # Bits past the packed width (or a negative mask): edges
+            # outside G' at those nodes.
+            overflow = np.array([mask < 0 or mask >> width > 0 for mask in self.masks])
+            rows = _packed_adjacency([mask & ((1 << width) - 1) for mask in self.masks], n)
+        drops = (network.packed_adjacency() & ~rows).any(axis=1)
+        adds = (rows & ~network.packed_adjacency(use_gp=True)).any(axis=1) | overflow
+        if drops.any() or adds.any():
+            u = int(np.argmax(drops | adds))
+            if drops[u]:
                 raise TopologyViolationError(
                     f"round topology drops reliable G edges at node {u}"
                 )
-            if mask & ~network.gp_masks[u]:
-                raise TopologyViolationError(
-                    f"round topology adds edges outside G' at node {u}"
-                )
-        for u in range(network.n):
-            for v in iter_bits(self.masks[u]):
-                if not (self.masks[v] >> u) & 1:
-                    raise TopologyViolationError(f"round topology asymmetric at ({u}, {v})")
+            raise TopologyViolationError(f"round topology adds edges outside G' at node {u}")
+        pair = _first_asymmetric_edge(rows, n)
+        if pair is not None:
+            raise TopologyViolationError(
+                f"round topology asymmetric at ({pair[0]}, {pair[1]})"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,11 @@ The spec also exposes :meth:`AlgorithmSpec.build_processes` and an
 engine-ready :class:`~repro.adversaries.base.AlgorithmInfo` whose
 ``blueprint`` lets *oblivious* adversaries pre-simulate the algorithm
 (Lemma 4.4's isolated broadcast functions need exactly this handle).
+
+Builders whose protocol has a bank kernel also attach a
+:class:`LaneRecipe`: the fast engine builds its lanes from the recipe
+and the trial seed, and only the reference engine ever instantiates
+the per-node processes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.adversaries.base import AlgorithmInfo
 from repro.core.errors import SpecError
@@ -29,6 +35,7 @@ from repro.core.rng import LazyRng
 
 __all__ = [
     "AlgorithmSpec",
+    "LaneRecipe",
     "ProcessFactory",
     "log2_ceil",
     "clamp_probability",
@@ -57,6 +64,29 @@ def clamp_probability(p: float) -> float:
 
 
 @dataclass(frozen=True)
+class LaneRecipe:
+    """How a bank kernel builds this algorithm's lanes without processes.
+
+    ``factory`` is the spec's ``functools.partial`` over the process
+    class, for ``n`` nodes. :func:`~repro.core.bankpath.build_bank_kernel`
+    looks the kernel up by that class; the partial's keyword arguments
+    (roles, payload, schedule constants) are the kernel's :attr:`params`.
+    Defaults a process resolves from its
+    :class:`~repro.core.process.ProcessContext` (``n``, ``Δ``, the
+    node's private stream) the kernel resolves from the trial's network
+    and seed in exactly the same way.
+    """
+
+    factory: partial
+    n: int
+
+    @property
+    def params(self) -> Mapping[str, object]:
+        """The keyword arguments the factory applies to every node."""
+        return self.factory.keywords
+
+
+@dataclass(frozen=True)
 class AlgorithmSpec:
     """A named, role-bound algorithm ready to instantiate per node.
 
@@ -70,11 +100,26 @@ class AlgorithmSpec:
         Free-form description (constants used, problem roles) surfaced
         to adversaries via :class:`AlgorithmInfo` — adversaries know
         "the algorithm being executed" in every model variant.
+    lane:
+        The bank-kernel recipe (see :meth:`kernel_lane`), or ``None``:
+        specs without one (built by :func:`make_spec` or by third
+        parties) run on the reference engine.
     """
 
     name: str
     factory: ProcessFactory
     metadata: dict = field(default_factory=dict)
+    lane: Optional[LaneRecipe] = None
+
+    def kernel_lane(self) -> Optional[LaneRecipe]:
+        """The lane recipe, while it still describes :attr:`factory`.
+
+        A copy with another factory (``dataclasses.replace``) may build
+        other processes than the recipe mirrors, so it runs on the
+        reference engine.
+        """
+        lane = self.lane
+        return lane if lane is not None and lane.factory is self.factory else None
 
     def build_processes(
         self,
@@ -87,13 +132,12 @@ class AlgorithmSpec:
         """Instantiate one process per node with derived private RNGs.
 
         The per-node streams are lazy (:class:`~repro.core.rng.LazyRng`):
-        derivation and Mersenne Twister seeding — the dominant cost of
-        constructing thousands of mostly coin-free processes per trial —
-        happen only for nodes that actually draw, with draws
-        bit-identical to eager streams. The loop itself is deliberately
-        lean (bound factory, positional context, inlined LazyRng): at
-        bench scale it constructs 10⁴ processes per trial and shows up
-        in cell timings.
+        derivation and Mersenne Twister seeding happen only for nodes
+        that actually draw, with draws bit-identical to eager streams.
+        Only the reference engine calls this; a kernel lane builds its
+        state from the spec's :class:`LaneRecipe` instead, and derives
+        any private stream it needs under the same ``(seed,
+        (rng_label, node_id))`` labels.
         """
         factory = self.factory
         processes = []

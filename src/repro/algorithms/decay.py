@@ -26,11 +26,12 @@ Processes here:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
+from repro.algorithms.base import AlgorithmSpec, LaneRecipe, log2_ceil, spec_source
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -184,14 +185,13 @@ def make_plain_decay_global_broadcast(
         raise ValueError(f"source {source} outside [0, {n})")
     resolved_phase = phase_length or log2_ceil(n)
 
-    def factory(ctx):
-        return PlainDecayGlobalProcess(
-            ctx,
-            source=source,
-            payload=payload,
-            phase_length=resolved_phase,
-            active_phases=active_phases,
-        )
+    factory = partial(
+        PlainDecayGlobalProcess,
+        source=source,
+        payload=payload,
+        phase_length=resolved_phase,
+        active_phases=active_phases,
+    )
 
     return AlgorithmSpec(
         name=f"plain-decay-global(n={n})",
@@ -203,6 +203,7 @@ def make_plain_decay_global_broadcast(
             "phase_length": resolved_phase,
             "schedule": "public",
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

@@ -32,9 +32,10 @@ neighborhoods; the bench shows the coordination is what buys the
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
+from repro.algorithms.base import AlgorithmSpec, LaneRecipe, log2_ceil, spec_source
 from repro.algorithms.permuted_decay import PermutedDecaySchedule
 from repro.core.bits import BitStream
 from repro.core.messages import Message, MessageKind
@@ -244,15 +245,14 @@ def make_oblivious_global_broadcast(
         num_probabilities=log2_ceil(n), gamma=gamma
     )
 
-    def factory(ctx):
-        return ObliviousGlobalBroadcastProcess(
-            ctx,
-            source=source,
-            payload=payload,
-            gamma=gamma,
-            epochs_per_node=epochs_per_node,
-            schedule=shared_schedule,
-        )
+    factory = partial(
+        ObliviousGlobalBroadcastProcess,
+        source=source,
+        payload=payload,
+        gamma=gamma,
+        epochs_per_node=epochs_per_node,
+        schedule=shared_schedule,
+    )
 
     return AlgorithmSpec(
         name=f"permuted-decay-global(n={n},γ={gamma})",
@@ -265,6 +265,7 @@ def make_oblivious_global_broadcast(
             "epochs_per_node": epochs_per_node,
             "schedule": "hidden (post-start shared bits)",
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

@@ -19,7 +19,12 @@ from __future__ import annotations
 from functools import partial
 from typing import AbstractSet, Optional
 
-from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_broadcasters
+from repro.algorithms.base import (
+    AlgorithmSpec,
+    LaneRecipe,
+    log2_ceil,
+    spec_broadcasters,
+)
 from repro.algorithms.decay import decay_probability
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
@@ -45,7 +50,7 @@ class StaticLocalDecayProcess(Process):
         payload: object = "m",
         phase_length: Optional[int] = None,
     ) -> None:
-        self.ctx = ctx  # inlined Process.__init__: built 10⁴ times per bench trial
+        super().__init__(ctx)
         self.is_broadcaster = ctx.node_id in broadcasters
         self.phase_length = phase_length or log2_ceil(ctx.max_degree + 1)
         self.message: Optional[Message] = None
@@ -104,6 +109,7 @@ def make_static_local_broadcast(
             "phase_length": resolved_phase,
             "schedule": "public",
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

@@ -33,9 +33,10 @@ full-trace identity across engines).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Optional
 
-from repro.algorithms.base import AlgorithmSpec, clamp_probability, log2_ceil
+from repro.algorithms.base import AlgorithmSpec, LaneRecipe, clamp_probability, log2_ceil
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.mac.base import MessageAssignment, spec_messages
@@ -61,6 +62,36 @@ def _initial_messages(ctx: ProcessContext, assignment: MessageAssignment) -> lis
         )
         for index in assignment.indices_at(ctx.node_id)
     ]
+
+
+def gkln_persist_rate(
+    window: int, rungs: int, persist_probability: Optional[float], max_degree: int
+) -> float:
+    """A GKLN node's background duty cycle; validates the ack window."""
+    if window < 1 or rungs < 1:
+        raise ValueError(f"need window ≥ 1 and rungs ≥ 1, got {window}, {rungs}")
+    return clamp_probability(
+        persist_probability
+        if persist_probability is not None
+        else 1.0 / (2.0 * (max_degree + 1))
+    )
+
+
+def backoff_rates(
+    probability: Optional[float], regime: str, backoff_window: int, n: int, max_degree: int
+) -> tuple[float, float]:
+    """A back-off node's (base, floor) rates; validates the regime."""
+    if regime not in ("fixed", "exponential"):
+        raise ValueError(f"unknown back-off regime {regime!r}")
+    if backoff_window < 1:
+        raise ValueError(f"backoff_window must be ≥ 1, got {backoff_window}")
+    if probability is not None:
+        base = clamp_probability(float(probability))
+    elif regime == "fixed":
+        base = 1.0 / (max_degree + 1)
+    else:
+        base = 0.5
+    return base, 1.0 / (2.0 * n)
 
 
 class GklnMultiMessageProcess(Process):
@@ -99,16 +130,12 @@ class GklnMultiMessageProcess(Process):
         persist_probability: Optional[float] = None,
     ) -> None:
         super().__init__(ctx)
-        if window < 1 or rungs < 1:
-            raise ValueError(f"need window ≥ 1 and rungs ≥ 1, got {window}, {rungs}")
+        self.persist_probability = gkln_persist_rate(
+            window, rungs, persist_probability, ctx.max_degree
+        )
         self.assignment = assignment
         self.window = window
         self.rungs = rungs
-        self.persist_probability = clamp_probability(
-            persist_probability
-            if persist_probability is not None
-            else 1.0 / (2.0 * (ctx.max_degree + 1))
-        )
         self._queue: deque[Message] = deque(_initial_messages(ctx, assignment))
         self._known = {message.payload for message in self._queue}
         self._all_known: list[Message] = list(self._queue)
@@ -206,20 +233,12 @@ class BackoffMultiMessageProcess(Process):
         backoff_window: int,
     ) -> None:
         super().__init__(ctx)
-        if regime not in ("fixed", "exponential"):
-            raise ValueError(f"unknown back-off regime {regime!r}")
-        if backoff_window < 1:
-            raise ValueError(f"backoff_window must be ≥ 1, got {backoff_window}")
+        self.base_probability, self.min_probability = backoff_rates(
+            probability, regime, backoff_window, ctx.n, ctx.max_degree
+        )
         self.assignment = assignment
         self.regime = regime
         self.backoff_window = backoff_window
-        if probability is not None:
-            self.base_probability = clamp_probability(float(probability))
-        elif regime == "fixed":
-            self.base_probability = 1.0 / (ctx.max_degree + 1)
-        else:
-            self.base_probability = 0.5
-        self.min_probability = 1.0 / (2.0 * ctx.n)
         self._known: list[Message] = _initial_messages(ctx, assignment)
         self._known_payloads = {message.payload for message in self._known}
         self._last_new = 0  # round of the most recent knowledge gain
@@ -280,14 +299,13 @@ def make_gkln_multi_message(
     )
     resolved_window = window if window is not None else mac.f_ack(n, max_degree)
 
-    def factory(ctx: ProcessContext) -> GklnMultiMessageProcess:
-        return GklnMultiMessageProcess(
-            ctx,
-            assignment=assignment,
-            window=resolved_window,
-            rungs=rungs,
-            persist_probability=persist_probability,
-        )
+    factory = partial(
+        GklnMultiMessageProcess,
+        assignment=assignment,
+        window=resolved_window,
+        rungs=rungs,
+        persist_probability=persist_probability,
+    )
 
     return AlgorithmSpec(
         name=f"gkln-multi-message(k={assignment.k}, W={resolved_window})",
@@ -301,6 +319,7 @@ def make_gkln_multi_message(
             "ack_window": resolved_window,
             "rungs": rungs,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 
@@ -315,14 +334,13 @@ def make_backoff_multi_message(
     """Spec for the simple back-off protocol (no ack pacing)."""
     resolved_window = backoff_window if backoff_window is not None else log2_ceil(n)
 
-    def factory(ctx: ProcessContext) -> BackoffMultiMessageProcess:
-        return BackoffMultiMessageProcess(
-            ctx,
-            assignment=assignment,
-            probability=probability,
-            regime=regime,
-            backoff_window=resolved_window,
-        )
+    factory = partial(
+        BackoffMultiMessageProcess,
+        assignment=assignment,
+        probability=probability,
+        regime=regime,
+        backoff_window=resolved_window,
+    )
 
     label = regime if probability is None else f"{regime}, p={probability:g}"
     return AlgorithmSpec(
@@ -337,6 +355,7 @@ def make_backoff_multi_message(
             "regime": regime,
             "backoff_window": resolved_window,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

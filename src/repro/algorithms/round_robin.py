@@ -31,7 +31,12 @@ import random
 from functools import partial
 from typing import AbstractSet, Optional, Sequence
 
-from repro.algorithms.base import AlgorithmSpec, spec_broadcasters, spec_source
+from repro.algorithms.base import (
+    AlgorithmSpec,
+    LaneRecipe,
+    spec_broadcasters,
+    spec_source,
+)
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -69,7 +74,7 @@ class RoundRobinLocalProcess(Process):
         payload: object = "m",
         slots: Optional[Sequence[int]] = None,
     ) -> None:
-        self.ctx = ctx  # inlined Process.__init__: built 10⁴ times per bench trial
+        super().__init__(ctx)
         self.is_broadcaster = ctx.node_id in broadcasters
         self.slot = slots[ctx.node_id] if slots is not None else ctx.node_id
         self.message: Optional[Message] = None
@@ -174,6 +179,7 @@ def make_round_robin_local_broadcast(
             "broadcasters": sorted(broadcaster_set),
             "deterministic": True,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 
@@ -189,10 +195,7 @@ def make_round_robin_global_broadcast(
         raise ValueError(f"source {source} outside [0, {n})")
     slots = _slot_table(n, slot_seed)
 
-    def factory(ctx):
-        return RoundRobinGlobalProcess(
-            ctx, source=source, payload=payload, slots=slots
-        )
+    factory = partial(RoundRobinGlobalProcess, source=source, payload=payload, slots=slots)
 
     return AlgorithmSpec(
         name=f"round-robin-global(n={n})",
@@ -203,6 +206,7 @@ def make_round_robin_global_broadcast(
             "source": source,
             "deterministic": True,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

@@ -12,10 +12,12 @@ count is the same every round).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import AbstractSet, Optional
 
 from repro.algorithms.base import (
     AlgorithmSpec,
+    LaneRecipe,
     clamp_probability,
     spec_broadcasters,
     spec_source,
@@ -138,10 +140,9 @@ def make_uniform_global_broadcast(
     if not 0 <= source < n:
         raise ValueError(f"source {source} outside [0, {n})")
 
-    def factory(ctx):
-        return UniformGlobalProcess(
-            ctx, source=source, probability=probability, payload=payload
-        )
+    factory = partial(
+        UniformGlobalProcess, source=source, probability=probability, payload=payload
+    )
 
     return AlgorithmSpec(
         name=f"uniform-global(p={probability:.4g})",
@@ -152,6 +153,7 @@ def make_uniform_global_broadcast(
             "source": source,
             "probability": probability,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 
@@ -170,13 +172,12 @@ def make_uniform_local_broadcast(
             raise ValueError(f"broadcaster {b} outside [0, {n})")
     resolved = probability if probability is not None else 1.0 / (max_degree + 1)
 
-    def factory(ctx):
-        return UniformLocalProcess(
-            ctx,
-            broadcasters=broadcaster_set,
-            probability=resolved,
-            payload=payload,
-        )
+    factory = partial(
+        UniformLocalProcess,
+        broadcasters=broadcaster_set,
+        probability=resolved,
+        payload=payload,
+    )
 
     return AlgorithmSpec(
         name=f"uniform-local(p={resolved:.4f})",
@@ -187,6 +188,7 @@ def make_uniform_local_broadcast(
             "broadcasters": sorted(broadcaster_set),
             "probability": resolved,
         },
+        lane=LaneRecipe(factory, n),
     )
 
 

@@ -5,8 +5,8 @@ The paper states asymptotic bounds; the reproduction's claims are
 engine executions into those claims, bottom-up:
 
 * :mod:`repro.analysis.runner` — one trial
-  (:func:`run_prepared_trial`: build processes, pick an engine via
-  :func:`repro.core.engine.create_engine`, run to the problem
+  (:func:`run_prepared_trial`: pick an engine for the algorithm spec
+  via :func:`repro.core.engine.create_engine`, run to the problem
   observer's stop condition) and batches of independent trials with
   per-seed derivation (:func:`run_broadcast_trials`), aggregated into
   :class:`TrialStats` (success rate, censored medians/percentiles —

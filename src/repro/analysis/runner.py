@@ -225,15 +225,11 @@ def run_prepared_trial(
         from repro.mac.oracle import run_oracle_trial
 
         return run_oracle_trial(trial, seed)
-    network = trial.network
-    processes = trial.algorithm.build_processes(
-        network.n, network.max_degree, seed=seed
-    )
     if observer is None:
         observer = trial.problem.make_observer()
     engine = create_engine(
-        network,
-        processes,
+        trial.network,
+        trial.algorithm,
         trial.link_process,
         engine=trial.engine,
         seed=seed,
@@ -253,9 +249,9 @@ def run_prepared_trial(
 def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
     """The :class:`EngineFallbackWarning` texts this trial would emit.
 
-    Builds the trial's processes (cheap relative to a run) and routes
-    them through :func:`~repro.core.engine.resolve_engine_choice`, the
-    rule :func:`run_prepared_trial` and :func:`run_bank_trials` apply,
+    Routes the trial through
+    :func:`~repro.core.engine.resolve_engine_choice`, the rule
+    :func:`run_prepared_trial` and :func:`run_bank_trials` apply,
     *without* emitting anything — executors call this once per
     scenario, warn once with the scenario label attached, and then run
     every trial with ``warn_fallback=False``. Oracle-mode MAC trials
@@ -264,11 +260,13 @@ def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
     mac = trial.mac
     if mac is not None and getattr(mac, "mode", "engine") == "oracle":
         return []
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
-    _, _, notes, _ = resolve_engine_choice(
-        trial.engine, [processes], trial.link_process, skip=trial.skip
+    _, _, notes, _, _ = resolve_engine_choice(
+        trial.engine,
+        [trial.algorithm],
+        [seed],
+        [trial.network],
+        trial.link_process,
+        skip=trial.skip,
     )
     if trial.label:
         notes = [f"{note} [scenario: {trial.label}]" for note in notes]
@@ -292,9 +290,10 @@ def run_bank_trials(
     coincide) batched reception. Results are identical to running each
     seed through :func:`run_prepared_trial` — only the batching axis
     changes. The bank is routed once, through
-    :func:`~repro.core.engine.resolve_engine_choice`: when no kernel
-    accepts it, each trial runs on the reference engine with the
-    processes already built.
+    :func:`~repro.core.engine.resolve_engine_choice`: kernel lanes are
+    built from the specs' lane recipes with no per-node processes, and
+    when no kernel serves the bank each trial builds its processes and
+    runs on the reference engine.
 
     ``first`` optionally passes a pre-built (and still unused) trial
     for ``seeds[0]`` so executors that peeked at the scenario don't pay
@@ -330,16 +329,15 @@ def run_bank_trials(
     from repro.core.errors import EngineFallbackWarning
     from repro.core.fastpath import BitsetRadioNetworkEngine
 
-    banks = [
-        trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=seed
-        )
-        for trial, seed in zip(trials, seeds)
-    ]
     # Lanes bypass create_engine, so route the bank (and emit any
     # contract-gap warning, once for the whole bank) here.
-    _, resolved_skip, notes, kernel = resolve_engine_choice(
-        "bank", banks, lead.link_process, skip=lead.skip
+    _, resolved_skip, notes, kernel, lead_processes = resolve_engine_choice(
+        "bank",
+        [trial.algorithm for trial in trials],
+        seeds,
+        [trial.network for trial in trials],
+        lead.link_process,
+        skip=lead.skip,
     )
     if warn_fallback:
         import warnings
@@ -353,24 +351,31 @@ def run_bank_trials(
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
 
     def lane(index: int) -> BankLane:
-        trial = trials[index]
+        trial, seed = trials[index], seeds[index]
         observer = trial.problem.make_observer()
-        engine_cls: type = RadioNetworkEngine
-        extra = {}
-        if kernel:
-            engine_cls = BitsetRadioNetworkEngine
-            extra = {"kernel": kernel, "lane": index}
-        engine = engine_cls(
-            trial.network,
-            banks[index],
-            trial.link_process,
-            seed=seeds[index],
+        options = dict(
+            seed=seed,
             algorithm_info=trial.algorithm.info(),
             validate_topologies=trial.validate_topologies,
             observers=[observer],
             skip=resolved_skip,
-            **extra,
         )
+        if kernel:
+            engine = BitsetRadioNetworkEngine(
+                trial.network, trial.link_process, kernel=kernel, lane=index, **options
+            )
+        else:
+            network = trial.network
+            processes = (
+                lead_processes
+                if index == 0 and lead_processes is not None
+                else trial.algorithm.build_processes(
+                    network.n, network.max_degree, seed=seed
+                )
+            )
+            engine = RadioNetworkEngine(
+                network, processes, trial.link_process, **options
+            )
         return BankLane(
             engine=engine, stop=lambda: observer.solved, max_rounds=trial.max_rounds
         )

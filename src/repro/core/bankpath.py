@@ -12,13 +12,17 @@ Three layers cooperate:
 
 1. **Per-trial lanes.** Each trial owns one fast engine, built with the
    bank's shared kernel and its lane index. A standalone engine holds
-   a kernel built over its own processes (a bank of one) and runs the
-   shared per-trial skip loop; the cross-trial wins need the batch
-   entry points below. A bank that no kernel accepts never reaches
-   this module: :func:`~repro.core.engine.resolve_engine_choice`
-   routes its trials to the reference engine.
+   a kernel of its own (a bank of one) and runs the shared per-trial
+   skip loop; the cross-trial wins need the batch entry points below.
+   A bank that no kernel serves never reaches this module:
+   :func:`~repro.core.engine.resolve_engine_choice` routes its trials
+   to the reference engine.
 2. **Vectorized protocol kernels.** Two families replace the per-node
-   Python state machines with struct-of-arrays state:
+   Python state machines with struct-of-arrays state. A kernel is
+   looked up by the :class:`~repro.algorithms.base.LaneRecipe` the
+   bank's specs carry and built from those recipes and the trial
+   seeds (:func:`build_bank_kernel`): no per-node process exists on
+   this path.
 
    * the **multi-message MAC protocols**
      (:class:`~repro.algorithms.multi_message.GklnMultiMessageProcess`,
@@ -67,15 +71,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter_ns
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.adversaries.base import AdversaryClass
-from repro.algorithms.decay import decay_ladder
+from repro.algorithms.base import AlgorithmSpec, clamp_probability, log2_ceil
+from repro.algorithms.decay import PlainDecayGlobalProcess, decay_ladder
+from repro.algorithms.global_broadcast import ObliviousGlobalBroadcastProcess
+from repro.algorithms.local_static import StaticLocalDecayProcess
+from repro.algorithms.multi_message import (
+    BackoffMultiMessageProcess,
+    GklnMultiMessageProcess,
+    backoff_rates,
+    gkln_persist_rate,
+)
+from repro.algorithms.round_robin import RoundRobinGlobalProcess, RoundRobinLocalProcess
+from repro.algorithms.uniform import UniformGlobalProcess, UniformLocalProcess
+from repro.core.bits import BitStream
 from repro.core.engine import ExecutionResult, StopCondition
 from repro.core.fastpath import BitsetRadioNetworkEngine
-from repro.core.messages import Message
+from repro.core.messages import Message, MessageKind
+from repro.core.rng import spawn_rng
 from repro.core.trace import Delivery
 from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
@@ -110,14 +127,15 @@ class _MultiMessageKernelBase:
     Layout (``T`` trials × ``n`` nodes × ``k`` messages):
 
     * ``known``  — (T, n, ⌈k/64⌉) uint64 bitmap: bit ``i`` of the row
-      set iff the node holds message ``i`` (the ISSUE's trials × nodes
-      × bits knowledge map, bit-packed 64 per word — any ``k``).
+      set iff the node holds message ``i`` (a trials × nodes × bits
+      knowledge map, bit-packed 64 per word — any ``k``).
     * ``order``  — (T, n, k) int64 append-order log of message indices;
       both protocols rotate/queue over their knowledge in append order.
     * ``klen``   — (T, n) int64 length of that log.
     * ``messages[t][i]`` — the canonical :class:`Message` object for
-      message ``i`` of trial ``t`` (minted by its source process, so
-      deliveries compare equal to the reference engine's).
+      message ``i`` of trial ``t``, minted here exactly as its source
+      process mints it, so deliveries compare equal to the reference
+      engine's.
     """
 
     #: The MAC protocols are never provably silent (a node that knows
@@ -125,12 +143,11 @@ class _MultiMessageKernelBase:
     #: skip horizon — lanes run with round skipping disabled.
     supports_skip = False
 
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        first = banks[0][0]
-        self.trials = len(banks)
-        self.n = len(banks[0])
-        self.k = first.assignment.k
-        self.assignments = [bank[0].assignment for bank in banks]
+    def __init__(self, lanes: Sequence[Mapping], networks: Sequence) -> None:
+        self.trials = len(lanes)
+        self.n = networks[0].n
+        self.assignments = [lane["assignment"] for lane in lanes]
+        self.k = max(assignment.k for assignment in self.assignments)
         shape = (self.trials, self.n)
         words = (self.k + 63) // 64 or 1
         self.known = np.zeros((*shape, words), dtype=np.uint64)
@@ -145,20 +162,19 @@ class _MultiMessageKernelBase:
         self._index_by_id: dict[int, int] = {}
         self._r = -1
         self._probs: Optional[np.ndarray] = None
-
-    def _ingest_knowledge(self, t: int, u: int, messages: Sequence[Message]) -> None:
-        """Seed node (t, u)'s knowledge log from its initial messages."""
-        assignment = self.assignments[t]
-        for position, message in enumerate(messages):
-            index = assignment.index_of(message.payload)
-            self.order[t, u, position] = index
-            word, bit = divmod(index, 64)
-            self.known[t, u, word] |= np.uint64(1 << bit)
-            # Initial messages exist only at their sources, so this is
-            # the canonical (source-minted) object for the index.
-            self.messages[t][index] = message
-            self._index_by_id[id(message)] = index
-        self.klen[t, u] = len(messages)
+        # Each source starts out knowing its own messages, logged in
+        # ascending index order like the process's initial queue.
+        for t, assignment in enumerate(self.assignments):
+            for index, source in enumerate(assignment.sources):
+                message = Message(
+                    MessageKind.DATA,
+                    origin=source,
+                    payload=assignment.payload(index),
+                    tag=index,
+                )
+                self.messages[t][index] = message
+                self._index_by_id[id(message)] = index
+                self._learn(t, source, index)
 
     def _learn(self, t: int, u: int, index: int) -> bool:
         """Append message ``index`` to (t, u)'s log; False if known."""
@@ -200,42 +216,28 @@ class _GklnBankKernel(_MultiMessageKernelBase):
     by one vectorized division instead of a per-node ``while`` loop.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.multi_message import GklnMultiMessageProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not GklnMultiMessageProcess:
-                return False
-            for process in bank:
-                if type(process) is not GklnMultiMessageProcess:
-                    return False
-                if (
-                    process.assignment is not first.assignment
-                    or process.window != first.window
-                    or process.rungs != first.rungs
-                    or process.persist_probability != first.persist_probability
-                ):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        lane_col = lambda attr: np.array(  # noqa: E731 - tiny local helper
-            [[getattr(bank[0], attr)] for bank in banks]
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.window = np.array([[lane["window"]] for lane in lanes], dtype=np.int64)
+        self.rungs = np.array([[lane["rungs"]] for lane in lanes], dtype=np.int64)
+        self.persist = np.array(
+            [
+                [
+                    gkln_persist_rate(
+                        lane["window"],
+                        lane["rungs"],
+                        lane["persist_probability"],
+                        network.max_degree,
+                    )
+                ]
+                for lane, network in zip(lanes, networks)
+            ],
+            dtype=np.float64,
         )
-        self.window = lane_col("window").astype(np.int64)
-        self.rungs = lane_col("rungs").astype(np.int64)
-        self.persist = lane_col("persist_probability").astype(np.float64)
+        # Every initial message is queued; a node holding any opens its
+        # head's ack window in round 0.
         self.qhead = np.zeros((self.trials, self.n), dtype=np.int64)
-        self.head_start = np.full((self.trials, self.n), -1, dtype=np.int64)
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                self._ingest_knowledge(t, u, list(process._all_known))
-                self.qhead[t, u] = self.klen[t, u] - len(process._queue)
-                if process._head_start is not None:
-                    self.head_start[t, u] = process._head_start
+        self.head_start = np.where(self.klen > 0, 0, -1)
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
@@ -293,45 +295,25 @@ class _BackoffBankKernel(_MultiMessageKernelBase):
     ``ldexp``) and rotate through their knowledge log offset by node id.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.multi_message import BackoffMultiMessageProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not BackoffMultiMessageProcess:
-                return False
-            for process in bank:
-                if type(process) is not BackoffMultiMessageProcess:
-                    return False
-                if (
-                    process.assignment is not first.assignment
-                    or process.regime != first.regime
-                    or process.backoff_window != first.backoff_window
-                    or process.base_probability != first.base_probability
-                    or process.min_probability != first.min_probability
-                ):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.exponential = np.array(
-            [[bank[0].regime == "exponential"] for bank in banks]
-        )
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        rates = [
+            backoff_rates(
+                lane["probability"],
+                lane["regime"],
+                lane["backoff_window"],
+                self.n,
+                network.max_degree,
+            )
+            for lane, network in zip(lanes, networks)
+        ]
+        self.exponential = np.array([[lane["regime"] == "exponential"] for lane in lanes])
         self.backoff_window = np.array(
-            [[bank[0].backoff_window] for bank in banks], dtype=np.int64
+            [[lane["backoff_window"]] for lane in lanes], dtype=np.int64
         )
-        self.base = np.array(
-            [[bank[0].base_probability] for bank in banks], dtype=np.float64
-        )
-        self.floor = np.array(
-            [[bank[0].min_probability] for bank in banks], dtype=np.float64
-        )
+        self.base = np.array([[base] for base, _ in rates], dtype=np.float64)
+        self.floor = np.array([[floor] for _, floor in rates], dtype=np.float64)
         self.last_new = np.zeros((self.trials, self.n), dtype=np.int64)
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                self._ingest_knowledge(t, u, list(process._known))
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
@@ -387,23 +369,47 @@ class _SingleMessageKernelBase:
     unchanged. The bank scheduler relies on it — it computes every
     lane's row each bank round, including lanes parked past that round.
 
-    State changes ride deliveries only (eligibility pins the exact
-    process types, whose idle/transmit feedback are no-ops), so the
-    kernels also answer :meth:`next_active_round`, the fast engine's
-    skip horizon: ``supports_skip`` stays True and lanes keep
+    State changes ride deliveries only (the mirrored processes'
+    idle/transmit feedback are no-ops), so the kernels also answer
+    :meth:`next_active_round`, the fast engine's skip horizon:
+    ``supports_skip`` stays True and lanes keep
     event-driven skipping, compounding with the struct-of-arrays plan
     stage.
     """
 
     supports_skip = True
 
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        self.trials = len(banks)
-        self.n = len(banks[0])
+    def __init__(self, lanes: Sequence[Mapping], networks: Sequence) -> None:
+        self.trials = len(lanes)
+        self.n = networks[0].n
         self._r = -1
         self._probs: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
         self._rungs: Optional[np.ndarray] = None
+
+    def _sources(self, lanes: Sequence[Mapping]) -> None:
+        """Global protocols: each lane's source and the message it mints."""
+        self.source = np.array([lane["source"] for lane in lanes], dtype=np.int64)
+        self.message = [
+            Message(MessageKind.DATA, origin=lane["source"], payload=lane["payload"])
+            for lane in lanes
+        ]
+
+    def _broadcasters(self, lanes: Sequence[Mapping]) -> tuple[np.ndarray, list]:
+        """Local protocols: the (T, n) broadcaster mask and, per lane, the
+        message each broadcaster mints (origin = own id)."""
+        role = np.zeros((self.trials, self.n), dtype=bool)
+        messages = []
+        for t, lane in enumerate(lanes):
+            members = sorted(lane["broadcasters"])
+            role[t, members] = True
+            messages.append(
+                {
+                    u: Message(MessageKind.DATA, origin=u, payload=lane["payload"])
+                    for u in members
+                }
+            )
+        return role, messages
 
     def expected_exact(self, t: int, r: int) -> float:
         """The round's expected transmitter count, bit-identical to fsum."""
@@ -454,48 +460,22 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
     like ``on_feedback``.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.decay import PlainDecayGlobalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not PlainDecayGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not PlainDecayGlobalProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.phase_length != first.phase_length
-                    or process.active_phases != first.active_phases
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.phase = np.array(
-            [[bank[0].phase_length] for bank in banks], dtype=np.int64
-        )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
+        self.phase = np.array([[lane["phase_length"]] for lane in lanes], dtype=np.int64)
         self.window = [
-            None if bank[0].active_phases is None
-            else bank[0].active_phases * bank[0].phase_length
-            for bank in banks
+            None if lane["active_phases"] is None
+            else lane["active_phases"] * lane["phase_length"]
+            for lane in lanes
         ]
         self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
         self.end = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
-        self.message: list[Message] = []
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                if process.participate_from is not None:
-                    self.start[t, u] = process.participate_from
-                    if self.window[t] is not None:
-                        self.end[t, u] = process.participate_from + self.window[t]
-            self.message.append(bank[int(self.source[t])].message)
+        # The source's decays start after its round-0 announcement.
+        self.start[np.arange(self.trials), self.source] = 1
+        for t, window in enumerate(self.window):
+            if window is not None:
+                self.end[t, self.source[t]] = 1 + window
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
@@ -556,36 +536,27 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
     epoch, so the round's rung is one schedule lookup per lane.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.global_broadcast import ObliviousGlobalBroadcastProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not ObliviousGlobalBroadcastProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not ObliviousGlobalBroadcastProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.schedule != first.schedule
-                    or process.num_chunks != first.num_chunks
-                    or process.epochs_per_node != first.epochs_per_node
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
-        self.schedule = [bank[0].schedule for bank in banks]
-        self.num_chunks = [bank[0].num_chunks for bank in banks]
-        self.epoch_len = [bank[0].epoch_length for bank in banks]
-        self.budget = [bank[0].epochs_per_node for bank in banks]
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.source = np.array([lane["source"] for lane in lanes], dtype=np.int64)
+        self.schedule = [lane["schedule"] for lane in lanes]
+        self.num_chunks = 2 * log2_ceil(self.n)
+        self.epoch_len = [schedule.rounds_per_call for schedule in self.schedule]
+        self.budget = [lane["epochs_per_node"] for lane in lanes]
+        # The source's ⟨m', S⟩: S is drawn from the private stream that
+        # build_processes would hand node ``source``, so its bits match.
+        self.message = [
+            Message(
+                MessageKind.DATA,
+                origin=lane["source"],
+                payload=lane["payload"],
+                shared_bits=BitStream.random(
+                    spawn_rng(seed, "process", lane["source"]),
+                    lane["schedule"].bits_per_call * self.num_chunks,
+                ),
+            )
+            for lane, seed in zip(lanes, seeds)
+        ]
         self.shared = [message.shared_bits for message in self.message]
         self.join_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
         self.end_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
@@ -604,7 +575,7 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
         for t in range(self.trials):
             epoch, round_in_epoch = divmod(r, self.epoch_len[t])
             schedule = self.schedule[t]
-            chunk_offset = (epoch % self.num_chunks[t]) * schedule.bits_per_call
+            chunk_offset = (epoch % self.num_chunks) * schedule.bits_per_call
             # One schedule lookup serves the lane's whole active set —
             # the same call plan() makes, so the float is identical.
             p = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
@@ -661,32 +632,10 @@ class _StaticDecayBankKernel(_SingleMessageKernelBase):
     masked ladder broadcast per round.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.local_static import StaticLocalDecayProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not StaticLocalDecayProcess:
-                return False
-            for process in bank:
-                if type(process) is not StaticLocalDecayProcess:
-                    return False
-                if process.phase_length != first.phase_length:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.phase = np.array(
-            [[bank[0].phase_length] for bank in banks], dtype=np.int64
-        )
-        self.broadcaster = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.phase = np.array([[lane["phase_length"]] for lane in lanes], dtype=np.int64)
+        self.broadcaster, self.messages = self._broadcasters(lanes)
         self._bcount = self.broadcaster.sum(axis=1)
 
     def probabilities(self, r: int) -> np.ndarray:
@@ -717,27 +666,10 @@ class _RoundRobinLocalBankKernel(_SingleMessageKernelBase):
     roles and slots never change, so the plan is one equality compare.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.round_robin import RoundRobinLocalProcess
-
-        for bank in banks:
-            for process in bank:
-                if type(process) is not RoundRobinLocalProcess:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.slots = np.array(
-            [[process.slot for process in bank] for bank in banks], dtype=np.int64
-        )
-        self.role = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.slots = _slot_rows(lanes, self.n)
+        self.role, self.messages = self._broadcasters(lanes)
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
@@ -766,30 +698,10 @@ class _RoundRobinGlobalBankKernel(_SingleMessageKernelBase):
     message on first data reception.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.round_robin import RoundRobinGlobalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not RoundRobinGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not RoundRobinGlobalProcess:
-                    return False
-                if process.source != first.source:
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.slots = np.array(
-            [[process.slot for process in bank] for bank in banks], dtype=np.int64
-        )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
+        self.slots = _slot_rows(lanes, self.n)
         self.informed = np.zeros((self.trials, self.n), dtype=bool)
         self.informed[np.arange(self.trials), self.source] = True
 
@@ -820,6 +732,14 @@ class _RoundRobinGlobalBankKernel(_SingleMessageKernelBase):
         return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
 
 
+def _slot_rows(lanes: Sequence[Mapping], n: int) -> np.ndarray:
+    """(T, n) slot table: each lane's ``slots``, or the identity."""
+    return np.array(
+        [np.arange(n) if lane["slots"] is None else lane["slots"] for lane in lanes],
+        dtype=np.int64,
+    )
+
+
 def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
     """First round *strictly* after ``r`` on which any of ``slots`` fires.
 
@@ -841,32 +761,12 @@ class _UniformLocalBankKernel(_SingleMessageKernelBase):
     broadcasters transmit at the fixed rate forever; no feedback.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.uniform import UniformLocalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not UniformLocalProcess:
-                return False
-            for process in bank:
-                if type(process) is not UniformLocalProcess:
-                    return False
-                if process.probability != first.probability:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
         self.rate = np.array(
-            [[bank[0].probability] for bank in banks], dtype=np.float64
+            [[clamp_probability(lane["probability"])] for lane in lanes], dtype=np.float64
         )
-        self.broadcaster = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
+        self.broadcaster, self.messages = self._broadcasters(lanes)
         self._bcount = self.broadcaster.sum(axis=1)
 
     def probabilities(self, r: int) -> np.ndarray:
@@ -897,33 +797,12 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
     fixed rate, adopting on first data reception.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.uniform import UniformGlobalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not UniformGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not UniformGlobalProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.probability != first.probability
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
         self.rate = np.array(
-            [[bank[0].probability] for bank in banks], dtype=np.float64
+            [[clamp_probability(lane["probability"])] for lane in lanes], dtype=np.float64
         )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
         self.informed = np.zeros((self.trials, self.n), dtype=bool)
         self.informed[np.arange(self.trials), self.source] = True
 
@@ -961,40 +840,51 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
         return None
 
 
-_KERNELS = (
-    _GklnBankKernel,
-    _BackoffBankKernel,
-    _PlainDecayBankKernel,
-    _PermutedDecayBankKernel,
-    _StaticDecayBankKernel,
-    _RoundRobinLocalBankKernel,
-    _RoundRobinGlobalBankKernel,
-    _UniformLocalBankKernel,
-    _UniformGlobalBankKernel,
-)
+#: Kernels by the process class a :class:`LaneRecipe`'s factory builds.
+_KERNELS = {
+    GklnMultiMessageProcess: _GklnBankKernel,
+    BackoffMultiMessageProcess: _BackoffBankKernel,
+    PlainDecayGlobalProcess: _PlainDecayBankKernel,
+    ObliviousGlobalBroadcastProcess: _PermutedDecayBankKernel,
+    StaticLocalDecayProcess: _StaticDecayBankKernel,
+    RoundRobinLocalProcess: _RoundRobinLocalBankKernel,
+    RoundRobinGlobalProcess: _RoundRobinGlobalBankKernel,
+    UniformLocalProcess: _UniformLocalBankKernel,
+    UniformGlobalProcess: _UniformGlobalBankKernel,
+}
 
 
-def build_bank_kernel(banks: Sequence[Sequence]):
-    """A vectorized protocol kernel for these process banks, or ``None``.
+def build_bank_kernel(
+    algorithms: Sequence[AlgorithmSpec], seeds: Sequence[int], networks: Sequence
+):
+    """A vectorized protocol kernel for this bank, or ``None``.
 
-    ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
-    built only when *every* process of every lane belongs to the same
-    supported protocol family with compatible parameters; anything else
-    returns ``None``, and
+    Lane ``t`` runs ``algorithms[t]`` with trial seed ``seeds[t]`` on
+    ``networks[t]``. The kernel is the one kept for the process class
+    that every spec's
+    :meth:`~repro.algorithms.base.AlgorithmSpec.kernel_lane` recipe
+    builds, and it is built from the recipes alone: no per-node
+    process is constructed. A bank with a spec that has no
+    recipe, recipes over different classes or over a class without a
+    kernel, or a recipe built for another node count returns
+    ``None``, and
     :func:`~repro.core.engine.resolve_engine_choice` routes the trials
     to the reference engine.
     """
-    if not banks or not banks[0]:
+    if not algorithms:
         return None
-    if any(len(bank) != len(banks[0]) for bank in banks):
+    n = networks[0].n
+    recipes = [spec.kernel_lane() for spec in algorithms]
+    classes = {recipe and recipe.factory.func for recipe in recipes}
+    kernel = _KERNELS.get(classes.pop()) if len(classes) == 1 else None
+    if kernel is None or any(
+        recipe.n != n or network.n != n for recipe, network in zip(recipes, networks)
+    ):
+        # Counted: the bank runs on the reference engine instead.
+        _obs_inc("bank.kernel.fallback")
         return None
-    for kernel_cls in _KERNELS:
-        if kernel_cls.eligible(banks):
-            _obs_inc("bank.kernel.hit")
-            return kernel_cls(banks)
-    # Counted: the bank runs on the reference engine instead.
-    _obs_inc("bank.kernel.fallback")
-    return None
+    _obs_inc("bank.kernel.hit")
+    return kernel([recipe.params for recipe in recipes], seeds, networks)
 
 
 # ----------------------------------------------------------------------

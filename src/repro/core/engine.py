@@ -47,7 +47,7 @@ import warnings
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from time import perf_counter_ns
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +67,9 @@ from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
 from repro.core.process import Process, RoundPlan
 from repro.core.trace import Delivery, Observer, RoundRecord
+
+if TYPE_CHECKING:  # algorithms sit above this layer; type-only import
+    from repro.algorithms.base import AlgorithmSpec
 
 __all__ = [
     "RadioNetworkEngine",
@@ -238,8 +241,30 @@ class RadioNetworkEngine:
             raise PlanError(
                 f"need exactly one process per node: n={network.n}, got {len(processes)}"
             )
-        self.network = network
         self.processes = list(processes)
+        self._init_execution(
+            network,
+            link_process,
+            seed=seed,
+            algorithm_info=algorithm_info,
+            validate_topologies=validate_topologies,
+            observers=observers,
+            skip=skip,
+        )
+
+    def _init_execution(
+        self,
+        network,
+        link_process: LinkProcess,
+        *,
+        seed: int,
+        algorithm_info: Optional[AlgorithmInfo] = None,
+        validate_topologies: bool = True,
+        observers: Sequence[Observer] = (),
+        skip: bool = False,
+    ) -> None:
+        """Everything but the processes: streams, history, run state."""
+        self.network = network
         self.link_process = link_process
         self.seed = seed
         self.validate_topologies = validate_topologies
@@ -711,27 +736,34 @@ def _skip_contract_gaps(
 
 def resolve_engine_choice(
     engine: str,
-    banks: Sequence[Sequence[Process]],
+    algorithms: Sequence["AlgorithmSpec"],
+    seeds: Sequence[int],
+    networks: Sequence,
     link_process: LinkProcess,
     *,
     skip: Optional[bool] = None,
-) -> tuple[str, bool, list[str], object]:
+) -> tuple[str, bool, list[str], object, Optional[list[Process]]]:
     """Route one execution, or one seed bank, to an engine.
 
-    ``banks[t]`` is trial ``t``'s process list (``[processes]`` for a
-    single execution). Returns ``(engine_name, skip, fallback_messages,
-    kernel)``. The messages are the :class:`EngineFallbackWarning`
-    texts :func:`create_engine` would emit, exposed separately so
-    executors can probe the outcome once per scenario (and warn once)
-    instead of once per trial.
+    Trial ``t`` runs the :class:`~repro.algorithms.base.AlgorithmSpec`
+    ``algorithms[t]`` with seed ``seeds[t]`` on ``networks[t]``
+    (one-element lists for a single execution). Returns
+    ``(engine_name, skip, fallback_messages, kernel, processes)``. The
+    messages are the :class:`EngineFallbackWarning` texts :func:`create_engine`
+    would emit, exposed separately so executors can probe the outcome
+    once per scenario (and warn once) instead of once per trial.
 
     This is the one routing rule. ``"bitset"`` is an alias of
     ``"bank"``. A ``"bank"`` request runs the fast engine when
-    :func:`~repro.core.bankpath.build_bank_kernel` accepts the banks,
-    and the reference engine otherwise. ``skip=None`` resolves to the
-    routed engine's default: on for the fast engine, off for the
-    reference engine. One fallback applies: a component lacking the
-    skip contract forces ``skip=False``.
+    :func:`~repro.core.bankpath.build_bank_kernel` finds a kernel for
+    the specs, and the reference engine otherwise; only the reference
+    route builds per-node processes. When a forced skip there needs the
+    contract check, the first trial's processes are built here and
+    returned as ``processes`` for the caller to run (``None``
+    otherwise).
+    ``skip=None`` resolves to the routed engine's default: on for the
+    fast engine, off for the reference engine. One fallback applies: a
+    component lacking the skip contract forces ``skip=False``.
     """
     if engine not in ENGINE_NAMES:
         raise EngineError(
@@ -741,12 +773,19 @@ def resolve_engine_choice(
     if engine != "reference":
         from repro.core.bankpath import build_bank_kernel
 
-        kernel = build_bank_kernel(banks)
+        kernel = build_bank_kernel(algorithms, seeds, networks)
     engine = "bank" if kernel else "reference"
     notes: list[str] = []
     resolved_skip = bool(kernel) if skip is None else bool(skip)
+    processes = None
     if resolved_skip:
-        gaps = _skip_contract_gaps(banks[0], link_process)
+        # Kernel lanes run registered protocols only; a forced skip on
+        # the reference route checks the first trial's process classes.
+        if not kernel:
+            processes = algorithms[0].build_processes(
+                networks[0].n, networks[0].max_degree, seed=seeds[0]
+            )
+        gaps = _skip_contract_gaps(processes or (), link_process)
         if gaps:
             notes.append(
                 "round skipping disabled: "
@@ -759,12 +798,12 @@ def resolve_engine_choice(
         # create_engine calls alike), mirroring the deduped
         # EngineFallbackWarning surface as a measurable quantity.
         _obs_inc("engine.fallback", len(notes))
-    return engine, resolved_skip, notes, kernel
+    return engine, resolved_skip, notes, kernel, processes
 
 
 def create_engine(
     network,
-    processes: Sequence[Process],
+    algorithm: "AlgorithmSpec",
     link_process: LinkProcess,
     *,
     engine: str = "reference",
@@ -778,12 +817,14 @@ def create_engine(
 ) -> RadioNetworkEngine:
     """Build the requested engine implementation for one execution.
 
-    ``engine="reference"`` is the straight-line round loop above.
+    ``algorithm`` is the :class:`~repro.algorithms.base.AlgorithmSpec`
+    to run with ``seed``. ``engine="reference"`` is the straight-line
+    round loop above, over the spec's per-node processes.
     ``engine="bank"`` (or its alias ``"bitset"``) is the fast engine of
-    :mod:`repro.core.fastpath` when a vectorized protocol kernel from
-    :mod:`repro.core.bankpath` accepts the processes (a bank of one),
-    and the reference engine otherwise (see
-    :func:`resolve_engine_choice`). The cross-trial batching engages
+    :mod:`repro.core.fastpath` when the spec's lane recipe names a
+    vectorized protocol kernel of :mod:`repro.core.bankpath` (a bank of
+    one; no processes are built), and the reference engine otherwise
+    (see :func:`resolve_engine_choice`). The cross-trial batching engages
     when an executor hands a whole seed bank to
     :func:`repro.core.bankpath.run_bank_batch`. The fast engine is
     seed-for-seed identical to the reference engine (same coin stream,
@@ -797,8 +838,8 @@ def create_engine(
     suppresses them entirely (executors probe the outcome once per
     scenario via :func:`resolve_engine_choice` and warn there instead).
     """
-    _, resolved_skip, notes, kernel = resolve_engine_choice(
-        engine, [processes], link_process, skip=skip
+    _, resolved_skip, notes, kernel, processes = resolve_engine_choice(
+        engine, [algorithm], [seed], [network], link_process, skip=skip
     )
     if warn:
         for note in notes:
@@ -806,20 +847,17 @@ def create_engine(
                 note = f"{note} [scenario: {label}]"
             _obs_inc("engine.fallback.warned")
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
-    engine_cls: type = RadioNetworkEngine
-    extra = {}
-    if kernel:
-        from repro.core.fastpath import BitsetRadioNetworkEngine
-
-        engine_cls, extra = BitsetRadioNetworkEngine, {"kernel": kernel}
-    return engine_cls(
-        network,
-        processes,
-        link_process,
+    options = dict(
         seed=seed,
         algorithm_info=algorithm_info,
         validate_topologies=validate_topologies,
         observers=observers,
         skip=resolved_skip,
-        **extra,
     )
+    if kernel:
+        from repro.core.fastpath import BitsetRadioNetworkEngine
+
+        return BitsetRadioNetworkEngine(network, link_process, kernel=kernel, **options)
+    if processes is None:
+        processes = algorithm.build_processes(network.n, network.max_degree, seed=seed)
+    return RadioNetworkEngine(network, processes, link_process, **options)

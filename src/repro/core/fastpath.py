@@ -5,9 +5,10 @@
 :class:`~repro.core.engine.RadioNetworkEngine` — same plans, same
 coins, same reception rule, same records — but batches each stage in
 numpy or word-parallel bitsets where it can. It runs only with a
-vectorized protocol kernel of :mod:`repro.core.bankpath`;
+vectorized protocol kernel of :mod:`repro.core.bankpath`, built from
+the algorithm spec's lane recipe, and holds no per-node processes;
 :func:`~repro.core.engine.resolve_engine_choice` routes a trial whose
-processes no kernel accepts to the reference engine instead.
+spec no kernel serves to the reference engine instead.
 
 1. **Plans** come from the kernel (shared across lanes by the bank
    scheduler, each engine reading its own lane's row).
@@ -49,15 +50,13 @@ import numpy as np
 
 from repro.adversaries.base import (
     AdversaryClass,
-    AlgorithmInfo,
     LinkProcess,
     ObliviousView,
 )
 from repro.core import rng as rng_mod
 from repro.core.engine import RadioNetworkEngine
 from repro.core.messages import Message
-from repro.core.process import Process
-from repro.core.trace import Delivery, Observer, RoundRecord
+from repro.core.trace import Delivery, RoundRecord
 from repro.graphs.dual_graph import masks_to_neighbor_matrix
 
 __all__ = ["BitsetRadioNetworkEngine"]
@@ -77,42 +76,25 @@ _MATRIX_CACHE_SIZE = 8
 class BitsetRadioNetworkEngine(RadioNetworkEngine):
     """The fast engine, seed-for-seed identical to the reference one.
 
-    Construction signature and public behavior match
-    :class:`~repro.core.engine.RadioNetworkEngine`, plus the required
-    ``kernel`` and its ``lane`` index: a kernel that
-    :func:`~repro.core.bankpath.build_bank_kernel` built over the
-    trial's processes (a bank of one, ``lane=0``), or over a whole
-    seed bank whose lanes share it. The kernel supplies plans, messages
-    and feedback (:meth:`~repro.core.process.Process.plan` is never
-    called); every other stage is the reference pipeline, batched.
+    Public behavior matches :class:`~repro.core.engine.RadioNetworkEngine`;
+    construction takes the required ``kernel`` and its ``lane`` index
+    in place of the per-node processes: a kernel that
+    :func:`~repro.core.bankpath.build_bank_kernel` built for the trial
+    alone (a bank of one, ``lane=0``), or for a whole seed bank whose
+    lanes share it. The kernel supplies plans, messages and feedback;
+    every other stage is the reference pipeline, batched.
     """
 
     engine_name = "bank"
 
+    #: Kernel lanes hold no per-node processes.
+    processes: Sequence = ()
+
     def __init__(
-        self,
-        network,
-        processes: Sequence[Process],
-        link_process: LinkProcess,
-        *,
-        seed: int,
-        algorithm_info: Optional[AlgorithmInfo] = None,
-        validate_topologies: bool = True,
-        observers: Sequence[Observer] = (),
-        skip: bool = False,
-        kernel,
-        lane: int = 0,
+        self, network, link_process: LinkProcess, *, kernel, lane: int = 0, **options
     ) -> None:
-        super().__init__(
-            network,
-            processes,
-            link_process,
-            seed=seed,
-            algorithm_info=algorithm_info,
-            validate_topologies=validate_topologies,
-            observers=observers,
-            skip=skip,
-        )
+        # ``options``: the reference engine's keywords (seed, observers, ...).
+        self._init_execution(network, link_process, **options)
         n = network.n
         # Round-scratch and reception state. Transmitter j is encoded
         # as 1 + (j+1)(n+1), so one matvec yields, per listener, both

@@ -10,9 +10,10 @@ directly (post-run stream positions, not just trace equality), pin the
 absence of cross-trial leakage (a trial's trace cannot depend on which
 other trials share its bank, including lanes that retire early), and
 cover the ``LazyRng`` deferred-seeding path for per-node streams.
-Specs that no kernel serves route to the reference engine, which runs
-each trial over the processes the routing probe already built; the
-stream and bank-composition checks hold there too.
+Kernel lanes are built from the specs' lane recipes and hold no
+per-node processes. Specs that no kernel serves route to the reference
+engine, which runs each trial over its own processes; the stream and
+bank-composition checks hold there too.
 """
 
 from __future__ import annotations
@@ -133,48 +134,48 @@ def _seeds(count: int) -> list[int]:
     return [derive_seed(MASTER_SEED, "trial", index) for index in range(count)]
 
 
-def _banks(spec: ScenarioSpec, seeds):
-    """Each seed's trial and process bank."""
-    trials = [spec.build(seed) for seed in seeds]
-    banks = [
-        trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=seed
-        )
-        for trial, seed in zip(trials, seeds)
-    ]
-    return trials, banks
+def _route(trials, seeds, skip=None):
+    """The routing probe of a bank of these trials."""
+    return resolve_engine_choice(
+        "bank",
+        [trial.algorithm for trial in trials],
+        seeds,
+        [trial.network for trial in trials],
+        trials[0].link_process,
+        skip=skip,
+    )
 
 
 def _bank_lanes(spec: ScenarioSpec, seeds):
     """Build the bank exactly the way :func:`run_bank_trials` does,
     keeping the engines accessible for stream inspection: one routing
     probe for the whole bank, then fast-engine lanes on its kernel or,
-    when no kernel serves the bank, reference engines over the same
-    already-built processes."""
-    trials, banks = _banks(spec, seeds)
-    _, skip, _, kernel = resolve_engine_choice(
-        "bank", banks, trials[0].link_process, skip=trials[0].skip
-    )
+    when no kernel serves the bank, reference engines over each trial's
+    own processes."""
+    trials = [spec.build(seed) for seed in seeds]
+    _, skip, _, kernel, _ = _route(trials, seeds, skip=trials[0].skip)
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
         observer = trial.problem.make_observer()
         collector = TraceCollector()
-        engine_cls = RadioNetworkEngine
-        extra = {}
-        if kernel:
-            engine_cls = BitsetRadioNetworkEngine
-            extra = {"kernel": kernel, "lane": lane_index}
-        engine = engine_cls(
-            trial.network,
-            banks[lane_index],
-            trial.link_process,
+        options = dict(
             seed=seed,
             algorithm_info=trial.algorithm.info(),
             validate_topologies=True,
             observers=[observer, collector],
             skip=skip,
-            **extra,
         )
+        if kernel:
+            engine = BitsetRadioNetworkEngine(
+                trial.network, trial.link_process, kernel=kernel, lane=lane_index, **options
+            )
+        else:
+            processes = trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=seed
+            )
+            engine = RadioNetworkEngine(
+                trial.network, processes, trial.link_process, **options
+            )
         lanes.append(
             (BankLane(engine=engine, stop=(lambda obs=observer: obs.solved)), collector)
         )
@@ -193,14 +194,11 @@ def _run_lanes(lanes):
 
 def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str):
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     engine = create_engine(
         trial.network,
-        processes,
+        trial.algorithm,
         trial.link_process,
         engine=engine_name,
         seed=seed,
@@ -217,8 +215,8 @@ class TestKernelSelection:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_expected_kernel_engages(self, name):
-        trials, banks = _banks(SPECS[name], _seeds(2))
-        _, _, _, kernel = resolve_engine_choice("bank", banks, trials[0].link_process)
+        seeds = _seeds(2)
+        _, _, _, kernel, _ = _route([SPECS[name].build(seed) for seed in seeds], seeds)
         expected = EXPECTED_KERNEL[name]
         if expected is None:
             assert kernel is None
@@ -237,9 +235,7 @@ class TestPerTrialStreamIdentity:
         """After the run, each lane's coin generator must sit at the
         *same stream position* as its serial counterpart: the next 8
         uniforms agree. Trace equality alone wouldn't catch a lane that
-        drew extra coins after its trial solved. Kernel-less banks run
-        on the reference engine over processes the routing probe has
-        already seen, so the probe must leave their streams untouched."""
+        drew extra coins after its trial solved."""
         spec = SPECS[name]
         seeds = _seeds(5)
         _, lanes = _bank_lanes(spec, seeds)
@@ -310,26 +306,29 @@ class TestLazyRngPath:
         eager = _random.Random(derive_seed(MASTER_SEED, "node", 7))
         assert first == eager.random()
 
-    def test_kernel_lanes_never_touch_node_streams(self):
-        """The MAC kernels replace the per-node state machines, so the
-        per-node LazyRngs must stay unseeded — seeding them would mean
-        the kernel consumed streams the serial run leaves untouched."""
+    def test_kernel_lanes_never_touch_node_streams(self, monkeypatch):
+        """The MAC kernels replace the per-node state machines: kernel
+        lanes build no processes, so no per-node stream exists to be
+        seeded or consumed."""
+        from repro.algorithms.base import AlgorithmSpec
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a kernel lane built per-node processes")
+
+        monkeypatch.setattr(AlgorithmSpec, "build_processes", refuse)
         spec = SPECS["gkln-kernel"]
         seeds = _seeds(3)
         _, lanes = _bank_lanes(spec, seeds)
         assert all(lane.engine._kernel is not None for lane, _ in lanes)
         _run_lanes(lanes)
         for lane, _ in lanes:
-            for process in lane.engine.processes:
-                rng = process.ctx.rng
-                assert isinstance(rng, LazyRng)
-                assert rng._rng is None
+            assert lane.engine.processes == ()
 
     def test_lazy_node_streams_match_serial(self):
         """No kernel serves uncoordinated decay, so its bank runs each
-        trial on the reference engine over the processes the routing
-        probe built. Those processes draw from their LazyRng, and every
-        node stream must land on the same position as a serial run."""
+        trial on the reference engine over its own processes. Those
+        processes draw from their LazyRng, and every node stream must
+        land on the same position as a serial run."""
         spec = SPECS["lazy-node-rng"]
         seeds = _seeds(4)
         _, lanes = _bank_lanes(spec, seeds)

@@ -305,9 +305,6 @@ def _round_trip(spec: ScenarioSpec) -> ScenarioSpec:
 
 def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     with warnings.catch_warnings():
@@ -316,7 +313,7 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
         warnings.simplefilter("error", EngineFallbackWarning)
         eng = create_engine(
             trial.network,
-            processes,
+            trial.algorithm,
             trial.link_process,
             engine=engine,
             seed=seed,

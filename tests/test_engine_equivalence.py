@@ -282,14 +282,11 @@ def _run_traced(
 ):
     """One execution with full round records collected."""
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     eng = create_engine(
         trial.network,
-        processes,
+        trial.algorithm,
         trial.link_process,
         engine=engine,
         seed=seed,
@@ -300,6 +297,13 @@ def _run_traced(
     )
     result = eng.run(max_rounds=max_rounds, stop=lambda: observer.solved)
     return eng, result, collector.records
+
+
+def _bank_kernel(trials, seeds):
+    """The kernel a bank of these prepared trials gets, or ``None``."""
+    return build_bank_kernel(
+        [trial.algorithm for trial in trials], seeds, [trial.network for trial in trials]
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,13 +423,7 @@ class TestSkipKernelPlansArePure:
     def test_probabilities_depend_only_on_state_and_round(self, row):
         spec = _spec(row)
         trials = [spec.build(seed) for seed in SEEDS]
-        banks = [
-            trial.algorithm.build_processes(
-                trial.network.n, trial.network.max_degree, seed=seed
-            )
-            for trial, seed in zip(trials, SEEDS)
-        ]
-        kernel = build_bank_kernel(banks)
+        kernel = _bank_kernel(trials, SEEDS)
         assert kernel is not None and kernel.supports_skip
 
         def probe(r):
@@ -447,7 +445,6 @@ class TestSkipKernelPlansArePure:
             BankLane(
                 engine=BitsetRadioNetworkEngine(
                     trial.network,
-                    bank,
                     trial.link_process,
                     seed=seed,
                     algorithm_info=trial.algorithm.info(),
@@ -455,7 +452,7 @@ class TestSkipKernelPlansArePure:
                     lane=index,
                 )
             )
-            for index, (trial, bank, seed) in enumerate(zip(trials, banks, SEEDS))
+            for index, (trial, seed) in enumerate(zip(trials, SEEDS))
         ]
         run_bank_batch(lanes, max_rounds=self.PRIMING_ROUNDS)
         check_pure()
@@ -530,23 +527,16 @@ class TestReceptionAboveTheDenseCaps:
     def test_bank_lanes_match_reference(self, row_index):
         spec = _spec(ABOVE_CAP_ROWS[row_index][0])
         trials = [spec.build(seed) for seed in SEEDS]
-        banks = [
-            trial.algorithm.build_processes(
-                trial.network.n, trial.network.max_degree, seed=seed
-            )
-            for trial, seed in zip(trials, SEEDS)
-        ]
-        kernel = build_bank_kernel(banks)
+        kernel = _bank_kernel(trials, SEEDS)
         assert kernel is not None
         # No lane takes the bank's dense batch: a matrix miss scans.
         assert trials[0].network.n > _DENSE_BATCH_MAX_N
         lanes, collectors = [], []
-        for index, (trial, bank, seed) in enumerate(zip(trials, banks, SEEDS)):
+        for index, (trial, seed) in enumerate(zip(trials, SEEDS)):
             observer = trial.problem.make_observer()
             collector = TraceCollector()
             engine = BitsetRadioNetworkEngine(
                 trial.network,
-                bank,
                 trial.link_process,
                 seed=seed,
                 algorithm_info=trial.algorithm.info(),
@@ -675,12 +665,9 @@ class TestKernelLessRoutesToReference:
     def test_create_engine_routes_to_reference(self, name, engine):
         spec = KERNEL_LESS_SPECS[name]
         trial = spec.build(SEEDS[1])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[1]
-        )
-        assert build_bank_kernel([processes]) is None
+        assert _bank_kernel([trial], [SEEDS[1]]) is None
         eng = create_engine(
-            trial.network, processes, trial.link_process, engine=engine, seed=SEEDS[1]
+            trial.network, trial.algorithm, trial.link_process, engine=engine, seed=SEEDS[1]
         )
         assert type(eng) is RadioNetworkEngine
         assert eng.skip is False
@@ -703,7 +690,7 @@ class TestKernelLessRoutesToReference:
         lead = bank(ROUTING_SEEDS[0])
         assert runner.probe_engine_fallbacks(lead, ROUTING_SEEDS[0]) == []
         runner.run_bank_trials(bank, ROUTING_SEEDS)
-        assert routes == [("reference", False, [], None)] * 2
+        assert routes == [("reference", False, [], None, None)] * 2
 
     def test_executors_match_reference(self, name, routing_pool):
         from repro.api.executor import SerialExecutor
@@ -743,17 +730,67 @@ class TestKernelLessRoutesToReference:
         assert len(builds) == len(ROUTING_SEEDS)
 
 
+class TestKernelLanesBuildNoProcesses:
+    """A kernel-served trial never instantiates per-node processes: its
+    lanes are built from the spec's lane recipe and the trial seed, and
+    only the reference route builds processes."""
+
+    @pytest.mark.parametrize("row", KERNEL_ROWS, ids=_row_id)
+    def test_kernel_rows_build_no_processes(self, row, monkeypatch):
+        from repro.algorithms.base import AlgorithmSpec
+        from repro.analysis.runner import run_prepared_trial
+        from repro.api.executor import SerialExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{self.name} built per-node processes")
+
+        monkeypatch.setattr(AlgorithmSpec, "build_processes", refuse)
+        bank = _spec(row).with_param("engine", "bank").with_param("max_rounds", MAX_ROUNDS)
+        banked = SerialExecutor().run_trials(bank.build, SEEDS)
+        assert banked == [run_prepared_trial(bank.build(seed), seed) for seed in SEEDS]
+
+    @pytest.mark.parametrize("skip", [None, True])
+    @pytest.mark.parametrize("name", sorted(KERNEL_LESS_SPECS))
+    def test_kernel_less_specs_build_processes(self, name, skip, monkeypatch):
+        """Once per trial, also when a forced skip makes the routing
+        check the first trial's process classes."""
+        from repro.algorithms.base import AlgorithmSpec
+        from repro.analysis.runner import run_bank_trials
+
+        builds = []
+        original = AlgorithmSpec.build_processes
+
+        def counted(self, *args, **kwargs):
+            builds.append(self.name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgorithmSpec, "build_processes", counted)
+        trial = KERNEL_LESS_SPECS[name].build(SEEDS[0])
+        eng = create_engine(
+            trial.network,
+            trial.algorithm,
+            trial.link_process,
+            engine="bank",
+            seed=SEEDS[0],
+            skip=skip,
+            warn=False,
+        )
+        assert type(eng) is RadioNetworkEngine
+        assert len(builds) == 1
+        assert len(eng.processes) == trial.network.n
+        bank = KERNEL_LESS_SPECS[name].with_param("engine", "bank").with_param("skip", skip)
+        run_bank_trials(bank.build, ROUTING_SEEDS, warn_fallback=False)
+        assert len(builds) == 1 + len(ROUTING_SEEDS)
+
+
 class TestEngineSelection:
     def test_unknown_engine_rejected(self):
         spec = _spec(EQUIVALENCE_MATRIX[0])
         trial = spec.build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
         with pytest.raises(EngineError, match="unknown engine"):
             create_engine(
                 trial.network,
-                processes,
+                trial.algorithm,
                 trial.link_process,
                 engine="warp",
                 seed=SEEDS[0],
@@ -761,13 +798,8 @@ class TestEngineSelection:
 
     def test_fast_engine_requires_a_kernel(self):
         trial = _spec(EQUIVALENCE_MATRIX[0]).build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
         with pytest.raises(TypeError, match="kernel"):
-            BitsetRadioNetworkEngine(
-                trial.network, processes, trial.link_process, seed=SEEDS[0]
-            )
+            BitsetRadioNetworkEngine(trial.network, trial.link_process, seed=SEEDS[0])
 
     def test_spec_validates_engine_name(self):
         from repro.core.errors import SpecError
@@ -793,14 +825,11 @@ class TestEngineSelection:
         by the requested fast engine without an EngineFallbackWarning."""
         row = next(row for row in KERNEL_ROWS if row[3][0] == adversary)
         trial = _spec(row).build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
             eng = create_engine(
                 trial.network,
-                processes,
+                trial.algorithm,
                 trial.link_process,
                 engine=engine,
                 seed=SEEDS[0],
@@ -818,11 +847,8 @@ class TestBitsetAlias:
 
         spec = _spec(EQUIVALENCE_MATRIX[0])
         trial = spec.build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
-        resolved, skip, _, _ = resolve_engine_choice(
-            "bitset", [processes], trial.link_process
+        resolved, skip, _, _, _ = resolve_engine_choice(
+            "bitset", [trial.algorithm], [SEEDS[0]], [trial.network], trial.link_process
         )
         assert (resolved, skip) == ("bank", True)
         path = tmp_path / "trace.jsonl"

@@ -218,14 +218,11 @@ def _run_probed(engine: str, seed: int):
     """One engine run returning (trace bytes, rng state, next draws)."""
     spec = ScenarioSpec(**_SPEC)
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     eng = create_engine(
         trial.network,
-        processes,
+        trial.algorithm,
         trial.link_process,
         engine=engine,
         seed=seed,

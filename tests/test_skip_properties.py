@@ -210,14 +210,11 @@ def _run_probed(spec: ScenarioSpec, seed: int, engine: str, skip: bool, max_roun
     not emitted by the skip fast-forward).
     """
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     collector = TraceCollector()
     eng = create_engine(
         trial.network,
-        processes,
+        trial.algorithm,
         trial.link_process,
         engine=engine,
         seed=seed,
@@ -294,13 +291,10 @@ def _counted_lane_run(spec: ScenarioSpec, seed: int, max_rounds: int, *, banked:
     through the engine's own ``run()``. Returns ``(result, counters)``.
     """
     trial = spec.build(seed)
-    processes = trial.algorithm.build_processes(
-        trial.network.n, trial.network.max_degree, seed=seed
-    )
     observer = trial.problem.make_observer()
     engine = create_engine(
         trial.network,
-        processes,
+        trial.algorithm,
         trial.link_process,
         engine="bank",
         seed=seed,
@@ -392,11 +386,8 @@ class TestBankLanesRunOnTheirOwnClock:
     MAX_ROUNDS = 2000
 
     def _parts(self, seed, per_round, stop_at):
-        """One trial's processes, observers and stop condition."""
+        """One trial, its observers and stop condition."""
         trial = _OWN_CLOCK_SPEC.build(seed)
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=seed
-        )
         observer = trial.problem.make_observer()
         collector = TraceCollector() if per_round else _SpanCollector()
 
@@ -405,16 +396,14 @@ class TestBankLanesRunOnTheirOwnClock:
                 stop_at is not None and len(collector.records) > stop_at
             )
 
-        return trial, processes, [observer, collector], collector, stop
+        return trial, [observer, collector], collector, stop
 
     def _solo(self, seed, *, per_round=False, stop_at=None, max_rounds=MAX_ROUNDS):
         """The seed's standalone skip-enabled run, traced."""
-        trial, processes, observers, collector, stop = self._parts(
-            seed, per_round, stop_at
-        )
+        trial, observers, collector, stop = self._parts(seed, per_round, stop_at)
         engine = create_engine(
             trial.network,
-            processes,
+            trial.algorithm,
             trial.link_process,
             engine="bank",
             seed=seed,
@@ -437,15 +426,18 @@ class TestBankLanesRunOnTheirOwnClock:
             self._parts(seed, index == 0, stop_at if index == 0 else None)
             for index, seed in enumerate(self.SEEDS)
         ]
-        kernel = build_bank_kernel([processes for _, processes, *_ in parts])
+        kernel = build_bank_kernel(
+            [trial.algorithm for trial, *_ in parts],
+            self.SEEDS,
+            [trial.network for trial, *_ in parts],
+        )
         assert kernel is not None
         lanes, collectors = [], []
-        for index, (seed, (trial, processes, observers, collector, stop)) in enumerate(
+        for index, (seed, (trial, observers, collector, stop)) in enumerate(
             zip(self.SEEDS, parts)
         ):
             engine = BitsetRadioNetworkEngine(
                 trial.network,
-                processes,
                 trial.link_process,
                 seed=seed,
                 algorithm_info=trial.algorithm.info(),
@@ -605,13 +597,10 @@ class TestBankBoundaries:
             max_rounds=4000,
         )
         trial = spec.build(SEEDS[0])
-        processes = trial.algorithm.build_processes(
-            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
-        )
         observer = trial.problem.make_observer()
         engine = create_engine(
             trial.network,
-            processes,
+            trial.algorithm,
             trial.link_process,
             engine="bank",
             seed=SEEDS[0],
@@ -720,9 +709,7 @@ class TestAdaptiveHistoryUnderSkipping:
         observer = trial.problem.make_observer()
         engine = create_engine(
             trial.network,
-            trial.algorithm.build_processes(
-                trial.network.n, trial.network.max_degree, seed=seed
-            ),
+            trial.algorithm,
             trial.link_process,
             engine="reference",
             seed=seed,
@@ -734,20 +721,17 @@ class TestAdaptiveHistoryUnderSkipping:
 
     def test_bank_batch_history_matches_reference(self):
         trials = [self._trial(seed) for seed in self.SEEDS]
-        banks = [
-            trial.algorithm.build_processes(
-                trial.network.n, trial.network.max_degree, seed=seed
-            )
-            for trial, seed in zip(trials, self.SEEDS)
-        ]
-        kernel = build_bank_kernel(banks)
+        kernel = build_bank_kernel(
+            [trial.algorithm for trial in trials],
+            self.SEEDS,
+            [trial.network for trial in trials],
+        )
         assert kernel is not None
         lanes = []
         for index, (trial, seed) in enumerate(zip(trials, self.SEEDS)):
             observer = trial.problem.make_observer()
             engine = BitsetRadioNetworkEngine(
                 trial.network,
-                banks[index],
                 trial.link_process,
                 seed=seed,
                 observers=[observer],
@@ -775,9 +759,7 @@ class TestAdaptiveHistoryUnderSkipping:
         observer = trial.problem.make_observer()
         eng = create_engine(
             trial.network,
-            trial.algorithm.build_processes(
-                trial.network.n, trial.network.max_degree, seed=seed
-            ),
+            trial.algorithm,
             trial.link_process,
             engine=engine,
             seed=seed,
