@@ -44,8 +44,8 @@ from repro.graphs.dual_graph import (
     DualGraph,
     Edge,
     _first_asymmetric_edge,
-    _packed_adjacency,
     normalize_edge,
+    pack_mask_rows,
 )
 
 __all__ = [
@@ -76,28 +76,102 @@ class AdversaryClass(enum.Enum):
         return order.index(self) >= order.index(other)
 
 
-@dataclass(frozen=True)
 class RoundTopology:
     """The communication topology fixed for one round.
 
-    ``masks[u]`` is the adjacency bitmask of node ``u`` this round. A
-    legal topology satisfies ``G ⊆ topology ⊆ G'`` per node; the engine
-    validates this when constructed with ``validate=True``.
+    ``masks[u]`` is the adjacency bitmask of node ``u`` this round, and
+    ``rows`` is the same adjacency as a frozen ``(n, ⌈n/64⌉)`` uint64
+    word array (:func:`~repro.graphs.dual_graph.pack_mask_rows`). A
+    topology is built from either side; the other is derived on first
+    use and cached on the instance. The reference engine and the
+    adaptive adversaries read ``masks``; the fast engine's reception
+    reads ``rows``. A legal topology satisfies ``G ⊆ topology ⊆ G'``
+    per node; the engines check this with :meth:`validate` when
+    constructed with ``validate_topologies=True``.
 
     Use the factory helpers — they build masks once per pattern. An
-    adversary that returns the same instance round after round lets
-    the fast engine reuse one cached reception matrix (keyed by the
-    ``masks`` tuple's identity) instead of scanning:
+    adversary that returns the same instance round after round pays
+    for its word rows and its validation once:
 
     * :meth:`reliable_only` — no flaky edge participates (bare ``G``);
     * :meth:`all_links` — every flaky edge participates (full ``G'``);
     * :meth:`without_cut` — all flaky edges except those crossing a
       node cut (the dense/sparse attackers' "sparse" pattern);
-    * :meth:`from_flaky_edges` — an explicit flaky edge subset.
+    * :meth:`from_flaky_edges` — an explicit flaky edge subset;
+    * :meth:`from_active_flaky_nodes` — node-level fading, built as
+      word rows.
     """
 
-    masks: tuple[int, ...]
-    label: str = "custom"
+    __slots__ = ("label", "_masks", "_rows", "_outside", "_valid_for")
+
+    def __init__(
+        self,
+        masks: Optional[Sequence[int]] = None,
+        label: str = "custom",
+        *,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        if (masks is None) == (rows is None):
+            raise TypeError("RoundTopology takes exactly one of masks and rows")
+        self.label = label
+        self._masks = None if masks is None else tuple(masks)
+        if rows is not None:
+            # The topology owns its rows: they are frozen in place.
+            rows = np.ascontiguousarray(rows, dtype=np.uint64)
+            if rows.ndim != 2:
+                raise ValueError("topology rows must be an (n, words) array")
+            rows.flags.writeable = False
+        self._rows = rows
+        #: Per node, whether its mask had bits the rows cannot hold.
+        self._outside: Optional[np.ndarray] = None
+        #: The network this topology last validated against.
+        self._valid_for: Optional[DualGraph] = None
+
+    def __repr__(self) -> str:
+        return f"RoundTopology(label={self.label!r}, n={len(self)})"
+
+    def __len__(self) -> int:
+        return len(self._masks) if self._masks is not None else self._rows.shape[0]
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Per-node adjacency bitmasks (derived from ``rows`` if needed)."""
+        masks = self._masks
+        if masks is None:
+            rows = self._rows
+            if rows.shape[1] == 1:
+                masks = tuple(rows[:, 0].tolist())
+            else:
+                data = rows.astype("<u8", copy=False).tobytes()
+                width = 8 * rows.shape[1]
+                masks = tuple(
+                    int.from_bytes(data[start : start + width], "little")
+                    for start in range(0, len(data), width)
+                )
+            self._masks = masks
+        return masks
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Frozen uint64 word rows (derived from ``masks`` if needed).
+
+        A negative mask, or bits past the last word, cannot be held in
+        word rows: those bits are dropped here, which reception never
+        notices (no node past ``n`` transmits), and :meth:`validate`
+        reports them as edges outside ``G'``.
+        """
+        rows = self._rows
+        if rows is None:
+            masks = self._masks
+            n = len(masks)
+            try:
+                rows = pack_mask_rows(masks, n)
+            except OverflowError:
+                limit = (1 << (64 * ((n + 63) // 64))) - 1
+                self._outside = np.array([mask < 0 or mask > limit for mask in masks])
+                rows = pack_mask_rows([mask & limit for mask in masks], n)
+            self._rows = rows
+        return rows
 
     @classmethod
     def reliable_only(cls, network: DualGraph) -> "RoundTopology":
@@ -152,51 +226,44 @@ class RoundTopology:
 
         ``active_mask`` marks unfaded nodes. This is the O(n) pattern
         used by the node-level stochastic link processes; it runs every
-        round for fading adversaries, so single-word graphs take a
-        vectorized route over the network's cached uint64 masks.
+        round for fading adversaries, so it is built as word rows over
+        the network's cached ones, at any ``n``: an active node keeps
+        its active flaky neighbors, a faded node keeps ``G`` only.
         """
-        words = network.word_masks()
-        if words is not None:
-            g_np, flaky_np = words
-            active = np.unpackbits(
-                np.frombuffer(active_mask.to_bytes(8, "little"), dtype=np.uint8),
-                bitorder="little",
-                count=network.n,
-            ).astype(bool)
-            rows = np.where(
-                active, g_np | (flaky_np & np.uint64(active_mask)), g_np
-            )
-            return cls(masks=tuple(rows.tolist()), label=label)
-        masks = []
-        for u in range(network.n):
-            if (active_mask >> u) & 1:
-                masks.append(network.g_masks[u] | (network.flaky_masks[u] & active_mask))
-            else:
-                masks.append(network.g_masks[u])
-        return cls(masks=tuple(masks), label=label)
+        g_rows = network.word_rows("g")
+        active_words = np.frombuffer(
+            active_mask.to_bytes(8 * g_rows.shape[1], "little"), dtype="<u8"
+        )
+        active = np.unpackbits(
+            active_words.view(np.uint8), bitorder="little", count=network.n
+        ).view(bool)
+        kept = (network.word_rows("flaky") & active_words) * active[:, None]
+        return cls(rows=g_rows | kept, label=label)
 
     def validate(self, network: DualGraph) -> None:
         """Check ``G ⊆ topology ⊆ G'`` and symmetry; raise on violation.
 
-        The checks run on packed byte rows. The error names the lowest
+        The checks run on word rows. The error names the lowest
         offending node (a dropped ``G`` edge before an added non-``G'``
         edge at the same node), then the lexicographically first
         asymmetric pair: the violation a node-by-node scan meets first.
+        A topology remembers the network it last passed against, so a
+        pattern an adversary returns round after round is checked once.
         """
+        if self._valid_for is network:
+            return
         n = network.n
-        if len(self.masks) != n:
+        if len(self) != n:
             raise TopologyViolationError("topology mask count differs from n")
-        width = 8 * ((n + 7) // 8)
-        try:
-            rows = _packed_adjacency(self.masks, n)
-            overflow = np.zeros(n, dtype=bool)
-        except OverflowError:
-            # Bits past the packed width (or a negative mask): edges
-            # outside G' at those nodes.
-            overflow = np.array([mask < 0 or mask >> width > 0 for mask in self.masks])
-            rows = _packed_adjacency([mask & ((1 << width) - 1) for mask in self.masks], n)
-        drops = (network.packed_adjacency() & ~rows).any(axis=1)
-        adds = (rows & ~network.packed_adjacency(use_gp=True)).any(axis=1) | overflow
+        g_rows = network.word_rows("g")
+        rows = self.rows
+        if rows.shape != g_rows.shape:
+            raise TopologyViolationError("topology rows are not ⌈n/64⌉ words wide")
+        drops = (g_rows & ~rows).any(axis=1)
+        # Padding bits past n sit outside G' as well.
+        adds = (rows & ~network.word_rows("gp")).any(axis=1)
+        if self._outside is not None:
+            adds |= self._outside
         if drops.any() or adds.any():
             u = int(np.argmax(drops | adds))
             if drops[u]:
@@ -209,6 +276,7 @@ class RoundTopology:
             raise TopologyViolationError(
                 f"round topology asymmetric at ({pair[0]}, {pair[1]})"
             )
+        self._valid_for = network
 
 
 # ----------------------------------------------------------------------

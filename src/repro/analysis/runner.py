@@ -325,19 +325,16 @@ def run_bank_trials(
     if any(t.network.n != lead.network.n for t in trials):
         return _per_trial()
 
-    from repro.core.bankpath import BankLane, run_bank_batch
+    from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
     from repro.core.errors import EngineFallbackWarning
     from repro.core.fastpath import BitsetRadioNetworkEngine
 
     # Lanes bypass create_engine, so route the bank (and emit any
     # contract-gap warning, once for the whole bank) here.
-    _, resolved_skip, notes, kernel, lead_processes = resolve_engine_choice(
-        "bank",
-        [trial.algorithm for trial in trials],
-        seeds,
-        [trial.network for trial in trials],
-        lead.link_process,
-        skip=lead.skip,
+    algorithms = [trial.algorithm for trial in trials]
+    networks = [trial.network for trial in trials]
+    _, resolved_skip, notes, kernel_class, lead_processes = resolve_engine_choice(
+        "bank", algorithms, seeds, networks, lead.link_process, skip=lead.skip
     )
     if warn_fallback:
         import warnings
@@ -349,6 +346,7 @@ def run_bank_trials(
                 note = f"{note} [scenario: {lead.label}]"
             _obs_inc("engine.fallback.warned")
             warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+    kernel = build_bank_kernel(algorithms, seeds, networks) if kernel_class else None
 
     def lane(index: int) -> BankLane:
         trial, seed = trials[index], seeds[index]

@@ -5,8 +5,8 @@ The fast engine (:class:`~repro.core.fastpath.BitsetRadioNetworkEngine`,
 ``engine="bank"``) batches *across nodes* within one trial; this module
 batches *across trials*: an entire seed bank of independent executions
 advances in shared bank rounds, and the per-round numpy work — Bernoulli
-comparisons, transmit-mask packing, and the dense reception matvec —
-runs once for the lanes due in a round instead of once per trial.
+comparisons and transmit-mask packing — runs once for the lanes due in
+a round instead of once per trial.
 
 Three layers cooperate:
 
@@ -20,9 +20,9 @@ Three layers cooperate:
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state. A kernel is
    looked up by the :class:`~repro.algorithms.base.LaneRecipe` the
-   bank's specs carry and built from those recipes and the trial
-   seeds (:func:`build_bank_kernel`): no per-node process exists on
-   this path.
+   bank's specs carry (:func:`bank_kernel_class`) and built from those
+   recipes and the trial seeds (:func:`build_bank_kernel`) where the
+   bank runs: no per-node process exists on this path.
 
    * the **multi-message MAC protocols**
      (:class:`~repro.algorithms.multi_message.GklnMultiMessageProcess`,
@@ -99,6 +99,7 @@ from repro.obs.recorder import recorder as _obs_recorder
 
 __all__ = [
     "BankLane",
+    "bank_kernel_class",
     "build_bank_kernel",
     "run_bank_batch",
 ]
@@ -107,16 +108,6 @@ __all__ = [
 #: change ("uninformed", "never joins"): far beyond any execution while
 #: comfortably inside int64 arithmetic.
 _NEVER = 1 << 62
-
-#: Ceiling for the scheduler's per-round dense reception batch: when a
-#: lane's round topology misses the engine's matrix cache (fading
-#: adversaries mint fresh mask tuples every round, so the id-keyed
-#: cache fills and stays cold), the scheduler builds the dense neighbor
-#: matrices for all such lanes in one ``unpackbits`` and resolves them
-#: with one batched matvec. The build is Θ(lanes · n²); past this size
-#: the bigint candidate scan (Θ(transmitters + listeners) words) wins.
-_DENSE_BATCH_MAX_N = 512
-
 
 # ----------------------------------------------------------------------
 # Vectorized protocol kernels: multi-message MAC family
@@ -854,22 +845,17 @@ _KERNELS = {
 }
 
 
-def build_bank_kernel(
-    algorithms: Sequence[AlgorithmSpec], seeds: Sequence[int], networks: Sequence
-):
-    """A vectorized protocol kernel for this bank, or ``None``.
+def bank_kernel_class(algorithms: Sequence[AlgorithmSpec], networks: Sequence):
+    """The kernel class that serves this bank, or ``None``.
 
-    Lane ``t`` runs ``algorithms[t]`` with trial seed ``seeds[t]`` on
-    ``networks[t]``. The kernel is the one kept for the process class
-    that every spec's
+    Lane ``t`` runs ``algorithms[t]`` on ``networks[t]``. The class is
+    the one kept for the process class that every spec's
     :meth:`~repro.algorithms.base.AlgorithmSpec.kernel_lane` recipe
-    builds, and it is built from the recipes alone: no per-node
-    process is constructed. A bank with a spec that has no
-    recipe, recipes over different classes or over a class without a
-    kernel, or a recipe built for another node count returns
-    ``None``, and
+    builds. A bank with a spec that has no recipe, recipes over
+    different classes or over a class without a kernel, or a recipe
+    built for another node count gets ``None``, and
     :func:`~repro.core.engine.resolve_engine_choice` routes the trials
-    to the reference engine.
+    to the reference engine. The lookup builds nothing.
     """
     if not algorithms:
         return None
@@ -880,11 +866,25 @@ def build_bank_kernel(
     if kernel is None or any(
         recipe.n != n or network.n != n for recipe, network in zip(recipes, networks)
     ):
-        # Counted: the bank runs on the reference engine instead.
-        _obs_inc("bank.kernel.fallback")
+        return None
+    return kernel
+
+
+def build_bank_kernel(
+    algorithms: Sequence[AlgorithmSpec], seeds: Sequence[int], networks: Sequence
+):
+    """A vectorized protocol kernel for this bank, or ``None``.
+
+    Lane ``t`` runs ``algorithms[t]`` with trial seed ``seeds[t]`` on
+    ``networks[t]``. The kernel is :func:`bank_kernel_class`'s, built
+    from the specs' recipes alone: no per-node process is constructed.
+    Each kernel built counts one ``bank.kernel.hit``.
+    """
+    kernel = bank_kernel_class(algorithms, networks)
+    if kernel is None:
         return None
     _obs_inc("bank.kernel.hit")
-    return kernel([recipe.params for recipe in recipes], seeds, networks)
+    return kernel([spec.kernel_lane().params for spec in algorithms], seeds, networks)
 
 
 # ----------------------------------------------------------------------
@@ -919,11 +919,10 @@ def run_bank_batch(
     * plans: kernel-backed lanes share one (T, n) probability batch,
       and skip-capable kernels answer the expected-transmitter sum in
       O(1) (bit-identical to fsum) instead of an O(n) reduction;
-    * reception: lanes whose topology hits the engine's matrix cache
-      resolve by cached matvec; cache misses (per-round fading masks)
-      are folded into one dense batched matvec for the whole bank; only
-      networks past ``_DENSE_BATCH_MAX_N`` fall back to the per-lane
-      bigint candidate scan.
+    * reception: each lane's engine resolves its own round with
+      :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._resolve`,
+      the word rule over the topology's word rows (the bigint scan
+      past ``n = 2048``), exactly as its standalone run does.
 
     Lanes whose stop condition fires — or whose per-lane ``max_rounds``
     cap elapses — retire immediately: they stop drawing coins and stop
@@ -966,7 +965,7 @@ def run_bank_batch(
         return []
     # Tracing: each lane accumulates its own phase spans/counters and
     # emits its own trial record on retirement, exactly as a standalone
-    # run() would. Batched stages (packbits, the dense reception batch)
+    # run() would. Batched stages (the coin comparison and packbits)
     # are timed once and credited evenly across the lanes they served.
     rec = _obs_recorder()
     traced = rec is not None
@@ -980,7 +979,6 @@ def run_bank_batch(
             lanes[i].engine._phase_ns[phase] += share
     n = lanes[0].engine.network.n
     nbytes = (n + 7) // 8
-    modulus = n + 1
     bank_skip = all(lane.engine.skip for lane in lanes)
     # Batched quiet-span emission is engaged per lane, and only when
     # every observer on that lane accepts the span hook; lanes carrying
@@ -1036,92 +1034,27 @@ def run_bank_batch(
         if traced:
             _credit("coins", perf_counter_ns() - t0, running)
 
-        # Stage 3 per lane (adaptive views read the lane's probability
-        # row and mask); stage 4 batched. Lanes whose topology hits
-        # the engine's matrix cache (static adversaries, shared graphs)
-        # resolve by cached matvec; lanes that miss it (fading
-        # adversaries mint fresh mask tuples every round, so the
-        # id-keyed cache fills and stays cold) are folded into ONE
-        # dense (lanes × n × n) neighbor batch built straight from the
-        # masks — one ``unpackbits`` plus one batched matvec for the
-        # whole bank instead of per-lane bigint candidate scans. Past
-        # ``_DENSE_BATCH_MAX_N`` that batch costs more than the scans.
+        # Stages 3–4 per lane: adaptive views read the lane's
+        # probability row and mask, and reception is the engine's own
+        # stage 4, so a lane resolves exactly as its standalone run.
         topologies = []
+        lane_deliveries = []
         for j, i in enumerate(running):
             engine = lanes[i].engine
             if traced:
                 ta = perf_counter_ns()
-            topologies.append(engine._choose_topology(r, probs[j], masks[j]))
+            topology = engine._choose_topology(r, probs[j], masks[j])
             if traced:
-                engine._phase_ns["adversary"] += perf_counter_ns() - ta
-        shared_deliveries: dict[int, list[Delivery]] = {}
-        fresh: list[int] = []
-        for j, topology in enumerate(topologies):
-            if masks[j] == 0:
-                shared_deliveries[j] = []  # silent round: nothing to hear
-                continue
-            engine = lanes[running[j]].engine
+                tb = perf_counter_ns()
+            deliveries = engine._resolve(transmit[j], masks[j], topology)
             if traced:
-                ta = perf_counter_ns()
-            matrix = engine._matrix_for(topology.masks)
-            if matrix is not None:
-                shared_deliveries[j] = engine._resolve_with_matrix(
-                    transmit[j], matrix
-                )
-            elif n <= _DENSE_BATCH_MAX_N:
-                fresh.append(j)
-                continue
-            else:
-                shared_deliveries[j] = engine._resolve_candidates(
-                    masks[j], topology.masks
-                )
-            if traced:
-                engine._phase_ns["reception"] += perf_counter_ns() - ta
-        if fresh:
-            if traced:
-                t0 = perf_counter_ns()
-            if n <= 64:
-                # Single-word masks: one C-loop conversion + byte view.
-                packed_masks = np.array(
-                    [topologies[j].masks for j in fresh], dtype="<u8"
-                ).view(np.uint8).reshape(len(fresh), n, 8)
-            else:
-                packed_masks = np.frombuffer(
-                    b"".join(
-                        mask.to_bytes(nbytes, "little")
-                        for j in fresh
-                        for mask in topologies[j].masks
-                    ),
-                    dtype=np.uint8,
-                ).reshape(len(fresh), n, nbytes)
-            neighbors = np.unpackbits(
-                packed_masks, axis=2, bitorder="little", count=n
-            ).astype(np.float64)
-            rows = transmit[fresh]
-            weighted = rows * lanes[running[fresh[0]]].engine._sender_encoding
-            totals = (neighbors @ weighted[:, :, None])[..., 0].astype(np.int64)
-            solo = (totals % modulus == 1) & ~rows
-            for position, j in enumerate(fresh):
-                deliveries: list[Delivery] = []
-                receivers = np.nonzero(solo[position])[0]
-                if receivers.size:
-                    senders = totals[position, receivers] // modulus - 1
-                    message_for = lanes[running[j]].engine._message_for
-                    for u, sender in zip(receivers.tolist(), senders.tolist()):
-                        deliveries.append(
-                            Delivery(
-                                receiver=u, sender=sender, message=message_for(sender)
-                            )
-                        )
-                shared_deliveries[j] = deliveries
-            if traced:
-                _credit(
-                    "reception",
-                    perf_counter_ns() - t0,
-                    [running[j] for j in fresh],
-                )
+                ph = engine._phase_ns
+                ph["adversary"] += tb - ta
+                ph["reception"] += perf_counter_ns() - tb
+            topologies.append(topology)
+            lane_deliveries.append(deliveries)
 
-        # Stages 3–6 per lane (topology/deliveries reused when batched).
+        # Stages 5–6 per lane, on the topology and deliveries above.
         # The expected-transmitter sum goes through each engine's
         # _expected_exact — bit-identical to fsum, O(1) for the
         # single-message kernels instead of an O(n) per-lane pass.
@@ -1142,7 +1075,7 @@ def run_bank_batch(
                 masks[j],
                 expecteds[j],
                 topology=topologies[j],
-                deliveries=shared_deliveries[j],
+                deliveries=lane_deliveries[j],
             )
             if lane.stop is not None and lane.stop():
                 results[i] = ExecutionResult(

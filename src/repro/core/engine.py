@@ -742,21 +742,24 @@ def resolve_engine_choice(
     link_process: LinkProcess,
     *,
     skip: Optional[bool] = None,
-) -> tuple[str, bool, list[str], object, Optional[list[Process]]]:
+) -> tuple[str, bool, list[str], Optional[type], Optional[list[Process]]]:
     """Route one execution, or one seed bank, to an engine.
 
     Trial ``t`` runs the :class:`~repro.algorithms.base.AlgorithmSpec`
     ``algorithms[t]`` with seed ``seeds[t]`` on ``networks[t]``
     (one-element lists for a single execution). Returns
-    ``(engine_name, skip, fallback_messages, kernel, processes)``. The
-    messages are the :class:`EngineFallbackWarning` texts :func:`create_engine`
+    ``(engine_name, skip, fallback_messages, kernel_class, processes)``.
+    The messages are the :class:`EngineFallbackWarning` texts :func:`create_engine`
     would emit, exposed separately so executors can probe the outcome
     once per scenario (and warn once) instead of once per trial.
 
     This is the one routing rule. ``"bitset"`` is an alias of
     ``"bank"``. A ``"bank"`` request runs the fast engine when
-    :func:`~repro.core.bankpath.build_bank_kernel` finds a kernel for
-    the specs, and the reference engine otherwise; only the reference
+    :func:`~repro.core.bankpath.bank_kernel_class` finds a kernel class
+    for the specs, and the reference engine otherwise (counted as
+    ``bank.kernel.fallback``). Routing builds no kernel: the caller
+    that runs the bank builds it with
+    :func:`~repro.core.bankpath.build_bank_kernel`. Only the reference
     route builds per-node processes. When a forced skip there needs the
     contract check, the first trial's processes are built here and
     returned as ``processes`` for the caller to run (``None``
@@ -771,9 +774,12 @@ def resolve_engine_choice(
         )
     kernel = None
     if engine != "reference":
-        from repro.core.bankpath import build_bank_kernel
+        from repro.core.bankpath import bank_kernel_class
 
-        kernel = build_bank_kernel(algorithms, seeds, networks)
+        kernel = bank_kernel_class(algorithms, networks)
+        if kernel is None:
+            # Counted: the bank runs on the reference engine instead.
+            _obs_inc("bank.kernel.fallback")
     engine = "bank" if kernel else "reference"
     notes: list[str] = []
     resolved_skip = bool(kernel) if skip is None else bool(skip)
@@ -838,7 +844,7 @@ def create_engine(
     suppresses them entirely (executors probe the outcome once per
     scenario via :func:`resolve_engine_choice` and warn there instead).
     """
-    _, resolved_skip, notes, kernel, processes = resolve_engine_choice(
+    _, resolved_skip, notes, kernel_class, processes = resolve_engine_choice(
         engine, [algorithm], [seed], [network], link_process, skip=skip
     )
     if warn:
@@ -854,9 +860,11 @@ def create_engine(
         observers=observers,
         skip=resolved_skip,
     )
-    if kernel:
+    if kernel_class:
+        from repro.core.bankpath import build_bank_kernel
         from repro.core.fastpath import BitsetRadioNetworkEngine
 
+        kernel = build_bank_kernel([algorithm], [seed], [network])
         return BitsetRadioNetworkEngine(network, link_process, kernel=kernel, **options)
     if processes is None:
         processes = algorithm.build_processes(network.n, network.max_degree, seed=seed)

@@ -16,12 +16,11 @@ spec no kernel serves to the reference engine instead.
    same helper, against the same ``("engine", "coins")`` child stream,
    that the reference engine consumes, so coin alignment is shared by
    construction rather than re-proved.
-3. **Reception** is resolved either by two BLAS matvecs against a
-   cached dense 0/1 neighbor matrix (static round topologies — the
-   common case for oblivious adversaries) or — past ``_MATRIX_MAX_N``
-   nodes, or for adversaries that churn fresh topologies every round —
-   by the paper's own bitset rule ``popcount(transmitters & mask[u]) ==
-   1`` restricted to the union of the transmitters' neighborhoods.
+3. **Reception** is the paper's own rule, ``popcount(transmitters &
+   mask[u]) == 1`` for a listener ``u``, in one of two forms: up to
+   ``_WORD_RULE_MAX_N`` nodes over the topology's uint64 word rows for
+   every listener at once (the word rule), and past that as a bigint
+   scan restricted to the union of the transmitters' neighborhoods.
 4. **Feedback** goes to the kernel, and only for rounds that delivered
    something: kernel protocols change state on receptions alone.
 
@@ -57,20 +56,15 @@ from repro.core import rng as rng_mod
 from repro.core.engine import RadioNetworkEngine
 from repro.core.messages import Message
 from repro.core.trace import Delivery, RoundRecord
-from repro.graphs.dual_graph import masks_to_neighbor_matrix
 
 __all__ = ["BitsetRadioNetworkEngine"]
 
-#: Above this node count the dense reception matrices stop paying for
-#: their O(n²) memory; the bigint candidate scan stays O(n²/64) per
-#: round with no footprint.
-_MATRIX_MAX_N = 2048
-
-#: Distinct round topologies worth a cached matrix. Static and
-#: pattern-cycling adversaries reuse a couple of mask tuples forever;
-#: stochastic adversaries mint a fresh tuple every round and overflow
-#: this budget immediately, which routes them to the bigint scan.
-_MATRIX_CACHE_SIZE = 8
+#: Up to this node count reception is the word rule over the round
+#: topology's word rows: Θ(n²/64) word operations for all listeners at
+#: once. Past it the bigint scan over the transmitters' neighborhoods
+#: wins on the sparse graphs that large cells run (ring n = 10⁴ with
+#: one transmitter: 10 µs against 75 µs).
+_WORD_RULE_MAX_N = 2048
 
 
 class BitsetRadioNetworkEngine(RadioNetworkEngine):
@@ -95,17 +89,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     ) -> None:
         # ``options``: the reference engine's keywords (seed, observers, ...).
         self._init_execution(network, link_process, **options)
-        n = network.n
-        # Round-scratch and reception state. Transmitter j is encoded
-        # as 1 + (j+1)(n+1), so one matvec yields, per listener, both
-        # the transmitting-neighbor count (mod n+1) and — when that
-        # count is 1 — the sender id (div n+1). Totals stay integral
-        # and far below 2⁵³, hence exact in float64.
-        self._x_buffer = np.empty(n, dtype=np.float64)
-        self._sender_encoding = 1.0 + np.arange(1, n + 1, dtype=np.float64) * (n + 1)
-        self._matrix_cache: dict[int, np.ndarray] = {}
-        self._matrix_keepalive: list = []
-        self._validated_topologies: dict[int, object] = {}
         self._kernel = kernel
         self._lane = lane
         if not kernel.supports_skip:
@@ -171,17 +154,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             view = self._build_view(r, probs.tolist(), transmitter_mask)
         topology = link_process.choose_topology(view)
         if self.validate_topologies:
-            key = id(topology.masks)
-            if key not in self._validated_topologies:
-                topology.validate(self.network)
-                # Remember only a bounded set of validated mask tuples
-                # (they are pinned to keep ids unique): pattern-reusing
-                # adversaries hit the cache forever, while churning
-                # ones simply revalidate per round — exactly the
-                # reference engine's behavior — instead of pinning one
-                # tuple per round for the whole execution.
-                if len(self._validated_topologies) < _MATRIX_CACHE_SIZE:
-                    self._validated_topologies[key] = topology.masks
+            topology.validate(self.network)
         return topology
 
     def _resolve(
@@ -189,16 +162,53 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     ) -> list[Delivery]:
         """Stage 4: exactly-one-transmitting-neighbor reception.
 
-        A cached neighbor matrix answers by matvec; any other topology
-        (past ``_MATRIX_MAX_N``, or churn past the cache budget) goes
-        to the bigint candidate scan.
+        Up to ``_WORD_RULE_MAX_N`` nodes this is the word rule: with the
+        transmitter set ``X`` as words, listener ``u`` hears a message
+        iff ``bitwise_count(rows[u] & X)`` sums to 1 over the words and
+        ``u`` is not transmitting. The one set bit then names the
+        sender: ``64·w + bitwise_count(word − 1)`` for its word ``w``.
+        Past the cap it is the bigint candidate scan. Traced runs count
+        each resolved round as ``reception.words`` or ``reception.scan``.
         """
         if not transmitter_mask:
             return []
-        matrix = self._matrix_for(topology.masks)
-        if matrix is not None:
-            return self._resolve_with_matrix(transmit, matrix)
-        return self._resolve_candidates(transmitter_mask, topology.masks)
+        if self.network.n > _WORD_RULE_MAX_N:
+            return self._resolve_candidates(transmitter_mask, topology.masks)
+        if self._trace is not None:
+            counts = self._trace_counts
+            counts["reception.words"] = counts.get("reception.words", 0) + 1
+        rows = topology.rows
+        words = rows.shape[1]
+        x = np.frombuffer(transmitter_mask.to_bytes(8 * words, "little"), dtype="<u8")
+        heard = rows & x
+        if words == 1:
+            heard = heard[:, 0]
+            solo = np.bitwise_count(heard) == 1
+        else:
+            # Row totals as one float32 matvec over the word counts:
+            # exact (at most 2048), and BLAS beats a reduction over a
+            # short inner axis.
+            totals = np.bitwise_count(heard) @ np.ones(words, dtype=np.float32)
+            solo = totals == 1
+        receivers = np.flatnonzero(solo & ~transmit)
+        if receivers.size == 0:
+            return []
+        if words == 1:
+            senders = np.bitwise_count(heard[receivers] - np.uint64(1))
+        else:
+            solo_words = heard[receivers]
+            column = solo_words.argmax(axis=1)  # the row's one nonzero word
+            word = solo_words[np.arange(receivers.size), column]
+            senders = 64 * column + np.bitwise_count(word - np.uint64(1))
+        senders = senders.tolist()
+        # A sender's message is the same for all its listeners: look it
+        # up once per sender, not once per delivery.
+        message_for = self._message_for
+        messages = {sender: message_for(sender) for sender in set(senders)}
+        return [
+            Delivery(receiver=u, sender=sender, message=messages[sender])
+            for u, sender in zip(receivers.tolist(), senders)
+        ]
 
     def _finish_round(
         self,
@@ -213,8 +223,8 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         """Stages 3–6: topology, reception, feedback, record keeping.
 
         The bank scheduler passes ``topology``/``deliveries``, having
-        resolved stages 3–4 itself (batching the matvecs across lanes);
-        a standalone ``step`` leaves them ``None`` and they run here.
+        resolved stages 3–4 itself; a standalone ``step`` leaves them
+        ``None`` and they run here.
         """
         ph = self._phase_ns if self._trace is not None else None
         if ph is not None:
@@ -297,53 +307,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     # ------------------------------------------------------------------
     # Reception helpers
     # ------------------------------------------------------------------
-    def _matrix_for(self, masks: tuple[int, ...]) -> Optional[np.ndarray]:
-        """Dense neighbor matrix for a round topology, if worth caching."""
-        network = self.network
-        counts = self._trace_counts if self._trace is not None else None
-        if network.n > _MATRIX_MAX_N:
-            return None
-        if masks is network.g_masks or masks is network.gp_masks:
-            if counts is not None:
-                counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
-            return network.neighbor_matrix(use_gp=masks is network.gp_masks)
-        key = id(masks)
-        matrix = self._matrix_cache.get(key)
-        if matrix is not None:
-            if counts is not None:
-                counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
-            return matrix
-        if counts is not None:
-            counts["cache.matrix.miss"] = counts.get("cache.matrix.miss", 0) + 1
-        if len(self._matrix_cache) >= _MATRIX_CACHE_SIZE:
-            return None  # topology churn: the bigint scan is cheaper
-        matrix = masks_to_neighbor_matrix(masks, network.n)
-        self._matrix_cache[key] = matrix
-        # Cache keys are id()s: pin the tuples so ids stay unique.
-        self._matrix_keepalive.append(masks)
-        return matrix
-
-    def _resolve_with_matrix(
-        self, transmit: np.ndarray, matrix: np.ndarray
-    ) -> list[Delivery]:
-        """Reception via one matvec over the count/sender encoding."""
-        x = self._x_buffer
-        np.copyto(x, transmit)
-        totals = (matrix @ (x * self._sender_encoding)).astype(np.int64)
-        modulus = self.network.n + 1
-        solo = (totals % modulus == 1) & (x == 0.0)
-        receivers = np.nonzero(solo)[0]
-        if receivers.size == 0:
-            return []
-        senders = totals[receivers] // modulus - 1
-        deliveries: list[Delivery] = []
-        message_for = self._message_for
-        for u, sender in zip(receivers.tolist(), senders.tolist()):
-            deliveries.append(
-                Delivery(receiver=u, sender=sender, message=message_for(sender))
-            )
-        return deliveries
-
     def _resolve_candidates(
         self, transmitter_mask: int, masks: Sequence[int]
     ) -> list[Delivery]:

@@ -17,7 +17,10 @@ engine's hot path it precomputes, per node ``u``:
 
 Bitmasks make per-round reception resolution an ``O(n)`` loop of
 word-parallel intersections, which is what lets pure-Python simulations
-reach the network sizes the lower-bound sweeps need.
+reach the network sizes the lower-bound sweeps need. The same
+adjacency is also available as cached ``(n, ⌈n/64⌉)`` uint64 word rows
+(:meth:`DualGraph.word_rows`), which the fast engine's reception,
+topology validation and node fading read.
 """
 
 from __future__ import annotations
@@ -35,27 +38,9 @@ __all__ = [
     "Edge",
     "normalize_edge",
     "edges_from_adjacency",
-    "masks_to_neighbor_matrix",
     "pack_mask_rows",
 ]
 
-
-def masks_to_neighbor_matrix(masks: Sequence[int], n: int) -> np.ndarray:
-    """Expand adjacency bitmasks into an ``n × n`` float64 0/1 matrix.
-
-    Row ``u`` is the indicator vector of ``masks[u]``. The dtype is
-    deliberate: the fast engine resolves radio reception with two
-    BLAS matvecs against this matrix (transmitting-neighbor *counts*
-    and id-weighted sums), and float64 keeps both exact for every
-    ``n`` this simulator can represent (values stay far below 2⁵³).
-
-    The bit unpack runs at C speed: each mask serializes to
-    little-endian bytes and ``np.unpackbits`` fans them out, so the
-    conversion is O(n²/8) byte work rather than n² Python bit tests.
-    """
-    packed = _packed_adjacency(masks, n)
-    bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
-    return bits.astype(np.float64)
 
 Edge = tuple[int, int]
 
@@ -120,46 +105,38 @@ def _masks_from_edges(n: int, edges: Iterable[Edge]) -> list[int]:
     return [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
 
 
-def _packed_adjacency(masks: Sequence[int], n: int) -> np.ndarray:
-    """Masks as an ``(n, ⌈n/8⌉)`` little-endian packed byte matrix."""
-    nbytes = (n + 7) // 8
-    buffer = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    return np.frombuffer(buffer, dtype=np.uint8).reshape(len(masks), nbytes)
-
-
-#: Set bits of each byte value (``np.bitwise_count`` needs numpy 2).
-_BYTE_BITS = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
-
-
-def _first_asymmetric_edge(packed: np.ndarray, n: int) -> Optional[tuple[int, int]]:
+def _first_asymmetric_edge(rows: np.ndarray, n: int) -> Optional[tuple[int, int]]:
     """Lexicographically smallest ``(u, v)`` with ``v ∈ N(u)`` but ``u ∉ N(v)``.
 
-    The one dense-or-sparse rule of the structural checks. Below one set
-    bit in 64, only the bytes that carry edge bits (≤ 2|E| of them) are
-    expanded: an O(n²/8) scan plus O(E log E) set membership, so a
-    2-regular ring at n = 10⁴ never materializes n × n bits. At or above
-    it, the unpacked bit matrix is compared with its transpose. On
-    random symmetric matrices that is the faster check there for every
-    n from 70 to 3,000 (at n = 600 and one bit in 64: 0.4 ms against
-    1.1 ms); at n = 5,000 the walk wins down to one bit in 32.
+    ``rows`` are word rows (:func:`pack_mask_rows`) with no bit set at
+    or past ``n``. The one dense-or-sparse rule of the structural
+    checks. Below one set bit in 64, only the bytes that carry edge bits
+    (≤ 2|E| of them) are expanded: an O(n²/8) scan plus O(E log E) set
+    membership, so a 2-regular ring at n = 10⁴ never materializes n × n
+    bits. At or above it, the unpacked bit matrix is compared with its
+    transpose. On random symmetric matrices that is the faster check
+    there for every n from 70 to 3,000 (at n = 600 and one bit in 64:
+    0.4 ms against 1.1 ms); at n = 5,000 the walk wins down to one bit
+    in 32.
     """
-    if 64 * int(_BYTE_BITS[packed].sum(dtype=np.int64)) >= n * n:
+    packed = np.ascontiguousarray(rows).view(np.uint8)
+    if 64 * int(np.bitwise_count(rows).sum(dtype=np.int64)) >= n * n:
         bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
         asymmetric = bits & ~bits.T
         if not asymmetric.any():
             return None
         u, v = np.argwhere(asymmetric)[0]
         return int(u), int(v)
-    rows, cols = np.nonzero(packed)
-    if rows.size == 0:
+    heads, cols = np.nonzero(packed)
+    if heads.size == 0:
         return None
-    vals = packed[rows, cols]
+    vals = packed[heads, cols]
     parts_u: list[np.ndarray] = []
     parts_v: list[np.ndarray] = []
     for bit in range(8):
         hit = ((vals >> np.uint8(bit)) & np.uint8(1)).astype(bool)
         if hit.any():
-            parts_u.append(rows[hit])
+            parts_u.append(heads[hit])
             parts_v.append((cols[hit] << 3) + bit)
     u = np.concatenate(parts_u)
     v = np.concatenate(parts_v)
@@ -173,12 +150,14 @@ def _first_asymmetric_edge(packed: np.ndarray, n: int) -> Optional[tuple[int, in
 
 
 def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
-    """Bitmasks as a read-only ``(len(masks), ⌈n/64⌉)`` uint64 word matrix.
+    """Bitmasks as a read-only ``(len(masks), ⌈n/64⌉)`` uint64 word array.
 
-    Single-word graphs take the direct ``np.array`` route; wider graphs
-    serialize through little-endian bytes so each row's words are
-    ``mask``'s 64-bit limbs in ascending order. The result is frozen —
-    it is shared between callers.
+    Word ``w`` of row ``u`` holds bits ``64w … 64w + 63`` of
+    ``masks[u]``, least significant first. Single-word graphs take the
+    direct ``np.array`` route; wider graphs serialize through
+    little-endian bytes. A negative mask, or one with a bit past the
+    last word, raises :class:`OverflowError`. The result is frozen: it
+    is shared between callers.
     """
     words = (n + 63) // 64
     if words == 1:
@@ -186,7 +165,7 @@ def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
         rows.flags.writeable = False
         return rows
     buffer = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
-    return np.frombuffer(buffer, dtype=np.uint64).reshape(len(masks), words)
+    return np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
 
 
 @dataclass(frozen=True)
@@ -202,7 +181,9 @@ class DualGraph:
     n:
         Number of nodes; node ids are ``0 … n-1``.
     g_masks / gp_masks:
-        Per-node adjacency bitmasks of ``G`` and ``G'``.
+        Per-node adjacency bitmasks of ``G`` and ``G'``;
+        :meth:`word_rows` gives them, and the flaky masks, as cached
+        uint64 word rows.
     embedding:
         Optional plane embedding ``(x, y)`` per node — present for
         geographic graphs (Section 2's geographic constraint).
@@ -233,7 +214,7 @@ class DualGraph:
             for u in range(self.n):
                 # Range stays a per-node int check (bit_length is O(1),
                 # unlike shifting an n-bit mask): negative or oversized
-                # masks cannot even be packed into n-bit byte rows below.
+                # masks cannot even be packed into word rows below.
                 g, gp = self.g_masks[u], self.gp_masks[u]
                 if g < 0 or gp < 0 or g.bit_length() > self.n or gp.bit_length() > self.n:
                     raise GraphValidationError(f"node {u} has neighbors outside [0, n)")
@@ -244,20 +225,20 @@ class DualGraph:
         object.__setattr__(self, "_flaky_masks", flaky)
 
     def _validate_structure(self) -> None:
-        """Self-loop, ``E ⊆ E'`` and symmetry checks on packed byte rows.
+        """Self-loop, ``E ⊆ E'`` and symmetry checks on word rows.
 
-        Self-loop and subset checks scan the ⌈n/8⌉-byte rows directly;
+        Self-loop and subset checks scan the ⌈n/64⌉-word rows directly;
         symmetry is :func:`_first_asymmetric_edge`. Errors name the
         lowest offending node first (self-loop preferred over subset
         violation on ties), then ``G`` asymmetry before ``G'``
         asymmetry, lowest ``(u, v)`` first.
         """
-        g_packed = _packed_adjacency(self.g_masks, self.n)
-        gp_packed = _packed_adjacency(self.gp_masks, self.n)
+        g_rows = pack_mask_rows(self.g_masks, self.n)
+        gp_rows = pack_mask_rows(self.gp_masks, self.n)
         diagonal = np.arange(self.n)
-        diag_bytes = g_packed[diagonal, diagonal >> 3] | gp_packed[diagonal, diagonal >> 3]
-        loops = (diag_bytes >> (diagonal & 7).astype(np.uint8)) & np.uint8(1)
-        subset_rows = (g_packed & ~gp_packed).any(axis=1)
+        diag_words = g_rows[diagonal, diagonal >> 6] | gp_rows[diagonal, diagonal >> 6]
+        loops = (diag_words >> (diagonal & 63).astype(np.uint64)) & np.uint64(1)
+        subset_rows = (g_rows & ~gp_rows).any(axis=1)
         if loops.any() or subset_rows.any():
             loop_u = int(np.argmax(loops)) if loops.any() else self.n
             subset_u = int(np.argmax(subset_rows)) if subset_rows.any() else self.n
@@ -266,8 +247,8 @@ class DualGraph:
             raise GraphValidationError(
                 f"node {subset_u} has G edges missing from G' (E ⊆ E' violated)"
             )
-        for packed, label in ((g_packed, "G"), (gp_packed, "G'")):
-            pair = _first_asymmetric_edge(packed, self.n)
+        for rows, label in ((g_rows, "G"), (gp_rows, "G'")):
+            pair = _first_asymmetric_edge(rows, self.n)
             if pair is not None:
                 raise GraphValidationError(
                     f"{label} edge ({pair[0]}, {pair[1]}) is asymmetric"
@@ -329,74 +310,30 @@ class DualGraph:
         """Per-node masks of the unreliable neighbors (``G' \\ G``)."""
         return self._flaky_masks
 
-    def neighbor_matrix(self, *, use_gp: bool = False) -> np.ndarray:
-        """The adjacency of ``G`` (or ``G'``) as a dense 0/1 float matrix.
+    def word_rows(self, which: str = "g") -> np.ndarray:
+        """``G``'s, ``G'``'s or the flaky adjacency as word rows.
 
-        Built lazily and cached on the instance — the two static
-        patterns ``G``-only and full-``G'`` are by far the most common
-        round topologies (every static/oblivious adversary returns one
-        of them most rounds), so the fast engine seeds its per-
-        topology matrix cache from here. Treat the result as read-only;
-        it is shared between callers.
+        ``which`` is ``"g"``, ``"gp"`` or ``"flaky"``; the rows are
+        :func:`pack_mask_rows` of :attr:`g_masks`, :attr:`gp_masks` or
+        :attr:`flaky_masks`. Built lazily and cached on the instance:
+        sweeps share one graph across trials through the registry
+        cache, and topology validation, node fading and the local
+        broadcast receiver set all read these rows. The arrays are
+        frozen; treat them as read-only.
         """
-        cache = getattr(self, "_matrix_cache", None)
+        cache = getattr(self, "_word_rows_cache", None)
         if cache is None:
             cache = {}
-            object.__setattr__(self, "_matrix_cache", cache)
-        key = "gp" if use_gp else "g"
-        matrix = cache.get(key)
-        if matrix is None:
-            masks = self.gp_masks if use_gp else self.g_masks
-            matrix = masks_to_neighbor_matrix(masks, self.n)
-            cache[key] = matrix
-        return matrix
-
-    def packed_adjacency(self, *, use_gp: bool = False) -> np.ndarray:
-        """``g_masks`` (or ``gp_masks``) as ``(n, ⌈n/8⌉)`` packed byte rows.
-
-        Cached like :meth:`neighbor_matrix`; topology validation
-        compares every round's packed masks against these rows. Treat
-        the result as read-only.
-        """
-        key = "_packed_gp_cache" if use_gp else "_packed_g_cache"
-        rows = getattr(self, key, None)
+            object.__setattr__(self, "_word_rows_cache", cache)
+        rows = cache.get(which)
         if rows is None:
-            rows = _packed_adjacency(self.gp_masks if use_gp else self.g_masks, self.n)
-            object.__setattr__(self, key, rows)
-        return rows
-
-    def word_masks(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """``(g_masks, flaky_masks)`` as uint64 arrays, or ``None``.
-
-        Only graphs whose masks fit one machine word (``n <= 64``) have
-        a word form; callers fall back to the Python bigint loops
-        otherwise. Built lazily and cached on the instance, like
-        :meth:`neighbor_matrix`. Treat the arrays as read-only.
-        """
-        if self.n > 64:
-            return None
-        arrays = getattr(self, "_word_mask_cache", None)
-        if arrays is None:
-            arrays = (
-                np.array(self.g_masks, dtype=np.uint64),
-                np.array(self.flaky_masks, dtype=np.uint64),
-            )
-            object.__setattr__(self, "_word_mask_cache", arrays)
-        return arrays
-
-    def packed_mask_rows(self) -> np.ndarray:
-        """``g_masks`` through :func:`pack_mask_rows`, cached.
-
-        The word form depends only on the graph, which sweeps share
-        across trials via the registry cache, so a sweep packs it once
-        instead of once per trial. Its consumer is
-        :func:`repro.problems.local_broadcast.receiver_set`. The rows
-        are frozen; treat them as read-only.
-        """
-        rows = getattr(self, "_packed_rows_cache", None)
-        if rows is None:
-            rows = pack_mask_rows(self.g_masks, self.n)
-            object.__setattr__(self, "_packed_rows_cache", rows)
+            if which == "flaky":
+                rows = self.word_rows("gp") & ~self.word_rows("g")
+                rows.flags.writeable = False
+            else:
+                masks = {"g": self.g_masks, "gp": self.gp_masks}[which]
+                rows = pack_mask_rows(masks, self.n)
+            cache[which] = rows
         return rows
 
     def g_neighbors(self, u: int) -> list[int]:

@@ -30,7 +30,7 @@ __all__ = ["PHASES", "read_trace", "summarize", "render_phase_table"]
 #: ``plan`` — per-node ``plan()`` calls or a kernel's plan row;
 #: ``coins`` — the Bernoulli transmission draw;
 #: ``adversary`` — ``choose_topology`` + validation (mask minting);
-#: ``reception`` — matvec / candidate-scan resolution;
+#: ``reception`` — word-rule / candidate-scan resolution;
 #: ``feedback`` — ``on_feedback`` dispatch;
 #: ``observers`` — record construction, history, observer callbacks;
 #: ``skip`` — quiet-span probes and emission (skipped-round plumbing).

@@ -46,7 +46,7 @@ def receiver_set(network: DualGraph, broadcasters: AbstractSet[int]) -> frozense
         # One vectorized AND over the graph's cached word rows instead
         # of n bigint ANDs (each O(n/64)); sweeps share one cached
         # graph, so trials after the first reuse the rows.
-        rows = network.packed_mask_rows()
+        rows = network.word_rows()
         b_row = np.frombuffer(
             b_mask.to_bytes(rows.shape[1] * 8, "little"), dtype=np.uint64
         )

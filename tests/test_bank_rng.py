@@ -24,7 +24,7 @@ import pytest
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
 from repro.core import rng as rng_mod
-from repro.core.bankpath import BankLane, run_bank_batch
+from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import RadioNetworkEngine, create_engine, resolve_engine_choice
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.rng import LazyRng, derive_seed
@@ -149,11 +149,18 @@ def _route(trials, seeds, skip=None):
 def _bank_lanes(spec: ScenarioSpec, seeds):
     """Build the bank exactly the way :func:`run_bank_trials` does,
     keeping the engines accessible for stream inspection: one routing
-    probe for the whole bank, then fast-engine lanes on its kernel or,
-    when no kernel serves the bank, reference engines over each trial's
-    own processes."""
+    probe for the whole bank, then fast-engine lanes on one kernel built
+    for the bank or, when no kernel serves the bank, reference engines
+    over each trial's own processes."""
     trials = [spec.build(seed) for seed in seeds]
-    _, skip, _, kernel, _ = _route(trials, seeds, skip=trials[0].skip)
+    _, skip, _, kernel_class, _ = _route(trials, seeds, skip=trials[0].skip)
+    kernel = (
+        build_bank_kernel(
+            [trial.algorithm for trial in trials], seeds, [trial.network for trial in trials]
+        )
+        if kernel_class
+        else None
+    )
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
         observer = trial.problem.make_observer()
@@ -216,12 +223,14 @@ class TestKernelSelection:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_expected_kernel_engages(self, name):
         seeds = _seeds(2)
-        _, _, _, kernel, _ = _route([SPECS[name].build(seed) for seed in seeds], seeds)
+        _, _, _, kernel_class, _ = _route(
+            [SPECS[name].build(seed) for seed in seeds], seeds
+        )
         expected = EXPECTED_KERNEL[name]
         if expected is None:
-            assert kernel is None
+            assert kernel_class is None
             return
-        assert type(kernel).__name__ == expected
+        assert kernel_class.__name__ == expected
         _, lanes = _bank_lanes(SPECS[name], _seeds(2))
         for lane, _ in lanes:
             assert type(lane.engine._kernel).__name__ == expected

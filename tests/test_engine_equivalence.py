@@ -2,7 +2,7 @@
 full-trace six-way differential harness.
 
 The fast engine (:mod:`repro.core.fastpath`) restructures the round
-pipeline — kernel plans, batched coins, matvec/bitset reception,
+pipeline — kernel plans, batched coins, word-rule and bigint reception,
 kernel feedback — and runs only with a struct-of-arrays protocol
 kernel of :mod:`repro.core.bankpath`. A ``"bank"`` request that no
 kernel serves is routed to the reference engine. Every restructuring
@@ -42,15 +42,10 @@ import numpy as np
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.core.bankpath import (
-    _DENSE_BATCH_MAX_N,
-    BankLane,
-    build_bank_kernel,
-    run_bank_batch,
-)
+from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import ENGINE_NAMES, RadioNetworkEngine, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
-from repro.core.fastpath import BitsetRadioNetworkEngine
+from repro.core.fastpath import _WORD_RULE_MAX_N, BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
 from repro.obs.recorder import disable, enable
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
@@ -458,15 +453,16 @@ class TestSkipKernelPlansArePure:
         check_pure()
 
 
-#: (row, reference skip) — rows where the fast engine's reception has
-#: no dense matrix and falls to the bigint candidate scan:
+#: (row, reference skip, reception counter) — large-n rows on both
+#: sides of the fast engine's word-rule cap:
 #:
-#: * the E1b_large ring cells past ``_MATRIX_MAX_N``: static-local-decay
-#:   has multi-transmitter rounds; round-robin-local's reference run
-#:   skips the silent sweep rounds to stay cheap;
-#: * a fading adversary minting a topology per round, past the bank's
-#:   ``_DENSE_BATCH_MAX_N``.
-ABOVE_CAP_ROWS = [
+#: * the E1b_large ring cells past ``_WORD_RULE_MAX_N``, where reception
+#:   is the bigint candidate scan: static-local-decay has
+#:   multi-transmitter rounds; round-robin-local's reference run skips
+#:   the silent sweep rounds to stay cheap;
+#: * a fading adversary minting a topology per round under the cap,
+#:   where reception is the word rule over multi-word rows.
+LARGE_N_ROWS = [
     (
         (
             ("ring", {"n": 2100}),
@@ -475,6 +471,7 @@ ABOVE_CAP_ROWS = [
             ("none", {}),
         ),
         None,
+        "reception.scan",
     ),
     (
         (
@@ -484,6 +481,7 @@ ABOVE_CAP_ROWS = [
             ("none", {}),
         ),
         True,
+        "reception.scan",
     ),
     (
         (
@@ -493,44 +491,47 @@ ABOVE_CAP_ROWS = [
             ("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
         ),
         None,
+        "reception.words",
     ),
 ]
-ABOVE_CAP_IDS = [
-    f"{_row_id(row)}/n{row[0][1]['n']}" for row, _ in ABOVE_CAP_ROWS
+LARGE_N_IDS = [
+    f"{_row_id(row)}/n{row[0][1]['n']}" for row, _, _ in LARGE_N_ROWS
 ]
 
-#: Enough for every above-cap row to solve (a round-robin sweep is n).
-ABOVE_CAP_MAX_ROUNDS = 3000
+#: Enough for every large-n row to solve (a round-robin sweep is n).
+LARGE_N_MAX_ROUNDS = 3000
 
 
 @functools.lru_cache(maxsize=None)
-def _above_cap_reference(row_index: int, seed: int):
-    row, reference_skip = ABOVE_CAP_ROWS[row_index]
+def _large_n_reference(row_index: int, seed: int):
+    row, reference_skip, _ = LARGE_N_ROWS[row_index]
     _, result, records = _run_traced(
         _spec(row),
         seed,
         "reference",
         skip=reference_skip,
-        max_rounds=ABOVE_CAP_MAX_ROUNDS,
+        max_rounds=LARGE_N_MAX_ROUNDS,
         validate=False,
     )
     return result, records
 
 
-class TestReceptionAboveTheDenseCaps:
-    """Bank lanes and standalone runs ≡ reference where the fast
-    engine's reception has no dense matrix: the regime of the headline
-    ring cells. Topology validation is off on every side — it is
-    checked elsewhere, and per round it costs more than the run."""
+class TestReceptionAroundTheWordRuleCap:
+    """Bank lanes and standalone runs ≡ reference at large n, on both
+    sides of the word-rule cap: the scan regime of the headline ring
+    cells, and multi-word rows under topology churn. Topology
+    validation is off on every side — it is checked elsewhere, and per
+    round it costs more than the run."""
 
-    @pytest.mark.parametrize("row_index", range(len(ABOVE_CAP_ROWS)), ids=ABOVE_CAP_IDS)
+    @pytest.mark.parametrize("row_index", range(len(LARGE_N_ROWS)), ids=LARGE_N_IDS)
     def test_bank_lanes_match_reference(self, row_index):
-        spec = _spec(ABOVE_CAP_ROWS[row_index][0])
+        spec = _spec(LARGE_N_ROWS[row_index][0])
         trials = [spec.build(seed) for seed in SEEDS]
         kernel = _bank_kernel(trials, SEEDS)
         assert kernel is not None
-        # No lane takes the bank's dense batch: a matrix miss scans.
-        assert trials[0].network.n > _DENSE_BATCH_MAX_N
+        # Each row sits on the side of the word-rule cap it names.
+        scans = LARGE_N_ROWS[row_index][2] == "reception.scan"
+        assert (trials[0].network.n > _WORD_RULE_MAX_N) == scans
         lanes, collectors = [], []
         for index, (trial, seed) in enumerate(zip(trials, SEEDS)):
             observer = trial.problem.make_observer()
@@ -548,31 +549,35 @@ class TestReceptionAboveTheDenseCaps:
             )
             lanes.append(BankLane(engine=engine, stop=lambda o=observer: o.solved))
             collectors.append(collector)
-        results = run_bank_batch(lanes, max_rounds=ABOVE_CAP_MAX_ROUNDS)
+        results = run_bank_batch(lanes, max_rounds=LARGE_N_MAX_ROUNDS)
         for seed, result, collector in zip(SEEDS, results, collectors):
-            ref_result, ref_records = _above_cap_reference(row_index, seed)
+            ref_result, ref_records = _large_n_reference(row_index, seed)
             assert ref_result.solved
             assert result == ref_result
             assert collector.records == ref_records
 
-    @pytest.mark.parametrize("row_index", range(len(ABOVE_CAP_ROWS)), ids=ABOVE_CAP_IDS)
+    @pytest.mark.parametrize("row_index", range(len(LARGE_N_ROWS)), ids=LARGE_N_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_standalone_run_matches_reference(self, row_index, seed):
         rec = enable()
         try:
             engine, result, records = _run_traced(
-                _spec(ABOVE_CAP_ROWS[row_index][0]),
+                _spec(LARGE_N_ROWS[row_index][0]),
                 seed,
                 "bank",
-                max_rounds=ABOVE_CAP_MAX_ROUNDS,
+                max_rounds=LARGE_N_MAX_ROUNDS,
                 validate=False,
             )
         finally:
             disable()
         assert type(engine) is BitsetRadioNetworkEngine
-        assert (result, records) == _above_cap_reference(row_index, seed)
-        # The rows really exercise the scan, not a cached matrix.
-        assert rec.counters.get("reception.scan", 0) > 0
+        assert (result, records) == _large_n_reference(row_index, seed)
+        # The rows really exercise the reception rule they name, and
+        # only that one.
+        counter = LARGE_N_ROWS[row_index][2]
+        other = {"reception.scan", "reception.words"} - {counter}
+        assert rec.counters.get(counter, 0) > 0
+        assert rec.counters.get(other.pop(), 0) == 0
 
 
 #: Registered cells no bank kernel serves: their ``"bank"`` requests
@@ -781,6 +786,48 @@ class TestKernelLanesBuildNoProcesses:
         bank = KERNEL_LESS_SPECS[name].with_param("engine", "bank").with_param("skip", skip)
         run_bank_trials(bank.build, ROUTING_SEEDS, warn_fallback=False)
         assert len(builds) == 1 + len(ROUTING_SEEDS)
+
+
+#: The E1b_large ring cell shape: a kernel spec whose kernel is costly
+#: to build (slot tables and masks for 10⁴ nodes per lane).
+RING_10K_ROW = (
+    ("ring", {"n": 10_000}),
+    ("local-broadcast", {"fraction": 1 / 64}),
+    ("static-local-decay", {}),
+    ("none", {}),
+)
+
+
+class TestRoutingBuildsNoKernel:
+    """Routing reads the kernel class; only a bank that runs builds a
+    kernel, and each kernel built counts one ``bank.kernel.hit``."""
+
+    def test_executor_probe_builds_no_kernel(self, monkeypatch):
+        import repro.core.bankpath as bankpath
+        from repro.analysis.runner import probe_engine_fallbacks
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the routing probe built a kernel")
+
+        monkeypatch.setattr(bankpath._StaticDecayBankKernel, "__init__", refuse)
+        trial = _spec(RING_10K_ROW).with_param("engine", "bank").build(SEEDS[0])
+        rec = enable()
+        try:
+            assert probe_engine_fallbacks(trial, SEEDS[0]) == []
+        finally:
+            disable()
+        assert rec.counters.get("bank.kernel.hit", 0) == 0
+
+    def test_a_bank_run_counts_one_hit(self):
+        from repro.api.executor import SerialExecutor
+
+        bank = _spec(EQUIVALENCE_MATRIX[0]).with_param("engine", "bank")
+        rec = enable()
+        try:
+            SerialExecutor().run_trials(bank.build, SEEDS)
+        finally:
+            disable()
+        assert rec.counters.get("bank.kernel.hit") == 1
 
 
 class TestEngineSelection:
