@@ -220,24 +220,24 @@ class RoundTopology:
 
     @classmethod
     def from_active_flaky_nodes(
-        cls, network: DualGraph, active_mask: int, *, label: str = "node-fade"
+        cls, network: DualGraph, active: np.ndarray, *, label: str = "node-fade"
     ) -> "RoundTopology":
         """Node-level fading: a flaky edge is on iff *both* endpoints are active.
 
-        ``active_mask`` marks unfaded nodes. This is the O(n) pattern
-        used by the node-level stochastic link processes; it runs every
-        round for fading adversaries, so it is built as word rows over
-        the network's cached ones, at any ``n``: an active node keeps
-        its active flaky neighbors, a faded node keeps ``G`` only.
+        ``active`` is a boolean vector over the nodes, true for an
+        unfaded node. This is the O(n) pattern used by the node-level
+        link processes; it runs every round for fading adversaries, so
+        it is built as word rows over the network's cached ones, at any
+        ``n``: an active node keeps its active flaky neighbors, a faded
+        node keeps ``G`` only.
         """
+        active = np.asarray(active, dtype=bool)
+        if active.shape != (network.n,):
+            raise ValueError(f"need one active flag per node, got shape {active.shape}")
         g_rows = network.word_rows("g")
-        active_words = np.frombuffer(
-            active_mask.to_bytes(8 * g_rows.shape[1], "little"), dtype="<u8"
-        )
-        active = np.unpackbits(
-            active_words.view(np.uint8), bitorder="little", count=network.n
-        ).view(bool)
-        kept = (network.word_rows("flaky") & active_words) * active[:, None]
+        packed = np.zeros(8 * g_rows.shape[1], dtype=np.uint8)
+        packed[: (network.n + 7) // 8] = np.packbits(active, bitorder="little")
+        kept = (network.word_rows("flaky") & packed.view("<u8")) * active[:, None]
         return cls(rows=g_rows | kept, label=label)
 
     def validate(self, network: DualGraph) -> None:

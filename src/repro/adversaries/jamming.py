@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.adversaries.base import (
     AdversaryClass,
     AlgorithmInfo,
@@ -112,13 +114,12 @@ class MovingRegionFade(LinkProcess):
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         cx = self._x_min - self.fade_radius + (view.round_index * self.speed) % self._span
-        active_mask = 0
-        for u, (x, y) in enumerate(self.network.embedding):
-            if math.hypot(x - cx, y - self._y_mid) > self.fade_radius:
-                active_mask |= 1 << u
-        return RoundTopology.from_active_flaky_nodes(
-            self.network, active_mask, label="moving-fade"
+        y_mid, radius = self._y_mid, self.fade_radius
+        active = np.array(
+            [math.hypot(x - cx, y - y_mid) > radius for x, y in self.network.embedding],
+            dtype=bool,
         )
+        return RoundTopology.from_active_flaky_nodes(self.network, active, label="moving-fade")
 
     def next_boundary(self, round_index: int) -> Optional[int]:
         # The disc moves every round: a fresh mask every call.

@@ -22,11 +22,24 @@ All are oblivious: their state evolves from a private RNG fixed at
 evaluation is an implementation detail — behavior is a deterministic
 function of ``(seed, round)``, which is exactly the "decides everything
 upfront" entitlement.)
+
+**Stream contract.** Each process draws one uniform per element (node,
+or flaky edge in sorted order) per round, and the Markov chains one
+per element at ``start`` for their initial state; a degenerate
+``p_up`` draws nothing. The draws come from the adversary's own
+MT19937 stream — the ``random.Random`` handed to ``start`` — continued
+as a NumPy generator (:func:`~repro.core.rng.numpy_continuation`), so
+one ``random(m)`` call per round yields exactly the ``m`` successive
+``random()`` values a per-element loop over that ``random.Random``
+would, and states are kept as boolean vectors.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import compress
+
+import numpy as np
 
 from repro.adversaries.base import (
     AdversaryClass,
@@ -35,6 +48,7 @@ from repro.adversaries.base import (
     ObliviousView,
     RoundTopology,
 )
+from repro.core.rng import numpy_continuation
 from repro.graphs.dual_graph import DualGraph, Edge
 
 __all__ = [
@@ -50,15 +64,23 @@ def _check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-class BernoulliEdgeLinks(LinkProcess):
+class _StochasticLinkProcess(LinkProcess):
+    """An oblivious link process drawing under the stream contract above."""
+
+    adversary_class = AdversaryClass.OBLIVIOUS
+
+    def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng: random.Random) -> None:
+        super().start(network, algorithm, rng)
+        self._uniforms = numpy_continuation(rng).random
+
+
+class BernoulliEdgeLinks(_StochasticLinkProcess):
     """Independent per-edge, per-round link availability.
 
     Cost is ``O(|E' \\ E|)`` per round; intended for sparse flaky sets
     (geographic grey zones, not complete-bipartite lower-bound graphs —
     use the node-fade variants there).
     """
-
-    adversary_class = AdversaryClass.OBLIVIOUS
 
     def __init__(self, p_up: float) -> None:
         _check_probability("p_up", p_up)
@@ -75,7 +97,8 @@ class BernoulliEdgeLinks(LinkProcess):
             return self._all
         if self.p_up <= 0.0:
             return self._none
-        active = [edge for edge in self._flaky_edges if self.rng.random() < self.p_up]
+        up = self._uniforms(len(self._flaky_edges)) < self.p_up
+        active = compress(self._flaky_edges, up.tolist())
         return RoundTopology.from_flaky_edges(self.network, active, label="bernoulli-edges")
 
     def next_boundary(self, round_index: int) -> int | None:
@@ -84,7 +107,7 @@ class BernoulliEdgeLinks(LinkProcess):
         return round_index + 1  # fresh per-edge draws every round
 
 
-class GilbertElliottEdgeLinks(LinkProcess):
+class GilbertElliottEdgeLinks(_StochasticLinkProcess):
     """Per-edge two-state Markov (Gilbert–Elliott) bursty links.
 
     Each flaky edge is *good* (up) or *bad* (down); per round a good
@@ -93,8 +116,6 @@ class GilbertElliottEdgeLinks(LinkProcess):
     and mean burst lengths are ``1/p_fail`` (up) and ``1/p_recover``
     (down) — fit these to the β-factor traces you want to mimic.
     """
-
-    adversary_class = AdversaryClass.OBLIVIOUS
 
     def __init__(self, p_fail: float, p_recover: float, *, start_up_fraction: float | None = None) -> None:
         _check_probability("p_fail", p_fail)
@@ -111,52 +132,42 @@ class GilbertElliottEdgeLinks(LinkProcess):
             up_frac = 1.0 if denom == 0 else self.p_recover / denom
         else:
             up_frac = self.start_up_fraction
-        self._up = {edge: rng.random() < up_frac for edge in self._flaky_edges}
+        self._up = self._uniforms(len(self._flaky_edges)) < up_frac
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
-        active: list[Edge] = []
-        for edge in self._flaky_edges:
-            if self._up[edge]:
-                if self.rng.random() < self.p_fail:
-                    self._up[edge] = False
-            else:
-                if self.rng.random() < self.p_recover:
-                    self._up[edge] = True
-            if self._up[edge]:
-                active.append(edge)
+        # An up edge stays up unless its draw is below p_fail; a down
+        # edge comes up iff its draw is below p_recover.
+        draws = self._uniforms(len(self._flaky_edges))
+        self._up = np.where(self._up, draws >= self.p_fail, draws < self.p_recover)
+        active = compress(self._flaky_edges, self._up.tolist())
         return RoundTopology.from_flaky_edges(self.network, active, label="gilbert-elliott-edges")
 
     def next_boundary(self, round_index: int) -> int | None:
         return round_index + 1  # the Markov chain steps (and draws) every round
 
 
-class BernoulliNodeFade(LinkProcess):
+class BernoulliNodeFade(_StochasticLinkProcess):
     """Node-level memoryless fading: ``O(n)`` per round on any graph.
 
     Each node is independently *clear* with probability ``p_clear``
     each round; a flaky edge fires iff both endpoints are clear.
     """
 
-    adversary_class = AdversaryClass.OBLIVIOUS
-
     def __init__(self, p_clear: float) -> None:
         _check_probability("p_clear", p_clear)
         self.p_clear = p_clear
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
-        active_mask = 0
-        for u in range(self.network.n):
-            if self.rng.random() < self.p_clear:
-                active_mask |= 1 << u
+        clear = self._uniforms(self.network.n) < self.p_clear
         return RoundTopology.from_active_flaky_nodes(
-            self.network, active_mask, label="bernoulli-node-fade"
+            self.network, clear, label="bernoulli-node-fade"
         )
 
     def next_boundary(self, round_index: int) -> int | None:
         return round_index + 1  # one RNG draw per node every round
 
 
-class GilbertElliottNodeFade(LinkProcess):
+class GilbertElliottNodeFade(_StochasticLinkProcess):
     """Node-level bursty fading (two-state Markov per node).
 
     A clear node fades with ``p_fail`` per round; a faded node clears
@@ -164,8 +175,6 @@ class GilbertElliottNodeFade(LinkProcess):
     is the recommended "realistic environment" adversary for large
     graphs: correlated bursts, linear per-round cost.
     """
-
-    adversary_class = AdversaryClass.OBLIVIOUS
 
     def __init__(self, p_fail: float, p_recover: float, *, start_clear_fraction: float | None = None) -> None:
         _check_probability("p_fail", p_fail)
@@ -181,31 +190,15 @@ class GilbertElliottNodeFade(LinkProcess):
             clear_frac = 1.0 if denom == 0 else self.p_recover / denom
         else:
             clear_frac = self.start_clear_fraction
-        self._clear_mask = 0
-        for u in range(network.n):
-            if rng.random() < clear_frac:
-                self._clear_mask |= 1 << u
+        self._clear = self._uniforms(network.n) < clear_frac
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
-        # One draw per node in node order (the chain's contract with
-        # the RNG stream); build the next mask instead of patching the
-        # old one so no per-node complement/and-not bigint work runs.
-        random = self.rng.random
-        p_fail = self.p_fail
-        p_recover = self.p_recover
-        mask = self._clear_mask
-        new_mask = 0
-        bit = 1
-        for _ in range(self.network.n):
-            if mask & bit:
-                if random() >= p_fail:
-                    new_mask |= bit
-            elif random() < p_recover:
-                new_mask |= bit
-            bit <<= 1
-        self._clear_mask = new_mask
+        # A clear node stays clear unless its draw is below p_fail; a
+        # faded node clears iff its draw is below p_recover.
+        draws = self._uniforms(self.network.n)
+        self._clear = np.where(self._clear, draws >= self.p_fail, draws < self.p_recover)
         return RoundTopology.from_active_flaky_nodes(
-            self.network, new_mask, label="gilbert-elliott-node-fade"
+            self.network, self._clear, label="gilbert-elliott-node-fade"
         )
 
     def next_boundary(self, round_index: int) -> int | None:

@@ -4,8 +4,8 @@ Entry points (also available as ``python -m repro``):
 
 * ``list`` — show the experiment registry (every Figure-1 cell and
   ablation, with its paper bound and available scales);
-* ``run EXP_ID [--scale S] [--seed N] [--parallel [W]]`` — run one
-  experiment and print its full report;
+* ``run EXP_ID [--scale S] [--seed N] [--parallel [W]] [--trace PATH]``
+  — run one experiment and print its full report;
 * ``run-all [--scale S] [--parallel [W]]`` — run the whole registry in
   order (this is how ``full_scale_results.txt`` and the EXPERIMENTS.md
   numbers are produced);
@@ -40,6 +40,7 @@ capped at ``W`` workers) with results identical to serial runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from typing import Optional, Sequence
@@ -78,6 +79,36 @@ def _add_parallel_flag(parser: argparse.ArgumentParser) -> None:
         metavar="WORKERS",
         help="fan trials out across processes (default: all cores)",
     )
+
+
+def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a JSONL phase/counter trace (render with `repro trace PATH`)",
+    )
+
+
+@contextlib.contextmanager
+def _tracing(args: argparse.Namespace):
+    """Record a :mod:`repro.obs` trace to ``args.trace`` (if given) around the body."""
+    trace_path = getattr(args, "trace", None)
+    if trace_path is None:
+        yield
+        return
+    from repro.obs.recorder import disable, enable
+
+    enable(trace_path)
+    try:
+        yield
+    finally:
+        rec = disable()
+        if rec is not None:
+            print(
+                f"trace    : {trace_path} ({rec.records_emitted} records) "
+                f"— render with `repro trace {trace_path}`"
+            )
 
 
 def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
@@ -146,22 +177,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     experiment = ALL_EXPERIMENTS[args.experiment]
     started = time.time()
     executor = _executor_from_args(args)
-    try:
-        result = experiment.run(
-            scale=args.scale,
-            master_seed=args.seed,
-            progress=(
-                (lambda label, _: print(f"  … {label}", file=sys.stderr))
-                if args.verbose
-                else None
-            ),
-            executor=executor,
-            engine=getattr(args, "engine", None),
-            skip=getattr(args, "skip", None),
-        )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    with _tracing(args):
+        try:
+            result = experiment.run(
+                scale=args.scale,
+                master_seed=args.seed,
+                progress=(
+                    (lambda label, _: print(f"  … {label}", file=sys.stderr))
+                    if args.verbose
+                    else None
+                ),
+                executor=executor,
+                engine=getattr(args, "engine", None),
+                skip=getattr(args, "skip", None),
+            )
+        finally:
+            if executor is not None:
+                executor.shutdown()
     print(result.render())
     print(f"\n[{time.time() - started:.1f}s at scale={args.scale}, seed={args.seed}]")
     failures = [
@@ -242,32 +274,19 @@ def _cmd_run_spec(args: argparse.Namespace) -> int:
     print(f"engine   : {simulation.spec.engine}")
     started = time.time()
     executor = _executor_from_args(args)
-    trace_path = getattr(args, "trace", None)
-    if trace_path is not None:
-        from repro.obs.recorder import enable as _obs_enable
-
-        _obs_enable(trace_path)
-    try:
-        stats = simulation.run(
-            trials=args.trials,
-            master_seed=args.seed,
-            executor=executor,
-        )
-    except ReproError as exc:
-        print(f"cannot run spec: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if executor is not None:
-            executor.shutdown()
-        if trace_path is not None:
-            from repro.obs.recorder import disable as _obs_disable
-
-            rec = _obs_disable()
-            if rec is not None:
-                print(
-                    f"trace    : {trace_path} ({rec.records_emitted} records) "
-                    f"— render with `repro trace {trace_path}`"
-                )
+    with _tracing(args):
+        try:
+            stats = simulation.run(
+                trials=args.trials,
+                master_seed=args.seed,
+                executor=executor,
+            )
+        except ReproError as exc:
+            print(f"cannot run spec: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            if executor is not None:
+                executor.shutdown()
     row = stats.summary_row()
     print(
         render_table(
@@ -450,7 +469,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace``: render a trace, or run a spec traced and render.
 
     ``TARGET`` is either a JSONL trace file (written by ``--trace`` on
-    ``run-spec``/``campaign run``) or a ScenarioSpec JSON file — a spec
+    ``run``/``run-spec``/``campaign run``) or a ScenarioSpec JSON file — a spec
     is recognized by its ``graph`` section and is run traced first
     (``--trials``/``--seed``/``--engine`` apply; ``--out`` keeps the
     trace file). Either way the result is the per-engine, per-phase
@@ -638,28 +657,15 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     )
     print(spec.describe())
     print(f"store    : {store.shard_path(spec.name)}")
-    trace_path = getattr(args, "trace", None)
-    if trace_path is not None:
-        from repro.obs.recorder import enable as _obs_enable
-
-        _obs_enable(trace_path)
-    try:
-        outcomes = runner.run(resume=not args.fresh)
-    except ReproError as exc:
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if runner.executor is not None:
-            runner.executor.shutdown()
-        if trace_path is not None:
-            from repro.obs.recorder import disable as _obs_disable
-
-            rec = _obs_disable()
-            if rec is not None:
-                print(
-                    f"trace    : {trace_path} ({rec.records_emitted} records) "
-                    f"— render with `repro trace {trace_path}`"
-                )
+    with _tracing(args):
+        try:
+            outcomes = runner.run(resume=not args.fresh)
+        except ReproError as exc:
+            print(f"campaign failed: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            if runner.executor is not None:
+                runner.executor.shutdown()
     ran = sum(1 for o in outcomes if o.ran)
     resumed = len(outcomes) - ran
     print(
@@ -914,6 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", default="small", choices=["tiny", "small", "full"])
     run.add_argument("--seed", type=int, default=2013)
     run.add_argument("--verbose", action="store_true")
+    _add_trace_flag(run)
     _add_parallel_flag(run)
     _add_engine_flag(run)
     run.set_defaults(func=_cmd_run)
@@ -933,12 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_spec.add_argument("--trials", type=int, default=1)
     run_spec.add_argument("--seed", type=int, default=2013)
     run_spec.add_argument("--verbose", action="store_true")
-    run_spec.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSONL phase/counter trace (render with `repro trace PATH`)",
-    )
+    _add_trace_flag(run_spec)
     _add_parallel_flag(run_spec)
     _add_engine_flag(run_spec)
     run_spec.set_defaults(func=_cmd_run_spec)
@@ -1041,12 +1043,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="discard this campaign's checkpoints and re-run every shard",
     )
-    campaign_run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a JSONL phase/counter trace (render with `repro trace PATH`)",
-    )
+    _add_trace_flag(campaign_run)
     _add_parallel_flag(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)
 

@@ -27,10 +27,9 @@ Three layers cooperate:
    * the **multi-message MAC protocols**
      (:class:`~repro.algorithms.multi_message.GklnMultiMessageProcess`,
      :class:`~repro.algorithms.multi_message.BackoffMultiMessageProcess`)
-     keep knowledge as a (trials × nodes × words) uint64 bitmap —
-     any message count, 64 per word — with append-order message logs,
-     ack windows and back-off epochs folded by vectorized index
-     arithmetic;
+     keep knowledge as one int bitmask per (trial, node) — any message
+     count — with append-order message logs, ack windows and back-off
+     epochs folded by vectorized index arithmetic;
    * the **single-message decay family** (plain decay, permuted decay,
      static local decay, round robin, uniform) keeps (trials × nodes)
      informed/participation state (with per-node window ends for
@@ -117,16 +116,22 @@ class _MultiMessageKernelBase:
 
     Layout (``T`` trials × ``n`` nodes × ``k`` messages):
 
-    * ``known``  — (T, n, ⌈k/64⌉) uint64 bitmap: bit ``i`` of the row
-      set iff the node holds message ``i`` (a trials × nodes × bits
-      knowledge map, bit-packed 64 per word — any ``k``).
-    * ``order``  — (T, n, k) int64 append-order log of message indices;
-      both protocols rotate/queue over their knowledge in append order.
-    * ``klen``   — (T, n) int64 length of that log.
+    * ``known[t][u]`` — a Python int bitmask, as in
+      :class:`~repro.core.knowledge.KnowledgeVector`: bit ``i`` set iff
+      node ``u`` of lane ``t`` holds message ``i`` (any ``k``).
+    * ``order[t][u]`` — a Python list, the append-order log of message
+      indices; both protocols rotate/queue over their knowledge in
+      append order.
+    * ``klen``   — (T, n) int64 length of that log, kept as an array
+      because the vectorized :meth:`probabilities` read it.
     * ``messages[t][i]`` — the canonical :class:`Message` object for
       message ``i`` of trial ``t``, minted here exactly as its source
       process mints it, so deliveries compare equal to the reference
       engine's.
+
+    Feedback and :meth:`message_for` touch one node at a time, so they
+    work on the Python side and build no numpy scalars; feedback writes
+    ``klen`` once per delivering round, for the nodes that learned.
     """
 
     #: The MAC protocols are never provably silent (a node that knows
@@ -139,11 +144,11 @@ class _MultiMessageKernelBase:
         self.n = networks[0].n
         self.assignments = [lane["assignment"] for lane in lanes]
         self.k = max(assignment.k for assignment in self.assignments)
-        shape = (self.trials, self.n)
-        words = (self.k + 63) // 64 or 1
-        self.known = np.zeros((*shape, words), dtype=np.uint64)
-        self.order = np.zeros((*shape, self.k), dtype=np.int64)
-        self.klen = np.zeros(shape, dtype=np.int64)
+        self.known: list[list[int]] = [[0] * self.n for _ in range(self.trials)]
+        self.order: list[list[list[int]]] = [
+            [[] for _ in range(self.n)] for _ in range(self.trials)
+        ]
+        self.klen = np.zeros((self.trials, self.n), dtype=np.int64)
         self.messages: list[list[Optional[Message]]] = [
             [None] * self.k for _ in range(self.trials)
         ]
@@ -165,35 +170,42 @@ class _MultiMessageKernelBase:
                 )
                 self.messages[t][index] = message
                 self._index_by_id[id(message)] = index
-                self._learn(t, source, index)
+                self.known[t][source] |= 1 << index
+                self.order[t][source].append(index)
+        self.klen[:] = [[len(log) for log in logs] for logs in self.order]
 
-    def _learn(self, t: int, u: int, index: int) -> bool:
-        """Append message ``index`` to (t, u)'s log; False if known."""
-        word, bit = divmod(index, 64)
-        flag = np.uint64(1 << bit)
-        if self.known[t, u, word] & flag:
-            return False
-        self.known[t, u, word] |= flag
-        length = int(self.klen[t, u])
-        self.order[t, u, length] = index
-        self.klen[t, u] = length + 1
-        return True
+    def _learn(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
+        """Log each delivery's message at its receiver; the learners.
 
-    def _delivery_index(self, t: int, delivery: Delivery) -> Optional[int]:
-        """The message index a delivery carries, or None for foreign ones.
-
-        Fast path: kernel lanes mint every transmitted message through
-        :meth:`message_for`, so deliveries carry the canonical objects
-        and resolve by identity. The payload-inspection fallback keeps
-        parity for any non-canonical (but valid) message object.
+        Returns the receivers that learned a new message, in delivery
+        order (a round delivers to each receiver at most once), and
+        brings their ``klen`` entries up to date.
         """
-        message = delivery.message
-        index = self._index_by_id.get(id(message))
-        if index is not None:
-            return index
-        if not message.is_data():
-            return None
-        return self.assignments[t].index_of(message.payload)
+        known = self.known[t]
+        order = self.order[t]
+        index_by_id = self._index_by_id
+        learned: list[int] = []
+        for u, _, message in deliveries:
+            # Kernel lanes mint every transmitted message through
+            # :meth:`message_for`, so deliveries carry the canonical
+            # objects and resolve by identity; payload inspection keeps
+            # parity for any non-canonical (but valid) message object.
+            index = index_by_id.get(id(message))
+            if index is None:
+                if not message.is_data():
+                    continue
+                index = self.assignments[t].index_of(message.payload)
+                if index is None:
+                    continue
+            mask = known[u]
+            if mask >> index & 1:
+                continue
+            known[u] = mask | 1 << index
+            order[u].append(index)
+            learned.append(u)
+        if learned:
+            self.klen[t, learned] = [len(order[u]) for u in learned]
+        return learned
 
 
 class _GklnBankKernel(_MultiMessageKernelBase):
@@ -259,22 +271,22 @@ class _GklnBankKernel(_MultiMessageKernelBase):
 
     def message_for(self, t: int, u: int) -> Message:
         """The message lane ``t``'s node ``u`` transmitted this round."""
-        if self.head_start[t, u] >= 0:
-            index = self.order[t, u, self.qhead[t, u]]
+        log = self.order[t][u]
+        if self.head_start.item(t, u) >= 0:
+            index = log[self.qhead.item(t, u)]
         else:
-            index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
-        return self.messages[t][int(index)]
+            index = log[(self._r + u) % len(log)]
+        return self.messages[t][index]
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for delivery in deliveries:
-            index = self._delivery_index(t, delivery)
-            if index is None:
-                continue
-            u = delivery.receiver
-            if self._learn(t, u, index) and self.head_start[t, u] < 0:
-                # The queue was idle: the window opens next round.
-                self.head_start[t, u] = r + 1
+        learned = self._learn(t, deliveries)
+        if learned:
+            # A learner whose queue was idle opens its window next round.
+            head_start = self.head_start[t]
+            idle = np.array(learned)
+            idle = idle[head_start[idle] < 0]
+            head_start[idle] = r + 1
 
 
 class _BackoffBankKernel(_MultiMessageKernelBase):
@@ -319,18 +331,15 @@ class _BackoffBankKernel(_MultiMessageKernelBase):
 
     def message_for(self, t: int, u: int) -> Message:
         """The message lane ``t``'s node ``u`` transmitted this round."""
-        index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
-        return self.messages[t][int(index)]
+        log = self.order[t][u]
+        return self.messages[t][log[(self._r + u) % len(log)]]
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for delivery in deliveries:
-            index = self._delivery_index(t, delivery)
-            if index is None:
-                continue
-            if self._learn(t, delivery.receiver, index):
-                # New knowledge resets the back-off clock from next round.
-                self.last_new[t, delivery.receiver] = r + 1
+        learned = self._learn(t, deliveries)
+        if learned:
+            # New knowledge resets the back-off clock from next round.
+            self.last_new[t, learned] = r + 1
 
 
 # ----------------------------------------------------------------------

@@ -445,10 +445,14 @@ class RadioNetworkEngine:
                 message = plans[sender].message
                 if message is None:  # pragma: no cover - PlanError guards this
                     raise PlanError(f"transmitter {sender} has no message")
-                deliveries.append(Delivery(receiver=u, sender=sender, message=message))
+                deliveries.append(Delivery(u, sender, message))
         return deliveries
 
     def _append_history(self, record: RoundRecord) -> None:
+        # Only adaptive views read the history: an oblivious link
+        # process's engine keeps none.
+        if self.link_process.adversary_class is AdversaryClass.OBLIVIOUS:
+            return
         self._history.append(
             HistoryEntry(
                 round_index=record.round_index,

@@ -190,7 +190,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             # short inner axis.
             totals = np.bitwise_count(heard) @ np.ones(words, dtype=np.float32)
             solo = totals == 1
-        receivers = np.flatnonzero(solo & ~transmit)
+        receivers = (solo & ~transmit).nonzero()[0]
         if receivers.size == 0:
             return []
         if words == 1:
@@ -205,10 +205,9 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         # up once per sender, not once per delivery.
         message_for = self._message_for
         messages = {sender: message_for(sender) for sender in set(senders)}
-        return [
-            Delivery(receiver=u, sender=sender, message=messages[sender])
-            for u, sender in zip(receivers.tolist(), senders)
-        ]
+        return list(
+            map(Delivery, receivers.tolist(), senders, map(messages.__getitem__, senders))
+        )
 
     def _finish_round(
         self,
@@ -340,7 +339,5 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
                 neighbors_transmitting & (neighbors_transmitting - 1)
             ):
                 sender = neighbors_transmitting.bit_length() - 1
-                deliveries.append(
-                    Delivery(receiver=u, sender=sender, message=message_for(sender))
-                )
+                deliveries.append(Delivery(u, sender, message_for(sender)))
         return deliveries

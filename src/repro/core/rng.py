@@ -32,6 +32,7 @@ __all__ = [
     "spawn_rng",
     "spawn_lazy_rng",
     "spawn_numpy_rng",
+    "numpy_continuation",
     "fresh_seed_sequence",
     "transmission_coins",
 ]
@@ -116,6 +117,26 @@ def spawn_numpy_rng(master_seed: int, *labels: object) -> np.random.Generator:
     coins; stochastic link processes use their own for edge fading.
     """
     return np.random.default_rng(derive_seed(master_seed, *labels))
+
+
+def numpy_continuation(rng: random.Random) -> np.random.Generator:
+    """A NumPy ``Generator(MT19937)`` that continues ``rng``'s stream.
+
+    Both generators are the same Mersenne Twister, and CPython's
+    ``random()`` and NumPy's MT19937 ``random()`` build each double the
+    same way, from two 32-bit outputs as ``((a >> 5)·2²⁶ + (b >> 6)) /
+    2⁵³``. So ``gen.random(m)`` equals ``m`` successive
+    ``rng.random()`` calls from ``rng``'s current position, bit for bit.
+    ``rng`` itself does not advance: the caller must own the stream and
+    stop drawing from ``rng``.
+    """
+    _, internal, _ = rng.getstate()
+    bit_generator = np.random.MT19937()
+    bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    return np.random.Generator(bit_generator)
 
 
 def transmission_coins(

@@ -14,7 +14,7 @@ offline adaptive adversary view exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol, Sequence
+from typing import Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from repro.core.messages import Message
 
@@ -42,9 +42,13 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """One successful radio reception: ``receiver`` got ``message`` from ``sender``."""
+class Delivery(NamedTuple):
+    """One successful radio reception: ``receiver`` got ``message`` from ``sender``.
+
+    A named tuple, so a round's deliveries can be built in one
+    ``map(Delivery, receivers, senders, messages)``; it therefore also
+    compares equal to the plain tuple ``(receiver, sender, message)``.
+    """
 
     receiver: int
     sender: int

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.knowledge import KnowledgeVector
+from repro.core.messages import MessageKind
 from repro.core.trace import RoundRecord
 from repro.mac.base import MessageAssignment, spec_messages
 from repro.problems.base import Problem, ProblemObserver
@@ -41,6 +42,10 @@ class MultiMessageObserver(ProblemObserver):
         self.message_complete_round: list[Optional[int]] = [None] * assignment.k
         #: Round after which every node held every message.
         self.complete_round: Optional[int] = None
+        #: Payload → message index for the assignment's own payloads;
+        #: anything this table does not answer exactly goes to
+        #: :meth:`MessageAssignment.index_of`.
+        self._index_by_payload = {assignment.payload(i): i for i in range(assignment.k)}
         for index, source in enumerate(assignment.sources):
             self.knowledge.add(source, index)
             if self.knowledge.message_complete(index):
@@ -58,16 +63,27 @@ class MultiMessageObserver(ProblemObserver):
         # Hot loop: runs once per delivery for every engine, so bind
         # the per-delivery callees once per round.
         add = self.knowledge.add
+        lookup = self._index_by_payload.get
         index_of = self.assignment.index_of
         message_complete = self.knowledge.message_complete
-        for delivery in record.deliveries:
-            message = delivery.message
-            if not message.is_data():
+        data = MessageKind.DATA
+        for receiver, _, message in record.deliveries:
+            if message.kind is not data:
                 continue
-            index = index_of(message.payload)
-            if index is None:
-                continue
-            if add(delivery.receiver, index) and message_complete(index):
+            payload = message.payload
+            try:
+                index = lookup(payload)
+            except TypeError:  # unhashable
+                index = None
+            # A hit on a plain tuple with a plain int index is exactly
+            # index_of's answer. Equal payloads of other types (("mm", 1.0)
+            # hashes like ("mm", 1)), bools, misses and unhashables ask
+            # index_of itself.
+            if index is None or type(payload) is not tuple or type(payload[1]) is not int:
+                index = index_of(payload)
+                if index is None:
+                    continue
+            if add(receiver, index) and message_complete(index):
                 self.message_complete_round[index] = record.round_index
         if self.knowledge.complete and self.complete_round is None:
             self.complete_round = record.round_index

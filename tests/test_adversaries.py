@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.adversaries.base import (
@@ -113,10 +114,10 @@ class TestRoundTopologyPatterns:
     def test_node_fade_requires_both_endpoints(self):
         net = flaky_net()
         # Only node 0 active: no flaky edge fires.
-        topo = RoundTopology.from_active_flaky_nodes(net, 0b00001)
+        topo = RoundTopology.from_active_flaky_nodes(net, np.array([1, 0, 0, 0, 0], dtype=bool))
         assert topo.masks == net.g_masks
         # Nodes 0 and 2 active: (0,2) fires, (1,3) does not.
-        topo = RoundTopology.from_active_flaky_nodes(net, 0b00101)
+        topo = RoundTopology.from_active_flaky_nodes(net, np.array([1, 0, 1, 0, 0], dtype=bool))
         assert (topo.masks[0] >> 2) & 1
         assert not (topo.masks[1] >> 3) & 1
 

@@ -44,6 +44,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "E1b" in out and "median rounds" in out
 
+    def test_run_trace_writes_trial_records_that_trace_renders(self, capsys, tmp_path):
+        from repro.obs import read_trace
+
+        path = str(tmp_path / "p")
+        assert main(["run", "E1a", "--scale", "tiny", "--trace", path]) in (0, 1)
+        assert f"trace    : {path}" in capsys.readouterr().out
+        assert any(record["kind"] == "trial" for record in read_trace(path))
+        assert main(["trace", path]) == 0
+        out = capsys.readouterr().out
+        assert "reception" in out and "(total)" in out
+
     @pytest.mark.parametrize(
         "network,algorithm,adversary",
         [

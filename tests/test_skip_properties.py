@@ -582,9 +582,9 @@ class TestBankBoundaries:
 
     @pytest.mark.parametrize("k", (63, 64, 65))
     def test_knowledge_word_boundary(self, k):
-        """The kernel's knowledge tensor is (trials, nodes, words)
-        uint64: k = 63/64 fill a single word (top bits 62/63), k = 65
-        spills into a second. The kernel must engage on all three —
+        """The kernel's knowledge is one int bitmask per (trial, node):
+        k = 63/64/65 put the highest known bit at 62/63/64, across the
+        old 64-bit word boundary. The kernel must engage on all three —
         message counts above one word used to force the generic lane —
         and match the reference engine exactly."""
         spec = ScenarioSpec(
@@ -609,7 +609,7 @@ class TestBankBoundaries:
         )
         kernel = engine._kernel
         assert kernel is not None
-        assert kernel.known.shape[2] == (k + 63) // 64
+        assert max(mask.bit_length() for mask in kernel.known[0]) == k
         result = engine.run(max_rounds=4000, stop=lambda: observer.solved)
         reference = run_prepared_trial(spec.build(SEEDS[0]), SEEDS[0])
         assert (result.solved, result.rounds) == (

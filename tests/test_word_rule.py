@@ -134,9 +134,7 @@ def test_node_fading_rows_keep_the_last_words_padding_zero(n):
     g = [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))]
     extra = [(int(u), int(v)) for u, v in zip(*np.nonzero(flaky))]
     network = DualGraph.from_edges(n, g, extra)
-    active = int.from_bytes(
-        np.packbits(rng.random(n) < 0.5, bitorder="little").tobytes(), "little"
-    )
+    active = rng.random(n) < 0.5
     topology = RoundTopology.from_active_flaky_nodes(network, active)
     rows = topology.rows
     assert rows.shape == (n, (n + 63) // 64)
