@@ -98,6 +98,8 @@ class RoundTopology:
     * :meth:`without_cut` — all flaky edges except those crossing a
       node cut (the dense/sparse attackers' "sparse" pattern);
     * :meth:`from_flaky_edges` — an explicit flaky edge subset;
+    * :meth:`from_flaky_edge_vector` — per-edge switching over an edge
+      array, built as word rows;
     * :meth:`from_active_flaky_nodes` — node-level fading, built as
       word rows.
     """
@@ -217,6 +219,35 @@ class RoundTopology:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return cls(masks=tuple(masks), label=label)
+
+    @classmethod
+    def from_flaky_edge_vector(
+        cls,
+        network: DualGraph,
+        edges: np.ndarray,
+        up: np.ndarray,
+        *,
+        label: str = "edge-set",
+    ) -> "RoundTopology":
+        """``G`` plus the flaky edges ``edges[up]``, built as word rows.
+
+        ``edges`` is an ``(m, 2)`` integer array of the network's flaky
+        edges and ``up`` a boolean vector over them. This is the pattern
+        the per-edge link processes build every round: ``G``'s cached
+        word rows with one bit set per endpoint of each edge that is on,
+        at any ``n``. Unlike :meth:`from_flaky_edges` it does not check
+        the edges; :meth:`validate` reports any outside ``G'``.
+        """
+        up = np.asarray(up, dtype=bool)
+        if up.shape != (len(edges),):
+            raise ValueError(f"need one flag per edge, got shape {up.shape}")
+        on = edges[up]
+        src, dst = on.ravel(), on[:, ::-1].ravel()
+        rows = network.word_rows("g").copy()
+        words = rows.shape[1]
+        bits = np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64))
+        np.bitwise_or.at(rows.reshape(-1), src * words + (dst >> 6), bits)
+        return cls(rows=rows, label=label)
 
     @classmethod
     def from_active_flaky_nodes(

@@ -37,7 +37,6 @@ would, and states are kept as boolean vectors.
 from __future__ import annotations
 
 import random
-from itertools import compress
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from repro.adversaries.base import (
     RoundTopology,
 )
 from repro.core.rng import numpy_continuation
-from repro.graphs.dual_graph import DualGraph, Edge
+from repro.graphs.dual_graph import DualGraph
 
 __all__ = [
     "BernoulliEdgeLinks",
@@ -74,12 +73,21 @@ class _StochasticLinkProcess(LinkProcess):
         self._uniforms = numpy_continuation(rng).random
 
 
-class BernoulliEdgeLinks(_StochasticLinkProcess):
+class _EdgeLinkProcess(_StochasticLinkProcess):
+    """A per-edge process: one element per flaky edge, in sorted order."""
+
+    def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng: random.Random) -> None:
+        super().start(network, algorithm, rng)
+        self._edges = np.array(sorted(network.flaky_edges()), dtype=np.int64).reshape(-1, 2)
+
+
+class BernoulliEdgeLinks(_EdgeLinkProcess):
     """Independent per-edge, per-round link availability.
 
-    Cost is ``O(|E' \\ E|)`` per round; intended for sparse flaky sets
-    (geographic grey zones, not complete-bipartite lower-bound graphs —
-    use the node-fade variants there).
+    Cost is ``O(|E' \\ E|)`` per round plus a copy of ``G``'s word rows;
+    intended for sparse flaky sets (geographic grey zones, not
+    complete-bipartite lower-bound graphs — use the node-fade variants
+    there).
     """
 
     def __init__(self, p_up: float) -> None:
@@ -88,7 +96,6 @@ class BernoulliEdgeLinks(_StochasticLinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng: random.Random) -> None:
         super().start(network, algorithm, rng)
-        self._flaky_edges: list[Edge] = sorted(network.flaky_edges())
         self._all = RoundTopology.all_links(network)
         self._none = RoundTopology.reliable_only(network)
 
@@ -97,9 +104,10 @@ class BernoulliEdgeLinks(_StochasticLinkProcess):
             return self._all
         if self.p_up <= 0.0:
             return self._none
-        up = self._uniforms(len(self._flaky_edges)) < self.p_up
-        active = compress(self._flaky_edges, up.tolist())
-        return RoundTopology.from_flaky_edges(self.network, active, label="bernoulli-edges")
+        up = self._uniforms(len(self._edges)) < self.p_up
+        return RoundTopology.from_flaky_edge_vector(
+            self.network, self._edges, up, label="bernoulli-edges"
+        )
 
     def next_boundary(self, round_index: int) -> int | None:
         if self.p_up >= 1.0 or self.p_up <= 0.0:
@@ -107,7 +115,7 @@ class BernoulliEdgeLinks(_StochasticLinkProcess):
         return round_index + 1  # fresh per-edge draws every round
 
 
-class GilbertElliottEdgeLinks(_StochasticLinkProcess):
+class GilbertElliottEdgeLinks(_EdgeLinkProcess):
     """Per-edge two-state Markov (Gilbert–Elliott) bursty links.
 
     Each flaky edge is *good* (up) or *bad* (down); per round a good
@@ -126,21 +134,21 @@ class GilbertElliottEdgeLinks(_StochasticLinkProcess):
 
     def start(self, network: DualGraph, algorithm: AlgorithmInfo, rng: random.Random) -> None:
         super().start(network, algorithm, rng)
-        self._flaky_edges = sorted(network.flaky_edges())
         if self.start_up_fraction is None:
             denom = self.p_fail + self.p_recover
             up_frac = 1.0 if denom == 0 else self.p_recover / denom
         else:
             up_frac = self.start_up_fraction
-        self._up = self._uniforms(len(self._flaky_edges)) < up_frac
+        self._up = self._uniforms(len(self._edges)) < up_frac
 
     def choose_topology(self, view: ObliviousView) -> RoundTopology:
         # An up edge stays up unless its draw is below p_fail; a down
         # edge comes up iff its draw is below p_recover.
-        draws = self._uniforms(len(self._flaky_edges))
+        draws = self._uniforms(len(self._edges))
         self._up = np.where(self._up, draws >= self.p_fail, draws < self.p_recover)
-        active = compress(self._flaky_edges, self._up.tolist())
-        return RoundTopology.from_flaky_edges(self.network, active, label="gilbert-elliott-edges")
+        return RoundTopology.from_flaky_edge_vector(
+            self.network, self._edges, self._up, label="gilbert-elliott-edges"
+        )
 
     def next_boundary(self, round_index: int) -> int | None:
         return round_index + 1  # the Markov chain steps (and draws) every round

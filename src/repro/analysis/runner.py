@@ -286,10 +286,10 @@ def run_bank_trials(
     alias ``"bitset"``):
     every seed's trial becomes one lane of a shared struct-of-arrays
     kernel, and :func:`repro.core.bankpath.run_bank_batch` advances the
-    lanes in shared bank rounds with batched coins and (where topologies
-    coincide) batched reception. Results are identical to running each
-    seed through :func:`run_prepared_trial` — only the batching axis
-    changes. The bank is routed once, through
+    lanes in shared bank rounds, each lane on its own clock, with one
+    kernel probability batch per bank round. Results are identical to
+    running each seed through :func:`run_prepared_trial` — only the
+    batching axis changes. The bank is routed once, through
     :func:`~repro.core.engine.resolve_engine_choice`: kernel lanes are
     built from the specs' lane recipes with no per-node processes, and
     when no kernel serves the bank each trial builds its processes and

@@ -4,19 +4,18 @@ and the bank scheduler.
 The fast engine (:class:`~repro.core.fastpath.BitsetRadioNetworkEngine`,
 ``engine="bank"``) batches *across nodes* within one trial; this module
 batches *across trials*: an entire seed bank of independent executions
-advances in shared bank rounds, and the per-round numpy work — Bernoulli
-comparisons and transmit-mask packing — runs once for the lanes due in
-a round instead of once per trial.
+advances in shared bank rounds, and the plan stage — one (trials ×
+nodes) probability batch from the kernel — runs once per bank round
+instead of once per trial.
 
 Three layers cooperate:
 
 1. **Per-trial lanes.** Each trial owns one fast engine, built with the
    bank's shared kernel and its lane index. A standalone engine holds
-   a kernel of its own (a bank of one) and runs the shared per-trial
-   skip loop; the cross-trial wins need the batch entry points below.
-   A bank that no kernel serves never reaches this module:
-   :func:`~repro.core.engine.resolve_engine_choice` routes its trials
-   to the reference engine.
+   a kernel of its own (a bank of one). A bank that no kernel serves
+   gets no kernel: :func:`~repro.core.engine.resolve_engine_choice`
+   routes its trials to the reference engine, whose runs still go
+   through the scheduler below.
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state. A kernel is
    looked up by the :class:`~repro.algorithms.base.LaneRecipe` the
@@ -43,20 +42,18 @@ Three layers cooperate:
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
    holds to full-trace identity.
-3. **The bank scheduler.** :func:`run_bank_batch` runs each lane on
-   its own clock. A bank round is the earliest round any lane is due
-   at; its transmission coins are drawn as a (due lanes × nodes)
-   batch — one ``Generator.random(out=row)`` per lane against the same
-   per-trial ``("engine", "coins")`` stream the other engines consume,
-   so per-trial draw order is untouched — then compared and bit-packed
-   in one shot. Lanes whose stop condition fires (or whose per-lane
-   ``max_rounds`` cap elapses — caps may differ across lanes) retire
-   from the bank: their RNGs stop drawing, exactly like a serial run
-   ending. After each round a lane asks its own skip horizon, the hook
-   a standalone ``run()`` asks (for the single-message kernels,
-   :meth:`next_active_round`), emits the provably silent span at once
-   and parks until the horizon, so it executes exactly the rounds its
-   solo run executes. The span goes through one
+3. **The bank scheduler.** :func:`run_bank_batch` is the one run loop
+   of both engines (``run()`` is a bank of one). It runs each lane on
+   its own clock and executes no stage itself: a bank round is the
+   earliest round any lane is due at, and each lane due at it steps
+   through its own engine's ``step()``, in lane order. Lanes whose
+   stop condition fires (or whose per-lane ``max_rounds`` cap elapses
+   — caps may differ across lanes) retire from the bank: their RNGs
+   stop drawing, exactly like a serial run ending. After each round a
+   skip-enabled lane asks its own skip horizon (for the single-message
+   kernels, :meth:`next_active_round`), emits the provably silent span
+   at once and parks until the horizon, so it executes exactly the
+   rounds its solo run executes. The span goes through one
    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
    when every observer on the lane accepts the batched quiet-span
    hook, and degrades to per-round records otherwise.
@@ -88,8 +85,7 @@ from repro.algorithms.multi_message import (
 from repro.algorithms.round_robin import RoundRobinGlobalProcess, RoundRobinLocalProcess
 from repro.algorithms.uniform import UniformGlobalProcess, UniformLocalProcess
 from repro.core.bits import BitStream
-from repro.core.engine import ExecutionResult, StopCondition
-from repro.core.fastpath import BitsetRadioNetworkEngine
+from repro.core.engine import ExecutionResult, RadioNetworkEngine, StopCondition
 from repro.core.messages import Message, MessageKind
 from repro.core.rng import spawn_rng
 from repro.core.trace import Delivery
@@ -132,6 +128,14 @@ class _MultiMessageKernelBase:
     Feedback and :meth:`message_for` touch one node at a time, so they
     work on the Python side and build no numpy scalars; feedback writes
     ``klen`` once per delivering round, for the nodes that learned.
+
+    The bank steps its lanes one after another through one (T, n)
+    batch per round, which holds because :meth:`probabilities` is
+    cached per round (the first lane due at ``r`` computes every
+    lane's row, folding elapsed ack windows once; the others read the
+    cache) and ``apply_feedback(t, ...)`` writes only lane ``t``'s
+    state, never the cached batch: a lane that steps after its
+    bank-mates' feedback still reads the row its own state produced.
     """
 
     #: The MAC protocols are never provably silent (a node that knows
@@ -363,11 +367,19 @@ class _SingleMessageKernelBase:
     same real number once), so it is bit-identical to the reference
     engine's fsum — the licence round skipping needs.
 
-    :meth:`probabilities` must be a *pure* function of the
-    feedback-driven state and ``r``: computing any other round in
-    between leaves round ``r``'s rows, ``_counts`` and ``_rungs``
-    unchanged. The bank scheduler relies on it — it computes every
-    lane's row each bank round, including lanes parked past that round.
+    The bank steps its lanes one after another and relies on three
+    properties:
+
+    * :meth:`probabilities` is cached per round: the first lane due at
+      ``r`` computes every lane's row, ``_counts`` and ``_rungs``, and
+      the others read the cache;
+    * it is a *pure* function of the feedback-driven state and ``r``:
+      computing any other round in between leaves round ``r``'s rows,
+      ``_counts`` and ``_rungs`` unchanged, so rows computed for lanes
+      parked past ``r`` are harmless;
+    * ``apply_feedback(t, ...)`` writes only lane ``t``'s state, never
+      the cached batch, so a lane that steps after its bank-mates'
+      feedback still reads the row its own state produced.
 
     State changes ride deliveries only (the mirrored processes'
     idle/transmit feedback are no-ops), so the kernels also answer
@@ -908,7 +920,7 @@ class BankLane:
     own cap while the rest keep running.
     """
 
-    engine: BitsetRadioNetworkEngine
+    engine: RadioNetworkEngine
     stop: Optional[StopCondition] = None
     max_rounds: Optional[int] = None
 
@@ -918,84 +930,78 @@ def run_bank_batch(
 ) -> list[ExecutionResult]:
     """Run a bank of single-trial lanes, each on its own round clock.
 
-    Per-lane results are identical to running each engine's ``run()``
-    separately — the batch changes *where* the numpy work happens, not
-    what any trial observes:
+    This is the one run loop: :meth:`RadioNetworkEngine.run
+    <repro.core.engine.RadioNetworkEngine.run>` is a bank of one, on
+    either engine. The scheduler executes no stage itself. Each bank
+    round is the earliest round any surviving lane is due at; every
+    lane due at it, in lane order, executes the round through its own
+    engine's ``step()``, then checks its stop condition and parks. So
+    each lane observes exactly what its standalone run observes. Lanes
+    of a kernel bank share the kernel's per-round probability batch
+    (see the kernel base classes for the invariant this relies on).
 
-    * coins: one ``Generator.random(out=row)`` per lane per round (the
-      lane's own per-trial stream, same draw count as a serial run),
-      then one (active × n) comparison + ``packbits`` for the bank;
-    * plans: kernel-backed lanes share one (T, n) probability batch,
-      and skip-capable kernels answer the expected-transmitter sum in
-      O(1) (bit-identical to fsum) instead of an O(n) reduction;
-    * reception: each lane's engine resolves its own round with
-      :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._resolve`,
-      the word rule over the topology's word rows (the bigint scan
-      past ``n = 2048``), exactly as its standalone run does.
+    A lane starts at its engine's ``round_index`` and counts ``rounds``
+    from there; ``solve_round`` is absolute. Its cap is ``max_rounds``,
+    or the lane's own smaller ``max_rounds``. A lane whose stop
+    condition fires, or whose cap elapses, retires at once: it stops
+    drawing coins and observing rounds, exactly like a standalone run
+    that ended, while the others run on.
 
-    Lanes whose stop condition fires — or whose per-lane ``max_rounds``
-    cap elapses — retire immediately: they stop drawing coins and stop
-    observing rounds, exactly like a serial execution that ended, while
-    the surviving lanes run on.
+    Parking: after a lane built with ``skip=True`` executes round ``r``,
+    it asks its engine's ``_skip_horizon`` for ``h`` (clamped to its
+    cap), emits the provably silent rounds ``[r + 1, h)`` without
+    executing them and is next due at ``h``; any other lane is due at
+    ``r + 1``. The span goes out through one
+    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` (one
+    RNG jump-ahead, one ``on_round_batch`` call per observer) when the
+    link process is oblivious and every observer on the lane accepts
+    the batch hook: such observers do not change over all-silent
+    rounds, so the stop condition cannot fire inside the span. Any
+    other lane emits the span round by round through
+    ``_emit_quiet_rounds``, with a stop check after each round.
 
-    Each bank round is the earliest round any surviving lane is due at,
-    and only the lanes due at it run. Without skipping every lane is due
-    every round. When every lane was built with ``skip=True``, a lane
-    that just ran round ``r`` asks its own
-    :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._skip_horizon`
-    ``h`` (clamped to its cap) — the hook a standalone ``run()`` asks —
-    emits ``[r + 1, h)`` at once and is next due at ``h``, so it executes
-    exactly the rounds its standalone run executes. A lane whose
-    observers all accept the batched quiet-span hook emits the span
-    through one
-    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
-    (one RNG jump-ahead, one observer call); any other lane emits round
-    by round through ``_emit_quiet_rounds``, exactly as ``run()`` does,
-    so its records and coin stream stay bit-identical to its standalone
-    run.
+    Traced, each lane accumulates its own phases and counters and emits
+    its own trial record at the end, as a standalone run does.
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    rec = _obs_recorder()
+    if rec is None:
+        return _run_lanes(lanes, max_rounds, traced=False)
+    for lane in lanes:
+        lane.engine._trace_begin(rec)
+    try:
+        results = _run_lanes(lanes, max_rounds, traced=True)
+    finally:
+        for lane in lanes:
+            lane.engine._trace = None
+    for lane, result in zip(lanes, results):
+        lane.engine._trace_end(rec, result)
+    return results
+
+
+def _run_lanes(
+    lanes: Sequence[BankLane], max_rounds: int, *, traced: bool
+) -> list[ExecutionResult]:
+    """:func:`run_bank_batch`'s loop; ``traced`` times the parking."""
     results: list[Optional[ExecutionResult]] = [None] * len(lanes)
+    first: list[int] = []
+    limits: list[int] = []
     active: list[int] = []
-    caps: list[int] = []
     for i, lane in enumerate(lanes):
-        lane.engine._ensure_started()
-        caps.append(
-            max_rounds if lane.max_rounds is None else min(lane.max_rounds, max_rounds)
-        )
+        engine = lane.engine
+        engine._ensure_started()
+        cap = max_rounds if lane.max_rounds is None else min(lane.max_rounds, max_rounds)
+        first.append(engine.round_index)
+        limits.append(first[i] + cap)
         if lane.stop is not None and lane.stop():
             results[i] = ExecutionResult(rounds=0, solved=True, solve_round=-1)
-        elif caps[i] <= 0:
-            results[i] = ExecutionResult(rounds=caps[i], solved=False, solve_round=None)
+        elif cap <= 0:
+            results[i] = ExecutionResult(rounds=cap, solved=False, solve_round=None)
         else:
             active.append(i)
-    if not lanes:
-        return []
-    # Tracing: each lane accumulates its own phase spans/counters and
-    # emits its own trial record on retirement, exactly as a standalone
-    # run() would. Batched stages (the coin comparison and packbits)
-    # are timed once and credited evenly across the lanes they served.
-    rec = _obs_recorder()
-    traced = rec is not None
-    if traced:
-        for lane in lanes:
-            lane.engine._trace_begin(rec)
-
-    def _credit(phase: str, ns: int, members: Sequence[int]) -> None:
-        share = ns // len(members)
-        for i in members:
-            lanes[i].engine._phase_ns[phase] += share
-    n = lanes[0].engine.network.n
-    nbytes = (n + 7) // 8
-    bank_skip = all(lane.engine.skip for lane in lanes)
-    # Batched quiet-span emission is engaged per lane, and only when
-    # every observer on that lane accepts the span hook; lanes carrying
-    # a per-round consumer (e.g. a TraceCollector) keep materializing
-    # each quiet round's record.
-    # Adaptive link processes read the retained history, which batched
-    # spans do not append to, so their lanes emit round by round too.
-    span_ok = [
+    # Whether a lane's silent spans may go out as one batch.
+    batched = [
         lane.engine.link_process.adversary_class is AdversaryClass.OBLIVIOUS
         and all(
             callable(getattr(observer, "on_round_batch", None))
@@ -1003,123 +1009,41 @@ def run_bank_batch(
         )
         for lane in lanes
     ]
-    coin_buffer = np.empty((len(lanes), n), dtype=np.float64)
-    prob_buffer = np.empty((len(lanes), n), dtype=np.float64)
-    # Each lane runs on its own clock: ``due[i]`` is the next round
-    # lane i executes. A bank round is the earliest due round, and only
-    # the lanes due at it run; a lane parked past it (fast-forwarded
-    # over a provably silent span) sits it out. Without skipping every
-    # lane is due every round, so the no-skip path reuses ``active``.
-    due = [0] * len(lanes)
+    # ``due[i]`` is the next round lane i executes.
+    due = list(first)
     while active:
         r = min(due[i] for i in active)
-        running = [i for i in active if due[i] == r] if bank_skip else active
-        m = len(running)
-        coins = coin_buffer[:m]
-        probs = prob_buffer[:m]
-
-        # Stages 1–2, batched: per-lane plans and per-trial coin rows,
-        # one comparison + packbits for the whole bank.
-        for j, i in enumerate(running):
-            engine = lanes[i].engine
-            if traced:
-                ta = perf_counter_ns()
-            np.copyto(probs[j], engine._plan_probs(r))
-            if traced:
-                tb = perf_counter_ns()
-            engine._coin_rng.random(out=coins[j])
-            if traced:
-                ph = engine._phase_ns
-                ph["plan"] += tb - ta
-                ph["coins"] += perf_counter_ns() - tb
-        if traced:
-            t0 = perf_counter_ns()
-        transmit = coins < probs
-        packed = np.packbits(transmit, axis=1, bitorder="little").tobytes()
-        masks = [
-            int.from_bytes(packed[j * nbytes : (j + 1) * nbytes], "little")
-            for j in range(m)
-        ]
-        if traced:
-            _credit("coins", perf_counter_ns() - t0, running)
-
-        # Stages 3–4 per lane: adaptive views read the lane's
-        # probability row and mask, and reception is the engine's own
-        # stage 4, so a lane resolves exactly as its standalone run.
-        topologies = []
-        lane_deliveries = []
-        for j, i in enumerate(running):
-            engine = lanes[i].engine
-            if traced:
-                ta = perf_counter_ns()
-            topology = engine._choose_topology(r, probs[j], masks[j])
-            if traced:
-                tb = perf_counter_ns()
-            deliveries = engine._resolve(transmit[j], masks[j], topology)
-            if traced:
-                ph = engine._phase_ns
-                ph["adversary"] += tb - ta
-                ph["reception"] += perf_counter_ns() - tb
-            topologies.append(topology)
-            lane_deliveries.append(deliveries)
-
-        # Stages 5–6 per lane, on the topology and deliveries above.
-        # The expected-transmitter sum goes through each engine's
-        # _expected_exact — bit-identical to fsum, O(1) for the
-        # single-message kernels instead of an O(n) per-lane pass.
-        if traced:
-            t0 = perf_counter_ns()
-        expecteds = [
-            lanes[i].engine._expected_exact(probs[j]) for j, i in enumerate(running)
-        ]
-        if traced:
-            _credit("plan", perf_counter_ns() - t0, running)
-        for j, i in enumerate(running):
+        for i in active:
+            if due[i] != r:
+                continue
             lane = lanes[i]
             engine = lane.engine
-            record = engine._finish_round(
-                r,
-                probs[j],
-                transmit[j],
-                masks[j],
-                expecteds[j],
-                topology=topologies[j],
-                deliveries=lane_deliveries[j],
-            )
+            record = engine.step()
             if lane.stop is not None and lane.stop():
                 results[i] = ExecutionResult(
-                    rounds=r + 1, solved=True, solve_round=record.round_index
+                    rounds=r + 1 - first[i], solved=True, solve_round=r
                 )
                 continue
-            # Parking: the lane asks its own skip horizon — the hook its
-            # standalone run() asks — and emits the silent span at once.
             h = r + 1
-            if bank_skip:
+            if engine.skip:
                 if traced:
                     ts = perf_counter_ns()
-                h = engine._skip_horizon(record, caps[i])
-                if span_ok[i]:
-                    # Batch-capable observers are span-invariant over
-                    # all-silent rounds, so the stop condition (a
-                    # function of observer state) cannot fire mid-span:
-                    # one call covers the whole span.
+                h = engine._skip_horizon(record, limits[i])
+                if batched[i]:
                     if h > r + 1:
                         engine._emit_quiet_span(r + 1, h)
                 else:
                     solved = engine._emit_quiet_rounds(r + 1, h, lane.stop)
                     if solved is not None:
                         results[i] = ExecutionResult(
-                            rounds=solved + 1, solved=True, solve_round=solved
+                            rounds=solved + 1 - first[i], solved=True, solve_round=solved
                         )
                 if traced:
                     engine._phase_ns["skip"] += perf_counter_ns() - ts
-            if results[i] is None and h >= caps[i]:
-                results[i] = ExecutionResult(rounds=caps[i], solved=False, solve_round=None)
+            if results[i] is None and h >= limits[i]:
+                results[i] = ExecutionResult(
+                    rounds=limits[i] - first[i], solved=False, solve_round=None
+                )
             due[i] = h
         active = [i for i in active if results[i] is None]
-    if traced:
-        for lane, result in zip(lanes, results):
-            lane.engine._trace = None
-            if result is not None:
-                lane.engine._trace_end(rec, result)
     return results

@@ -22,7 +22,10 @@ declarative)::
 The engine exposes both :meth:`RadioNetworkEngine.run` (run to a stop
 condition) and :meth:`RadioNetworkEngine.step` (single round), the
 latter because the lower-bound reduction players of Theorems 3.1/4.3
-interleave game guesses between simulated rounds.
+interleave game guesses between simulated rounds. ``step`` is each
+engine's one round body, and there is one run loop:
+:func:`repro.core.bankpath.run_bank_batch` steps every lane of a seed
+bank, and ``run()`` is a bank of one.
 
 :class:`RadioNetworkEngine` is the **reference** implementation — the
 straight-line per-node loop that everything else is audited against.
@@ -33,10 +36,10 @@ select between them with :func:`create_engine` (or the ``engine=``
 field on :class:`~repro.api.spec.ScenarioSpec` and the CLI's
 ``--engine``), which routes a ``bank`` request that no kernel serves
 to this engine (:func:`resolve_engine_choice`).
-Both run their single trials through one skip loop,
-:meth:`RadioNetworkEngine._run_skipping`, over one hook each engine
-answers its own way, :meth:`~RadioNetworkEngine._skip_horizon`; the
-bank scheduler asks the same hook to park each lane.
+With ``skip`` on, the run loop asks one hook after every executed
+round, :meth:`~RadioNetworkEngine._skip_horizon`, which each engine
+answers its own way, and emits the provably silent span it returns
+without executing it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from repro.adversaries.base import (
 from repro.core import rng as rng_mod
 from repro.core.errors import EngineError, EngineFallbackWarning, PlanError
 from repro.obs.recorder import inc as _obs_inc
-from repro.obs.recorder import recorder as _obs_recorder
 from repro.core.process import Process, RoundPlan
 from repro.core.trace import Delivery, Observer, RoundRecord
 
@@ -378,6 +380,23 @@ class RadioNetworkEngine:
             t0 = t1
 
         # 6. Record keeping.
+        return self._close_round(
+            r, transmitter_mask, deliveries, expected, t0 if ph is not None else 0
+        )
+
+    def _close_round(
+        self,
+        r: int,
+        transmitter_mask: int,
+        deliveries: Sequence[Delivery],
+        expected: float,
+        t0: int,
+    ) -> RoundRecord:
+        """Stage 6 of both engines' ``step``: record, history, observers.
+
+        ``t0`` is the traced phase clock at the end of stage 5 (ignored
+        when tracing is off).
+        """
         record = RoundRecord(
             round_index=r,
             transmitter_mask=transmitter_mask,
@@ -389,8 +408,8 @@ class RadioNetworkEngine:
             observer.on_round(record)
         self._round += 1
         self._stats.rounds_run += 1
-        if ph is not None:
-            ph["observers"] += perf_counter_ns() - t0
+        if self._trace is not None:
+            self._phase_ns["observers"] += perf_counter_ns() - t0
             counts = self._trace_counts
             counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
         return record
@@ -471,38 +490,22 @@ class RadioNetworkEngine:
     def run(self, *, max_rounds: int, stop: Optional[StopCondition] = None) -> ExecutionResult:
         """Execute rounds until ``stop()`` fires or ``max_rounds`` elapse.
 
-        The stop condition is evaluated once before round 0 (a problem
+        A run is a bank of one: :func:`repro.core.bankpath.run_bank_batch`
+        drives it exactly as it drives each lane of a seed bank. The run
+        starts at :attr:`round_index`, so a run after :meth:`step` calls
+        or after an earlier run continues from there; ``rounds`` counts
+        this run's rounds and ``solve_round`` is absolute. The stop
+        condition is evaluated once before the first round (a problem
         can be trivially solved at start — e.g. a broadcast set whose
-        receivers are empty) and after every round.
+        receivers are empty) and after every round the run executes or
+        emits one by one. With ``skip`` on, a silent span whose observers
+        all accept ``on_round_batch`` goes out as one batch with no stop
+        check inside it: the stop condition must be a function of
+        observer state, which does not change over an all-silent span.
         """
-        if max_rounds < 0:
-            raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-        rec = _obs_recorder()
-        if rec is None:
-            return self._run_impl(max_rounds, stop)
-        self._trace_begin(rec)
-        try:
-            result = self._run_impl(max_rounds, stop)
-        finally:
-            self._trace = None
-        self._trace_end(rec, result)
-        return result
+        from repro.core.bankpath import BankLane, run_bank_batch
 
-    def _run_impl(
-        self, max_rounds: int, stop: Optional[StopCondition]
-    ) -> ExecutionResult:
-        self._ensure_started()
-        if stop is not None and stop():
-            return ExecutionResult(rounds=0, solved=True, solve_round=-1)
-        if self.skip:
-            return self._run_skipping(max_rounds, stop)
-        executed = 0
-        while executed < max_rounds:
-            record = self.step()
-            executed += 1
-            if stop is not None and stop():
-                return ExecutionResult(rounds=executed, solved=True, solve_round=record.round_index)
-        return ExecutionResult(rounds=executed, solved=False, solve_round=None)
+        return run_bank_batch([BankLane(self, stop)], max_rounds=max_rounds)[0]
 
     # ------------------------------------------------------------------
     # Tracing (see repro.obs: timing only, never semantics)
@@ -560,8 +563,8 @@ class RadioNetworkEngine:
         stage would have drawn (one :meth:`advance` per round on this
         per-round path, so a mid-span stop leaves the stream at
         precisely the position a non-skipping run would), and the
-        record/history/observer plumbing runs unchanged. The bank
-        scheduler's batched alternative is :meth:`_emit_quiet_span`.
+        record/history/observer plumbing runs unchanged. The batched
+        alternative is :meth:`_emit_quiet_span`.
         """
         self._coin_rng.bit_generator.advance(self.network.n)
         record = RoundRecord(
@@ -633,10 +636,11 @@ class RadioNetworkEngine:
     def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
-        The one skip hook: both skip loops (:meth:`_run_skipping` and
-        the bank scheduler's) call it after every executed round ``r``
-        with that round's record, and emit ``[r + 1, horizon)`` without
-        executing it. Here a span is licensed only after an all-silent
+        The one skip hook: the run loop,
+        :func:`~repro.core.bankpath.run_bank_batch`, calls it after every
+        round ``r`` a skip-enabled engine executes, with that round's
+        record, and emits ``[r + 1, horizon)`` without executing it.
+        Here a span is licensed only after an all-silent
         round (``expected == 0.0`` is exact: a sum of non-negative
         terms is zero iff every term is) and only when idle feedback is
         a no-op for every process class (``idle_feedback_noop``, or
@@ -678,34 +682,6 @@ class RadioNetworkEngine:
             return start
         self._skip_backoff = 1
         return h
-
-    def _run_skipping(self, max_rounds: int, stop: Optional[StopCondition]) -> ExecutionResult:
-        """The skip-enabled run loop, shared by every engine.
-
-        Rounds execute through the ordinary :meth:`step`; after each one
-        the engine fast-forwards to :meth:`_skip_horizon`, emitting the
-        span through :meth:`_emit_quiet_rounds`. Round ``r`` itself
-        always ran normally, so stateful adversaries stay in sync.
-        """
-        first = self._round
-        while self._round - first < max_rounds:
-            record = self.step()
-            if stop is not None and stop():
-                return ExecutionResult(
-                    rounds=self._round - first, solved=True, solve_round=record.round_index
-                )
-            ph = self._phase_ns if self._trace is not None else None
-            if ph is not None:
-                ts = perf_counter_ns()
-            h = self._skip_horizon(record, first + max_rounds)
-            solved = self._emit_quiet_rounds(self._round, h, stop)
-            if ph is not None:
-                ph["skip"] += perf_counter_ns() - ts
-            if solved is not None:
-                return ExecutionResult(
-                    rounds=self._round - first, solved=True, solve_round=solved
-                )
-        return ExecutionResult(rounds=max_rounds, solved=False, solve_round=None)
 
 
 # ----------------------------------------------------------------------

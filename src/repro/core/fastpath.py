@@ -10,8 +10,11 @@ the algorithm spec's lane recipe, and holds no per-node processes;
 :func:`~repro.core.engine.resolve_engine_choice` routes a trial whose
 spec no kernel serves to the reference engine instead.
 
-1. **Plans** come from the kernel (shared across lanes by the bank
-   scheduler, each engine reading its own lane's row).
+One round is one :meth:`~BitsetRadioNetworkEngine.step`, the engine's
+only round body; a standalone run and every bank lane go through it.
+
+1. **Plans** come from the kernel's per-round probability batch, which
+   the lanes of a bank share, each engine reading its own lane's row.
 2. **Coins** come from :func:`repro.core.rng.transmission_coins` — the
    same helper, against the same ``("engine", "coins")`` child stream,
    that the reference engine consumes, so coin alignment is shared by
@@ -24,11 +27,11 @@ spec no kernel serves to the reference engine instead.
 4. **Feedback** goes to the kernel, and only for rounds that delivered
    something: kernel protocols change state on receptions alone.
 
-**Round skipping** asks one hook, :meth:`BitsetRadioNetworkEngine._skip_horizon`,
-after every executed round — from the per-trial
-:meth:`~repro.core.engine.RadioNetworkEngine._run_skipping` loop and
-from the bank scheduler alike, so a standalone run skips exactly what
-its bank lane skips. A skip-capable kernel answers it from
+**Round skipping**: the one run loop,
+:func:`repro.core.bankpath.run_bank_batch` (``run()`` is a bank of
+one), asks one hook, :meth:`BitsetRadioNetworkEngine._skip_horizon`,
+after every executed round, so a standalone run skips exactly what its
+bank lane skips. A skip-capable kernel answers it from
 ``next_active_round``.
 
 Every adversary class is served. Adaptive views carry only the
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter_ns
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,12 +104,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     # ------------------------------------------------------------------
     # Round execution (same pipeline as the reference engine, batched)
     # ------------------------------------------------------------------
-    # ``step`` is decomposed into stages so the bank scheduler
-    # (:func:`repro.core.bankpath.run_bank_batch`) can drive many lanes
-    # per bank round: ``_plan_probs`` (stage 1), the shared coin draw
-    # (stage 2, batched across lanes by the scheduler), and
-    # ``_finish_round`` (stages 3–6). Each stage preserves the
-    # reference semantics exactly; only *where* the work happens moves.
+    # ``step`` is the one round body: a standalone run and every lane
+    # of a bank (:func:`repro.core.bankpath.run_bank_batch`) execute a
+    # round through it. Lanes of one bank step one after another; they
+    # share the kernel's per-round probability batch and feed back into
+    # their own lane's state only.
     def step(self) -> RoundRecord:
         """Execute exactly one round and return its record."""
         self._ensure_started()
@@ -115,10 +117,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         if ph is not None:
             t0 = perf_counter_ns()
 
-        # 1. Plans, as a per-node probability vector, and their exact
-        # sum (bit-identical to the reference engine's fsum, so the
-        # skip loop's ``expected == 0.0`` test stays exact).
-        probs = self._plan_probs(r)
+        # 1. Plans, as this lane's row of the kernel's probability
+        # batch, and their exact sum (bit-identical to the reference
+        # engine's fsum, so the skip hook's ``expected == 0.0`` test
+        # stays exact).
+        probs = self._kernel.probabilities(r)[self._lane]
         expected = self._expected_exact(probs)
         if ph is not None:
             t1 = perf_counter_ns()
@@ -128,13 +131,36 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         # 2. Vectorized Bernoulli coins — the shared coin stream.
         transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
         if ph is not None:
-            ph["coins"] += perf_counter_ns() - t0
+            t1 = perf_counter_ns()
+            ph["coins"] += t1 - t0
+            t0 = t1
 
-        return self._finish_round(r, probs, transmit, transmitter_mask, expected)
+        # 3. The adversary fixes the round topology.
+        topology = self._choose_topology(r, probs, transmitter_mask)
+        if ph is not None:
+            t1 = perf_counter_ns()
+            ph["adversary"] += t1 - t0
+            t0 = t1
 
-    def _plan_probs(self, r: int) -> np.ndarray:
-        """Stage 1: the round's per-node transmission probabilities."""
-        return self._kernel.probabilities(r)[self._lane]
+        # 4. Reception: the word rule, or the bigint scan past its cap.
+        deliveries = self._resolve(transmit, transmitter_mask, topology)
+        if ph is not None:
+            t1 = perf_counter_ns()
+            ph["reception"] += t1 - t0
+            t0 = t1
+
+        # 5. Feedback: kernel protocols change state on receptions only.
+        if deliveries:
+            self._kernel.apply_feedback(self._lane, r, deliveries)
+        if ph is not None:
+            t1 = perf_counter_ns()
+            ph["feedback"] += t1 - t0
+            t0 = t1
+
+        # 6. Record keeping — identical to the reference engine.
+        return self._close_round(
+            r, transmitter_mask, deliveries, expected, t0 if ph is not None else 0
+        )
 
     def _message_for(self, u: int) -> Message:
         """The message transmitter ``u`` put on the air this round."""
@@ -208,63 +234,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         return list(
             map(Delivery, receivers.tolist(), senders, map(messages.__getitem__, senders))
         )
-
-    def _finish_round(
-        self,
-        r: int,
-        probs: np.ndarray,
-        transmit: np.ndarray,
-        transmitter_mask: int,
-        expected: float,
-        topology=None,
-        deliveries: Optional[list[Delivery]] = None,
-    ) -> RoundRecord:
-        """Stages 3–6: topology, reception, feedback, record keeping.
-
-        The bank scheduler passes ``topology``/``deliveries``, having
-        resolved stages 3–4 itself; a standalone ``step`` leaves them
-        ``None`` and they run here.
-        """
-        ph = self._phase_ns if self._trace is not None else None
-        if ph is not None:
-            t0 = perf_counter_ns()
-        if topology is None:
-            topology = self._choose_topology(r, probs, transmitter_mask)
-            if ph is not None:
-                t1 = perf_counter_ns()
-                ph["adversary"] += t1 - t0
-                t0 = t1
-        if deliveries is None:
-            deliveries = self._resolve(transmit, transmitter_mask, topology)
-            if ph is not None:
-                t1 = perf_counter_ns()
-                ph["reception"] += t1 - t0
-                t0 = t1
-        # 5. Feedback: kernel protocols change state on receptions only.
-        if deliveries:
-            self._kernel.apply_feedback(self._lane, r, deliveries)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["feedback"] += t1 - t0
-            t0 = t1
-
-        # 6. Record keeping — identical to the reference engine.
-        record = RoundRecord(
-            round_index=r,
-            transmitter_mask=transmitter_mask,
-            deliveries=tuple(deliveries),
-            expected_transmitters=expected,
-        )
-        self._append_history(record)
-        for observer in self.observers:
-            observer.on_round(record)
-        self._round += 1
-        self._stats.rounds_run += 1
-        if ph is not None:
-            ph["observers"] += perf_counter_ns() - t0
-            counts = self._trace_counts
-            counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
-        return record
 
     # ------------------------------------------------------------------
     # Round skipping

@@ -1,12 +1,11 @@
 """RNG stream discipline of the bank engine.
 
-The bank scheduler's whole correctness story rests on one claim: the
-(trials × nodes) coin batch is *assembled from* the per-trial
-``("engine", "coins")`` streams, never drawn from a shared or merged
-stream — each lane calls ``Generator.random(out=row)`` on its own
-generator, one row per round, which consumes the stream exactly like
-the serial engines' ``rng.random(n)``. These tests pin that claim
-directly (post-run stream positions, not just trace equality), pin the
+The bank scheduler's whole correctness story rests on one claim: each
+lane's coins come from its own per-trial ``("engine", "coins")``
+stream, never from a shared or merged stream — each lane steps through
+its own engine, whose ``transmission_coins`` draws one ``random(n)``
+row per round, exactly as a standalone run does. These tests pin that
+claim directly (post-run stream positions, not just trace equality), pin the
 absence of cross-trial leakage (a trial's trace cannot depend on which
 other trials share its bank, including lanes that retire early), and
 cover the ``LazyRng`` deferred-seeding path for per-node streams.
@@ -23,7 +22,6 @@ import pytest
 
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
-from repro.core import rng as rng_mod
 from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import RadioNetworkEngine, create_engine, resolve_engine_choice
 from repro.core.fastpath import BitsetRadioNetworkEngine
@@ -258,19 +256,6 @@ class TestPerTrialStreamIdentity:
             lane_next = lane.engine._coin_rng.random(8)
             serial_next = serial_engine._coin_rng.random(8)
             assert np.array_equal(lane_next, serial_next)
-
-    def test_coin_rows_equal_fresh_stream(self):
-        """The per-lane ``random(out=row)`` draws are bit-identical to
-        ``rng.random(n)`` on a fresh generator with the same labels —
-        the exact identity the scheduler's batching relies on."""
-        seed = _seeds(1)[0]
-        n = 12
-        engine_stream = rng_mod.spawn_numpy_rng(seed, "engine", "coins")
-        fresh_stream = rng_mod.spawn_numpy_rng(seed, "engine", "coins")
-        row = np.empty(n, dtype=np.float64)
-        for _ in range(50):
-            engine_stream.random(out=row)
-            assert np.array_equal(row, fresh_stream.random(n))
 
 
 class TestNoCrossTrialLeakage:

@@ -12,8 +12,10 @@ from repro.adversaries.base import (
     OnlineAdaptiveView,
     RoundTopology,
 )
-from repro.core.engine import RadioNetworkEngine
+from repro.api.spec import ScenarioSpec
+from repro.core.engine import ExecutionResult, RadioNetworkEngine, create_engine
 from repro.core.errors import PlanError, TopologyViolationError
+from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
 from repro.graphs.builders import clique_dual, line_dual
 from tests.conftest import ReliableOnlyLinks, scripted_processes
@@ -368,3 +370,77 @@ class TestEngineMechanics:
         procs, _ = run_engine(net, scripts, rounds=400, seed=5)
         sent = len(procs[0].sent_rounds)
         assert 140 < sent < 260
+
+
+class TestResumedRuns:
+    """``run()`` continues from ``round_index``: after ``step()`` calls
+    and after an earlier run, it counts ``rounds`` from its own start
+    and reports an absolute ``solve_round``, on both engines, with
+    round skipping on and off."""
+
+    #: Round-robin local broadcast: slot rounds with silent spans
+    #: between them, so the skip runs park and emit spans.
+    SPEC = dict(
+        graph=("geographic", {"n": 48}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("round-robin-local", {}),
+        adversary=("none", {}),
+    )
+    SEED = 3
+    CAP = 400
+
+    def _engine(self, engine, skip):
+        trial = ScenarioSpec(**self.SPEC).build(self.SEED)
+        observer = trial.problem.make_observer()
+        eng = create_engine(
+            trial.network,
+            trial.algorithm,
+            trial.link_process,
+            engine=engine,
+            seed=self.SEED,
+            observers=[observer],
+            skip=skip,
+        )
+        assert isinstance(eng, BitsetRadioNetworkEngine) == (engine == "bank")
+        assert eng.skip == skip
+        return eng, lambda: observer.solved
+
+    def _full(self, engine, skip):
+        eng, stop = self._engine(engine, skip)
+        result = eng.run(max_rounds=self.CAP, stop=stop)
+        assert result.solved and result.solve_round > 40
+        return result, eng._coin_rng.bit_generator.state
+
+    @pytest.mark.parametrize("skip", (False, True))
+    @pytest.mark.parametrize("engine", ("reference", "bank"))
+    def test_run_after_steps(self, engine, skip):
+        full, state = self._full(engine, skip)
+        eng, stop = self._engine(engine, skip)
+        eng.step()
+        eng.step()
+        assert eng.round_index == 2
+        result = eng.run(max_rounds=self.CAP, stop=stop)
+        assert result == ExecutionResult(
+            rounds=full.rounds - 2, solved=True, solve_round=full.solve_round
+        )
+        assert eng.round_index == full.solve_round + 1
+        assert eng._coin_rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("skip", (False, True))
+    @pytest.mark.parametrize("engine", ("reference", "bank"))
+    def test_second_run(self, engine, skip):
+        full, state = self._full(engine, skip)
+        eng, stop = self._engine(engine, skip)
+        first_cap = full.solve_round // 2
+        first = eng.run(max_rounds=first_cap, stop=stop)
+        assert first == ExecutionResult(rounds=first_cap, solved=False, solve_round=None)
+        assert eng.round_index == first_cap
+        # A capped second run stops at its own cap, counted from its start.
+        second = eng.run(max_rounds=5, stop=stop)
+        assert second == ExecutionResult(rounds=5, solved=False, solve_round=None)
+        assert eng.round_index == first_cap + 5
+        third = eng.run(max_rounds=self.CAP, stop=stop)
+        assert third == ExecutionResult(
+            rounds=full.rounds - first_cap - 5, solved=True, solve_round=full.solve_round
+        )
+        assert eng._coin_rng.bit_generator.state == state

@@ -21,11 +21,12 @@ scenarios with nothing to skip at all):
 * **skipping actually engages** — on the silence-heavy rows the
   skip-enabled run executes strictly fewer full rounds, so the suite
   cannot rot into vacuously comparing two non-skipping loops;
-* **one horizon for both skip loops** — on every kernel row a bank
-  engine's ``run()`` executes and skips exactly the rounds its
-  one-lane ``run_bank_batch`` does, and in a bank of several lanes
-  each lane parks until its own next active round, executing exactly
-  its standalone run's rounds.
+* **standalone runs emit spans like bank lanes** — ``run()`` is a
+  one-lane ``run_bank_batch``, so a skip-forced reference run whose
+  observers all accept the batched hook gets one ``on_round_batch``
+  call per silent span and ``on_round`` for executed rounds only, and
+  in a bank of several lanes each lane parks until its own next
+  active round, executing exactly its standalone run's rounds.
 
 Boundary behaviour rides along: ``max_rounds`` landing mid-skip-span,
 bank batches of zero/one seed, heterogeneous per-trial round caps
@@ -55,7 +56,7 @@ from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
 from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
-from repro.core.engine import ENGINE_NAMES, ExecutionResult, create_engine
+from repro.core.engine import ENGINE_NAMES, ExecutionResult, RadioNetworkEngine, create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.process import Process
@@ -284,53 +285,79 @@ class TestSkipTraceByteEquality:
         assert results[True] == results[False]
 
 
-def _counted_lane_run(spec: ScenarioSpec, seed: int, max_rounds: int, *, banked: bool):
-    """One skip-enabled bank-engine execution under a fresh recorder.
+class _CountingObserver:
+    """Counts per-round calls and records each batched quiet span."""
 
-    ``banked`` runs it as a one-lane :func:`run_bank_batch`, otherwise
-    through the engine's own ``run()``. Returns ``(result, counters)``.
+    def __init__(self) -> None:
+        self.rounds: list[int] = []
+        self.spans: list[tuple[int, int]] = []
+
+    def on_round(self, record: RoundRecord) -> None:
+        self.rounds.append(record.round_index)
+
+    def on_round_batch(self, start: int, stop: int) -> None:
+        self.spans.append((start, stop))
+
+
+def _reference_run(spec: ScenarioSpec, seed: int, max_rounds: int, *, skip: bool):
+    """A standalone reference-engine run under a fresh recorder.
+
+    Every observer accepts ``on_round_batch``. Returns ``(result,
+    counting observer, counters, coin-stream state)``.
     """
     trial = spec.build(seed)
     observer = trial.problem.make_observer()
+    counting = _CountingObserver()
     engine = create_engine(
         trial.network,
         trial.algorithm,
         trial.link_process,
-        engine="bank",
+        engine="reference",
         seed=seed,
         algorithm_info=trial.algorithm.info(),
-        observers=[observer],
-        skip=True,
+        observers=[observer, counting],
+        skip=skip,
     )
-    assert engine._kernel is not None and engine.skip
+    assert type(engine) is RadioNetworkEngine and engine.skip == skip
+    assert engine.link_process.adversary_class is AdversaryClass.OBLIVIOUS
     rec = enable()
     try:
-        if banked:
-            [result] = run_bank_batch(
-                [BankLane(engine=engine, stop=lambda: observer.solved)],
-                max_rounds=max_rounds,
-            )
-        else:
-            result = engine.run(max_rounds=max_rounds, stop=lambda: observer.solved)
+        result = engine.run(max_rounds=max_rounds, stop=lambda: observer.solved)
     finally:
         disable()
-    return result, rec.counters
+    return result, counting, rec.counters, engine._coin_rng.bit_generator.state
 
 
-class TestRunSkipsLikeItsBankLane:
-    """A standalone ``run()`` and a one-lane bank ask the same skip
-    horizon, so they execute and skip exactly the same rounds."""
+class TestStandaloneRunsEmitSpans:
+    """A standalone ``run()`` is a one-lane bank, so a skip-forced
+    reference run emits each silent span the way a bank lane does: one
+    ``on_round_batch`` call per span when every observer accepts it,
+    and ``on_round`` for executed rounds only. Its result and coin
+    stream equal the skip-off run's."""
 
     @pytest.mark.parametrize("row", CORPUS, ids=_corpus_id)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_run_and_bank_lane_skip_identically(self, row, seed):
-        _, kwargs, max_rounds, _ = row
+    def test_one_batch_call_per_span(self, row, seed):
+        _, kwargs, max_rounds, expect_skip = row
         spec = _spec(kwargs)
-        solo, solo_counts = _counted_lane_run(spec, seed, max_rounds, banked=False)
-        lane, lane_counts = _counted_lane_run(spec, seed, max_rounds, banked=True)
-        assert solo == lane
-        for counter in ("rounds.executed", "rounds.skipped"):
-            assert solo_counts.get(counter, 0) == lane_counts.get(counter, 0), counter
+        result, counting, counts, state = _reference_run(spec, seed, max_rounds, skip=True)
+        base, base_counting, _, base_state = _reference_run(
+            spec, seed, max_rounds, skip=False
+        )
+        assert result == base
+        assert state == base_state
+        assert len(counting.spans) == counts.get("skip.spans", 0)
+        assert len(counting.rounds) == counts["rounds.executed"]
+        assert sum(stop - start for start, stop in counting.spans) == counts.get(
+            "rounds.skipped", 0
+        )
+        # Executed rounds and spans tile the run, each round once.
+        covered = sorted(
+            counting.rounds + [i for start, stop in counting.spans for i in range(start, stop)]
+        )
+        assert covered == base_counting.rounds == list(range(result.rounds))
+        if expect_skip:
+            assert counting.spans
 
 
 class _SpanCollector:

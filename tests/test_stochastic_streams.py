@@ -7,7 +7,11 @@ from a ``Generator(MT19937)`` that continues the adversary's
 tests pin that the continuation is the same stream — across the
 624-word refill of the twister — and that each process yields, round
 for round, the topology of a per-element ``random()`` loop kept here as
-the oracle, with the stream left at the same position afterwards.
+the oracle, with the stream left at the same position afterwards. The
+per-edge processes build their word rows directly
+(:meth:`~repro.adversaries.base.RoundTopology.from_flaky_edge_vector`);
+their rows and masks must equal the oracle's ``from_flaky_edges``
+topology for the same draws.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def _bernoulli_edge_oracle(network, rng, p_up):
     edges = sorted(network.flaky_edges())
     while True:
         active = [edge for edge in edges if rng.random() < p_up]
-        yield RoundTopology.from_flaky_edges(network, active).masks
+        yield RoundTopology.from_flaky_edges(network, active)
 
 
 def _ge_edge_oracle(network, rng, p_fail, p_recover, start):
@@ -91,12 +95,13 @@ def _ge_edge_oracle(network, rng, p_fail, p_recover, start):
                 up[edge] = True
             if up[edge]:
                 active.append(edge)
-        yield RoundTopology.from_flaky_edges(network, active).masks
+        yield RoundTopology.from_flaky_edges(network, active)
 
 
 def _bernoulli_node_oracle(network, rng, p_clear):
     while True:
-        yield _node_fade_masks(network, [rng.random() < p_clear for _ in range(network.n)])
+        clear = [rng.random() < p_clear for _ in range(network.n)]
+        yield RoundTopology(masks=_node_fade_masks(network, clear))
 
 
 def _ge_node_oracle(network, rng, p_fail, p_recover, start):
@@ -109,7 +114,7 @@ def _ge_node_oracle(network, rng, p_fail, p_recover, start):
                     clear[u] = False
             elif rng.random() < p_recover:
                 clear[u] = True
-        yield _node_fade_masks(network, clear)
+        yield RoundTopology(masks=_node_fade_masks(network, clear))
 
 
 CASES = {
@@ -147,7 +152,9 @@ class TestRoundForRoundAgainstPerElementLoops:
         expected = oracle(network, oracle_rng)
         for r in range(ROUNDS):
             topology = adversary.choose_topology(ObliviousView(round_index=r))
-            assert topology.masks == next(expected), f"round {r}"
+            oracle_topology = next(expected)
+            assert topology.masks == oracle_topology.masks, f"round {r}"
+            assert np.array_equal(topology.rows, oracle_topology.rows), f"round {r}"
         # The next uniform of both streams agrees: no draw was added,
         # skipped or reordered.
         assert adversary._uniforms(1).tolist() == [oracle_rng.random()]
@@ -161,6 +168,48 @@ class TestRoundForRoundAgainstPerElementLoops:
             adversary.choose_topology(ObliviousView(round_index=r))
         assert adversary.next_boundary(0) is None
         assert adversary._uniforms(1).tolist() == [random.Random(7).random()]
+
+
+class TestFlakyEdgeVector:
+    """``from_flaky_edge_vector`` is ``from_flaky_edges`` over ``edges[up]``."""
+
+    @pytest.mark.parametrize("n", SIZES + (128, 129))
+    def test_rows_equal_the_edge_set_topology(self, n):
+        network = _network(n)
+        edges = sorted(network.flaky_edges())
+        array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        rng = np.random.default_rng(n)
+        for up in (
+            np.zeros(len(edges), dtype=bool),
+            np.ones(len(edges), dtype=bool),
+            *(rng.random(len(edges)) < 0.5 for _ in range(5)),
+        ):
+            built = RoundTopology.from_flaky_edge_vector(network, array, up)
+            expected = RoundTopology.from_flaky_edges(
+                network, [edge for edge, on in zip(edges, up) if on]
+            )
+            assert np.array_equal(built.rows, expected.rows)
+            assert built.masks == expected.masks
+            built.validate(network)
+
+    def test_word_boundary_edges(self):
+        # Edges whose endpoints sit at bits 63/64 and 127/128 of a row.
+        n = 130
+        g = [(u, u + 1) for u in range(n - 1)]
+        flaky = [(0, 63), (0, 64), (63, 65), (64, 127), (1, 128), (63, 129)]
+        network = DualGraph.from_edges(n, g, flaky)
+        array = np.array(flaky, dtype=np.int64)
+        for mask in range(1 << len(flaky)):
+            up = np.array([mask >> i & 1 for i in range(len(flaky))], dtype=bool)
+            built = RoundTopology.from_flaky_edge_vector(network, array, up)
+            expected = RoundTopology.from_flaky_edges(network, array[up].tolist())
+            assert np.array_equal(built.rows, expected.rows)
+
+    def test_one_flag_per_edge(self):
+        network = _network(65)
+        array = np.array(sorted(network.flaky_edges()), dtype=np.int64)
+        with pytest.raises(ValueError, match="one flag per edge"):
+            RoundTopology.from_flaky_edge_vector(network, array, np.ones(len(array) + 1))
 
 
 class TestMultiMessageObserverPayloads:
