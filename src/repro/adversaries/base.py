@@ -210,15 +210,17 @@ class RoundTopology:
         ``G' \\ G`` (adding a ``G`` edge is a no-op, adding a non-``G'``
         edge is illegal).
         """
-        masks = list(network.g_masks)
+        flaky = []
         for u, v in (normalize_edge(a, b) for a, b in flaky_edges):
             if (network.g_masks[u] >> v) & 1:
                 continue  # already reliable
             if not (network.gp_masks[u] >> v) & 1:
                 raise TopologyViolationError(f"edge ({u}, {v}) is not in G'")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(masks=tuple(masks), label=label)
+            flaky.append((u, v))
+        edges = np.array(flaky, dtype=np.int64).reshape(-1, 2)
+        return cls.from_flaky_edge_vector(
+            network, edges, np.ones(len(edges), dtype=bool), label=label
+        )
 
     @classmethod
     def from_flaky_edge_vector(
@@ -235,8 +237,9 @@ class RoundTopology:
         edges and ``up`` a boolean vector over them. This is the pattern
         the per-edge link processes build every round: ``G``'s cached
         word rows with one bit set per endpoint of each edge that is on,
-        at any ``n``. Unlike :meth:`from_flaky_edges` it does not check
-        the edges; :meth:`validate` reports any outside ``G'``.
+        at any ``n``. It does not check the edges (:meth:`from_flaky_edges`
+        does, then builds through here); :meth:`validate` reports any
+        outside ``G'``.
         """
         up = np.asarray(up, dtype=bool)
         if up.shape != (len(edges),):

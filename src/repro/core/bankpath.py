@@ -955,23 +955,31 @@ def run_bank_batch(
     :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` (one
     RNG jump-ahead, one ``on_round_batch`` call per observer) when the
     link process is oblivious and every observer on the lane accepts
-    the batch hook: such observers do not change over all-silent
-    rounds, so the stop condition cannot fire inside the span. Any
-    other lane emits the span round by round through
+    the batch hook, and it has at least one observer: such observers
+    do not change over all-silent rounds, so a stop condition that
+    reads them cannot fire inside the span. Any other lane emits the
+    span round by round through
     ``_emit_quiet_rounds``, with a stop check after each round.
 
     Traced, each lane accumulates its own phases and counters and emits
     its own trial record at the end, as a standalone run does.
     """
+    return _run_bank(lanes, max_rounds)
+
+
+def _run_bank(lanes: Sequence[BankLane], max_rounds: int) -> list[ExecutionResult]:
+    """:func:`run_bank_batch`'s body. A standalone run calls it directly,
+    so layer timers that wrap :func:`run_bank_batch` see seed banks only.
+    """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     rec = _obs_recorder()
     if rec is None:
-        return _run_lanes(lanes, max_rounds, traced=False)
+        return _run_lanes(lanes, max_rounds)
     for lane in lanes:
         lane.engine._trace_begin(rec)
     try:
-        results = _run_lanes(lanes, max_rounds, traced=True)
+        results = _run_lanes(lanes, max_rounds)
     finally:
         for lane in lanes:
             lane.engine._trace = None
@@ -980,10 +988,8 @@ def run_bank_batch(
     return results
 
 
-def _run_lanes(
-    lanes: Sequence[BankLane], max_rounds: int, *, traced: bool
-) -> list[ExecutionResult]:
-    """:func:`run_bank_batch`'s loop; ``traced`` times the parking."""
+def _run_lanes(lanes: Sequence[BankLane], max_rounds: int) -> list[ExecutionResult]:
+    """:func:`run_bank_batch`'s loop."""
     results: list[Optional[ExecutionResult]] = [None] * len(lanes)
     first: list[int] = []
     limits: list[int] = []
@@ -1000,9 +1006,12 @@ def _run_lanes(
             results[i] = ExecutionResult(rounds=cap, solved=False, solve_round=None)
         else:
             active.append(i)
-    # Whether a lane's silent spans may go out as one batch.
+    # Whether a lane's silent spans may go out as one batch. A lane with
+    # no observer has no state for its stop condition to read over a
+    # span, so it keeps a stop check after every quiet round.
     batched = [
         lane.engine.link_process.adversary_class is AdversaryClass.OBLIVIOUS
+        and bool(lane.engine.observers)
         and all(
             callable(getattr(observer, "on_round_batch", None))
             for observer in lane.engine.observers
@@ -1026,6 +1035,7 @@ def _run_lanes(
                 continue
             h = r + 1
             if engine.skip:
+                traced = engine._trace is not None
                 if traced:
                     ts = perf_counter_ns()
                 h = engine._skip_horizon(record, limits[i])

@@ -490,22 +490,24 @@ class RadioNetworkEngine:
     def run(self, *, max_rounds: int, stop: Optional[StopCondition] = None) -> ExecutionResult:
         """Execute rounds until ``stop()`` fires or ``max_rounds`` elapse.
 
-        A run is a bank of one: :func:`repro.core.bankpath.run_bank_batch`
-        drives it exactly as it drives each lane of a seed bank. The run
+        A run is a bank of one: the loop of
+        :func:`repro.core.bankpath.run_bank_batch` drives it exactly as
+        it drives each lane of a seed bank. The run
         starts at :attr:`round_index`, so a run after :meth:`step` calls
         or after an earlier run continues from there; ``rounds`` counts
         this run's rounds and ``solve_round`` is absolute. The stop
         condition is evaluated once before the first round (a problem
         can be trivially solved at start — e.g. a broadcast set whose
         receivers are empty) and after every round the run executes or
-        emits one by one. With ``skip`` on, a silent span whose observers
-        all accept ``on_round_batch`` goes out as one batch with no stop
-        check inside it: the stop condition must be a function of
-        observer state, which does not change over an all-silent span.
+        emits one by one. With ``skip`` on, an oblivious link process and
+        at least one observer, all of which accept ``on_round_batch``, a
+        silent span goes out as one batch with no stop check inside it:
+        the stop condition must then be a function of observer state,
+        which does not change over an all-silent span.
         """
-        from repro.core.bankpath import BankLane, run_bank_batch
+        from repro.core.bankpath import BankLane, _run_bank
 
-        return run_bank_batch([BankLane(self, stop)], max_rounds=max_rounds)[0]
+        return _run_bank([BankLane(self, stop)], max_rounds)[0]
 
     # ------------------------------------------------------------------
     # Tracing (see repro.obs: timing only, never semantics)

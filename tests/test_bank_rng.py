@@ -22,6 +22,7 @@ import pytest
 
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
+from repro.core import rng as rng_mod
 from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
 from repro.core.engine import RadioNetworkEngine, create_engine, resolve_engine_choice
 from repro.core.fastpath import BitsetRadioNetworkEngine
@@ -256,6 +257,20 @@ class TestPerTrialStreamIdentity:
             lane_next = lane.engine._coin_rng.random(8)
             serial_next = serial_engine._coin_rng.random(8)
             assert np.array_equal(lane_next, serial_next)
+
+    def test_coin_rows_equal_fresh_stream(self):
+        """Per-row ``random(out=row)`` draws are bit-identical to
+        ``rng.random(n)`` on a fresh generator with the same labels, so
+        a coin row drawn into a preallocated buffer consumes a lane's
+        stream exactly as its engine's ``transmission_coins`` does."""
+        seed = _seeds(1)[0]
+        n = 12
+        engine_stream = rng_mod.spawn_numpy_rng(seed, "engine", "coins")
+        fresh_stream = rng_mod.spawn_numpy_rng(seed, "engine", "coins")
+        row = np.empty(n, dtype=np.float64)
+        for _ in range(50):
+            engine_stream.random(out=row)
+            assert np.array_equal(row, fresh_stream.random(n))
 
 
 class TestNoCrossTrialLeakage:

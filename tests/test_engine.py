@@ -444,3 +444,24 @@ class TestResumedRuns:
             rounds=full.rounds - first_cap - 5, solved=True, solve_round=full.solve_round
         )
         assert eng._coin_rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("engine", ("reference", "bank"))
+    def test_run_without_observers_checks_stop_every_round(self, engine):
+        # With no observer there is no state for a batched span to keep
+        # fixed, so a skip run checks its stop after every quiet round: a
+        # stop that reads the round clock ends where the skip-off run does.
+        ends = []
+        for skip in (False, True):
+            trial = ScenarioSpec(**self.SPEC).build(self.SEED)
+            eng = create_engine(
+                trial.network,
+                trial.algorithm,
+                trial.link_process,
+                engine=engine,
+                seed=self.SEED,
+                skip=skip,
+            )
+            result = eng.run(max_rounds=self.CAP, stop=lambda: eng.round_index >= 7)
+            ends.append((result, eng.round_index, eng._coin_rng.bit_generator.state))
+        assert ends[0] == ends[1]
+        assert ends[0][0] == ExecutionResult(rounds=7, solved=True, solve_round=6)

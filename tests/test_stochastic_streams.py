@@ -9,9 +9,9 @@ tests pin that the continuation is the same stream — across the
 for round, the topology of a per-element ``random()`` loop kept here as
 the oracle, with the stream left at the same position afterwards. The
 per-edge processes build their word rows directly
-(:meth:`~repro.adversaries.base.RoundTopology.from_flaky_edge_vector`);
-their rows and masks must equal the oracle's ``from_flaky_edges``
-topology for the same draws.
+(:meth:`~repro.adversaries.base.RoundTopology.from_flaky_edge_vector`,
+which ``from_flaky_edges`` also builds through); their rows and masks
+must equal the oracle's per-edge bigint masks for the same draws.
 """
 
 from __future__ import annotations
@@ -72,13 +72,22 @@ def _node_fade_masks(network: DualGraph, clear: list[bool]) -> tuple[int, ...]:
     )
 
 
+def _edge_set_masks(network: DualGraph, edges) -> tuple[int, ...]:
+    """``G`` plus ``edges``, one bigint bit per endpoint."""
+    masks = list(network.g_masks)
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
 # The oracles: the per-element loops over ``random.Random`` that the
 # link processes drew with before their draws were batched.
 def _bernoulli_edge_oracle(network, rng, p_up):
     edges = sorted(network.flaky_edges())
     while True:
         active = [edge for edge in edges if rng.random() < p_up]
-        yield RoundTopology.from_flaky_edges(network, active)
+        yield RoundTopology(masks=_edge_set_masks(network, active))
 
 
 def _ge_edge_oracle(network, rng, p_fail, p_recover, start):
@@ -95,7 +104,7 @@ def _ge_edge_oracle(network, rng, p_fail, p_recover, start):
                 up[edge] = True
             if up[edge]:
                 active.append(edge)
-        yield RoundTopology.from_flaky_edges(network, active)
+        yield RoundTopology(masks=_edge_set_masks(network, active))
 
 
 def _bernoulli_node_oracle(network, rng, p_clear):
@@ -171,7 +180,8 @@ class TestRoundForRoundAgainstPerElementLoops:
 
 
 class TestFlakyEdgeVector:
-    """``from_flaky_edge_vector`` is ``from_flaky_edges`` over ``edges[up]``."""
+    """``from_flaky_edge_vector`` is ``G`` plus ``edges[up]``, and
+    ``from_flaky_edges`` is the same topology over an explicit set."""
 
     @pytest.mark.parametrize("n", SIZES + (128, 129))
     def test_rows_equal_the_edge_set_topology(self, n):
@@ -184,13 +194,15 @@ class TestFlakyEdgeVector:
             np.ones(len(edges), dtype=bool),
             *(rng.random(len(edges)) < 0.5 for _ in range(5)),
         ):
-            built = RoundTopology.from_flaky_edge_vector(network, array, up)
-            expected = RoundTopology.from_flaky_edges(
-                network, [edge for edge, on in zip(edges, up) if on]
-            )
-            assert np.array_equal(built.rows, expected.rows)
-            assert built.masks == expected.masks
-            built.validate(network)
+            on = [edge for edge, flag in zip(edges, up) if flag]
+            expected = RoundTopology(masks=_edge_set_masks(network, on))
+            for built in (
+                RoundTopology.from_flaky_edge_vector(network, array, up),
+                RoundTopology.from_flaky_edges(network, on),
+            ):
+                assert np.array_equal(built.rows, expected.rows)
+                assert built.masks == expected.masks
+                built.validate(network)
 
     def test_word_boundary_edges(self):
         # Edges whose endpoints sit at bits 63/64 and 127/128 of a row.
@@ -202,8 +214,8 @@ class TestFlakyEdgeVector:
         for mask in range(1 << len(flaky)):
             up = np.array([mask >> i & 1 for i in range(len(flaky))], dtype=bool)
             built = RoundTopology.from_flaky_edge_vector(network, array, up)
-            expected = RoundTopology.from_flaky_edges(network, array[up].tolist())
-            assert np.array_equal(built.rows, expected.rows)
+            expected = _edge_set_masks(network, array[up].tolist())
+            assert built.masks == expected
 
     def test_one_flag_per_edge(self):
         network = _network(65)
