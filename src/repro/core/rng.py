@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 __all__ = [
     "derive_seed",
+    "seed_deriver",
     "spawn_rng",
     "spawn_lazy_rng",
     "spawn_numpy_rng",
@@ -38,6 +39,16 @@ __all__ = [
 ]
 
 _SEED_BYTES = 8
+
+
+def _label_bytes(labels: Iterable[object]) -> bytes:
+    """The bytes a label path contributes to a child seed's hash.
+
+    Each label is its ``repr`` (so ``np.int64(3)`` and ``3`` are
+    different labels) after a unit separator (0x1F), which keeps
+    ``("ab", "c")`` and ``("a", "bc")`` apart; the whole is UTF-8.
+    """
+    return "".join(["\x1f" + repr(label) for label in labels]).encode("utf-8")
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:
@@ -55,12 +66,30 @@ def derive_seed(master_seed: int, *labels: object) -> int:
         Path of labels naming the consumer, e.g. ``("node", 3, "coins")``.
         Labels are stringified, so any ``repr``-stable object works.
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(master_seed)).encode("utf-8"))
-    for label in labels:
-        hasher.update(b"\x1f")  # unit separator: avoids label-concat collisions
-        hasher.update(repr(label).encode("utf-8"))
+    hasher = hashlib.sha256(str(int(master_seed)).encode("utf-8"))
+    hasher.update(_label_bytes(labels))
     return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
+
+
+def seed_deriver(master_seed: int, *prefix: object) -> Callable[..., int]:
+    """:func:`derive_seed` with a fixed label prefix, hashed once.
+
+    ``seed_deriver(s, *a)(*b) == derive_seed(s, *a, *b)`` for every
+    label path: the prefix is absorbed into one SHA-256 state, and each
+    call hashes only its own labels into a copy of that state. For hot
+    loops that derive many sibling streams, such as one per
+    ``(sender, receiver, message)`` draw of the oracle MAC.
+    """
+    base = hashlib.sha256(str(int(master_seed)).encode("utf-8"))
+    base.update(_label_bytes(prefix))
+    copy = base.copy
+
+    def derive(*labels: object) -> int:
+        hasher = copy()
+        hasher.update(_label_bytes(labels))
+        return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
+
+    return derive
 
 
 def spawn_rng(master_seed: int, *labels: object) -> random.Random:

@@ -25,7 +25,15 @@ progress *constants* into a measured quantity.
 Determinism: every delay is drawn from its own
 :func:`~repro.core.rng.derive_seed`-labelled stream keyed by
 ``(sender, receiver, message)``, so results are independent of event
-processing order and identical across serial/parallel executors.
+processing order and identical across serial/parallel executors. The
+same keying makes it exact to leave a draw out: no draw's value
+depends on which other draws were made. A progress draw is left out
+when it cannot matter. Every progress delay is at least 1, so a
+delivery served from round ``start`` arrives no earlier than
+``start + 1``; a receiver that already holds the message by then keeps
+its round whatever the draw would return. Only the delays not left out
+reach the ``mac.f_ack_delay``/``mac.f_prog_delay`` histograms; the
+left-out ones are counted in ``mac.oracle.draws_skipped``.
 """
 
 from __future__ import annotations
@@ -35,13 +43,13 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.obs.recorder import observe as _obs_observe
+from repro.obs.recorder import recorder as _obs_recorder
 
 if TYPE_CHECKING:  # the runner imports this module lazily; avoid a cycle
     from repro.analysis.runner import PreparedTrial, TrialResult
 
 from repro.core.errors import SpecError
-from repro.core.rng import derive_seed
+from repro.core.rng import seed_deriver
 from repro.core.trace import iter_bits
 from repro.mac.base import AbstractMACLayer, default_f_ack, default_f_prog
 from repro.registry import register_mac
@@ -128,13 +136,6 @@ class OracleOutcome:
     learn_rounds: tuple[tuple[Optional[int], ...], ...]
 
 
-def _delay(seed: int, *label: object, low: int, high: int) -> int:
-    """One order-independent delay draw from a labelled child stream."""
-    if high <= low:
-        return low
-    return random.Random(derive_seed(seed, *label)).randint(low, high)
-
-
 def simulate_oracle(trial: "PreparedTrial", seed: int) -> OracleOutcome:
     """Run one multi-message execution at MAC granularity.
 
@@ -174,29 +175,49 @@ def simulate_oracle(trial: "PreparedTrial", seed: int) -> OracleOutcome:
             learn[source][index] = 0
             heapq.heappush(heap, (0, source, index))
 
+    # One generator, reseeded per draw: ``rng.seed(x)`` then
+    # ``randint`` equals a fresh ``random.Random(x).randint``.
+    rng = random.Random()
+    reseed, randint = rng.seed, rng.randint
+    ack_seed = seed_deriver(seed, "mac-oracle", "ack")
+    prog_seed = seed_deriver(seed, "mac-oracle", "prog")
+    ack_low = max(1, f_ack // 2)
+    neighbors = [list(iter_bits(mask)) for mask in network.g_masks]
+    rec = _obs_recorder()
+    skipped = 0
     while heap:
         t, u, m = heapq.heappop(heap)
         if learn[u][m] != t:
             continue  # superseded by an earlier delivery
         if discipline == "queued":
             start = max(t, next_free[u])
-            ack = _delay(
-                seed, "mac-oracle", "ack", u, m, low=max(1, f_ack // 2), high=f_ack
-            )
+            ack = ack_low
+            if f_ack > ack_low:
+                reseed(ack_seed(u, m))
+                ack = randint(ack_low, f_ack)
             next_free[u] = start + ack
-            _obs_observe("mac.f_ack_delay", ack)
+            if rec is not None:
+                rec.observe("mac.f_ack_delay", ack)
         else:
             start = t
-        for v in iter_bits(network.g_masks[u]):
-            delay = _delay(
-                seed, "mac-oracle", "prog", u, v, m, low=1, high=prog_high
-            )
-            _obs_observe("mac.f_prog_delay", delay)
-            arrival = start + delay
+        earliest = start + 1  # every progress delay is ≥ 1
+        for v in neighbors[u]:
             known = learn[v][m]
+            if known is not None and known <= earliest:
+                skipped += 1  # no draw could beat ``known``
+                continue
+            delay = 1
+            if prog_high > 1:
+                reseed(prog_seed(u, v, m))
+                delay = randint(1, prog_high)
+            if rec is not None:
+                rec.observe("mac.f_prog_delay", delay)
+            arrival = start + delay
             if known is None or arrival < known:
                 learn[v][m] = arrival
                 heapq.heappush(heap, (arrival, v, m))
+    if rec is not None:
+        rec.inc("mac.oracle.draws_skipped", skipped)
 
     message_rounds: list[Optional[int]] = []
     for index in range(k):

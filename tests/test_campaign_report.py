@@ -35,9 +35,9 @@ def smoke_store(tmp_path_factory):
 def test_report_renders_one_row_per_cell(smoke_store):
     text = render_results_markdown(smoke_store)
     assert text.splitlines()[2] == GENERATED_MARKER
-    # 3 experiments × 2 engines = 6 cells (the bench-history table has
+    # 4 experiments × 2 engines = 8 cells (the bench-history table has
     # its own E1b rows, so count cell rows by their tiny-scale columns).
-    assert text.count("| tiny | reference |") + text.count("| tiny | bitset |") == 6
+    assert text.count("| tiny | reference |") + text.count("| tiny | bitset |") == 8
     for token in ("reference", "bitset", "## Verdicts by cell",
                   "## Not yet measured", "## Benchmark history"):
         assert token in text
