@@ -23,7 +23,6 @@ the per-node processes.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
@@ -68,17 +67,19 @@ class LaneRecipe:
     """How a bank kernel builds this algorithm's lanes without processes.
 
     ``factory`` is the spec's ``functools.partial`` over the process
-    class, for ``n`` nodes. :func:`~repro.core.bankpath.build_bank_kernel`
-    looks the kernel up by that class; the partial's keyword arguments
-    (roles, payload, schedule constants) are the kernel's :attr:`params`.
-    Defaults a process resolves from its
-    :class:`~repro.core.process.ProcessContext` (``n``, ``Δ``, the
+    class, for ``n`` nodes. ``kernel`` is the struct-of-arrays kernel
+    class that mirrors that process, defined beside it in the same
+    module; :func:`~repro.core.bankpath.build_bank_kernel` builds it
+    with the partial's keyword arguments (roles, payload, schedule
+    constants) as its :attr:`params`. Defaults a process resolves from
+    its :class:`~repro.core.process.ProcessContext` (``n``, ``Δ``, the
     node's private stream) the kernel resolves from the trial's network
     and seed in exactly the same way.
     """
 
     factory: partial
     n: int
+    kernel: type
 
     @property
     def params(self) -> Mapping[str, object]:

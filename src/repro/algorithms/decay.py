@@ -20,6 +20,9 @@ Processes here:
 * :class:`PlainDecayGlobalProcess` — BGI global broadcast: the source
   announces in round 0; every informed node joins the ladder at the
   next phase boundary.
+* ``_PlainDecayBankKernel`` — the same protocol for a whole seed bank
+  as struct-of-arrays lanes, the fast engine's kernel, named in the
+  spec's lane recipe.
 * :func:`decay_probability` — the ladder itself, shared with tests and
   attack predictors.
 """
@@ -27,13 +30,15 @@ Processes here:
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, LaneRecipe, log2_ceil, spec_source
+from repro.core.bankpath import NEVER, SingleMessageKernel
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -166,6 +171,82 @@ class PlainDecayGlobalProcess(Process):
             self._refresh_active_until()
 
 
+class _PlainDecayBankKernel(SingleMessageKernel):
+    """All trials of a BGI plain-decay bank, as arrays.
+
+    Mirrors :class:`PlainDecayGlobalProcess`:
+    ``start[t, u]`` is the node's ``participate_from`` (every join lies
+    on a phase boundary — ``start ≡ 1 mod L`` — so one ladder rung
+    ``2^{-((r-1) mod L)-1}`` serves the whole active set of a lane),
+    ``end[t, u]`` is the first round after its finite ``active_phases``
+    window (``_active_until``), ``NEVER`` marks uninformed nodes
+    and open windows, and adoption computes the next boundary exactly
+    like ``on_feedback``.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
+        self.phase = np.array([[lane["phase_length"]] for lane in lanes], dtype=np.int64)
+        self.window = [
+            None if lane["active_phases"] is None
+            else lane["active_phases"] * lane["phase_length"]
+            for lane in lanes
+        ]
+        self.start = np.full((self.trials, self.n), NEVER, dtype=np.int64)
+        self.end = np.full((self.trials, self.n), NEVER, dtype=np.int64)
+        # The source's decays start after its round-0 announcement.
+        self.start[np.arange(self.trials), self.source] = 1
+        for t, window in enumerate(self.window):
+            if window is not None:
+                self.end[t, self.source[t]] = 1 + window
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        if r == 0:
+            self._probs = self._announcement_round(self.source)
+            return self._probs
+        active = (self.start <= r) & (r < self.end)
+        rung = decay_ladder(r - 1, self.phase)  # (T, 1): shared rung
+        self._probs = np.where(active, rung, 0.0)
+        self._counts = active.sum(axis=1)
+        self._rungs = rung[:, 0]
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Every transmitter relays the trial's canonical message."""
+        return self.message[t]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First data reception adopts; join at the next phase boundary."""
+        start = self.start
+        phase = int(self.phase[t, 0])
+        for delivery in deliveries:
+            u = delivery.receiver
+            if start[t, u] != NEVER or not delivery.message.is_data():
+                continue
+            # Same arithmetic as on_feedback: the next round r+1, pushed
+            # to the boundary of the global phase clock (epoch offset 1).
+            remainder = r % phase
+            wait = 0 if remainder == 0 else phase - remainder
+            start[t, u] = r + 1 + wait
+            if self.window[t] is not None:
+                self.end[t, u] = start[t, u] + self.window[t]
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        # Each node's first round > r inside its window [start, end):
+        # an active participant rides the ladder every round, a waiting
+        # one wakes at its phase boundary, a closed window never again.
+        first = np.maximum(self.start[t], r + 1)
+        first = first[first < self.end[t]]
+        if first.size == 0:
+            return None  # only a delivery can wake the lane
+        return int(first.min())
+
+
 def make_plain_decay_global_broadcast(
     n: int,
     source: int,
@@ -203,7 +284,7 @@ def make_plain_decay_global_broadcast(
             "phase_length": resolved_phase,
             "schedule": "public",
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _PlainDecayBankKernel),
     )
 
 

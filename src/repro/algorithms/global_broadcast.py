@@ -28,18 +28,27 @@ each round. Without the shared bits, a receiver's neighbors spread
 across rungs and the per-round solo probability collapses for large
 neighborhoods; the bench shows the coordination is what buys the
 ``O(D log n + log² n)`` bound.
+
+``_PermutedDecayBankKernel``, beside the process, is its fast-engine
+kernel: Lemma 4.2's shared bits make the round's rung one schedule
+lookup per lane.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, LaneRecipe, log2_ceil, spec_source
 from repro.algorithms.permuted_decay import PermutedDecaySchedule
+from repro.core.bankpath import NEVER, SingleMessageKernel
 from repro.core.bits import BitStream
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.rng import spawn_rng
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -160,6 +169,106 @@ class ObliviousGlobalBroadcastProcess(Process):
             self.join_epoch = (round_index + 1 + self.epoch_length - 1) // self.epoch_length
 
 
+class _PermutedDecayBankKernel(SingleMessageKernel):
+    """All trials of a Section-4.1 permuted-decay bank, as arrays.
+
+    Mirrors :class:`ObliviousGlobalBroadcastProcess`:
+    ``join_epoch[t, u]`` is the first epoch node ``u`` participates in
+    (``NEVER`` = uninformed; the source never joins — its role ends
+    with the announcement) and ``end_epoch[t, u]`` the first epoch after
+    a finite ``epochs_per_node`` budget (``NEVER`` = open-ended).
+    Lemma 4.2's sharing structure does the rest:
+    all active nodes of a lane read the same chunk of ``S`` for the same
+    epoch, so the round's rung is one schedule lookup per lane.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.source = np.array([lane["source"] for lane in lanes], dtype=np.int64)
+        self.schedule = [lane["schedule"] for lane in lanes]
+        self.num_chunks = 2 * log2_ceil(self.n)
+        self.epoch_len = [schedule.rounds_per_call for schedule in self.schedule]
+        self.budget = [lane["epochs_per_node"] for lane in lanes]
+        # The source's ⟨m', S⟩: S is drawn from the private stream that
+        # build_processes would hand node ``source``, so its bits match.
+        self.message = [
+            Message(
+                MessageKind.DATA,
+                origin=lane["source"],
+                payload=lane["payload"],
+                shared_bits=BitStream.random(
+                    spawn_rng(seed, "process", lane["source"]),
+                    lane["schedule"].bits_per_call * self.num_chunks,
+                ),
+            )
+            for lane, seed in zip(lanes, seeds)
+        ]
+        self.shared = [message.shared_bits for message in self.message]
+        self.join_epoch = np.full((self.trials, self.n), NEVER, dtype=np.int64)
+        self.end_epoch = np.full((self.trials, self.n), NEVER, dtype=np.int64)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        if r == 0:
+            self._probs = self._announcement_round(self.source)
+            return self._probs
+        probs = np.empty((self.trials, self.n))
+        counts = np.empty(self.trials, dtype=np.int64)
+        rungs = np.empty(self.trials)
+        for t in range(self.trials):
+            epoch, round_in_epoch = divmod(r, self.epoch_len[t])
+            schedule = self.schedule[t]
+            chunk_offset = (epoch % self.num_chunks) * schedule.bits_per_call
+            # One schedule lookup serves the lane's whole active set —
+            # the same call plan() makes, so the float is identical.
+            p = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
+            active = (self.join_epoch[t] <= epoch) & (epoch < self.end_epoch[t])
+            np.multiply(active, p, out=probs[t])
+            counts[t] = active.sum()
+            rungs[t] = p
+        self._probs = probs
+        self._counts = counts
+        self._rungs = rungs
+        return probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Every transmitter relays the trial's canonical ⟨m', S⟩."""
+        return self.message[t]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First ⟨m', S⟩ reception adopts; join at the next epoch boundary."""
+        join = self.join_epoch
+        source = int(self.source[t])
+        epoch_len = self.epoch_len[t]
+        for delivery in deliveries:
+            u = delivery.receiver
+            if u == source or join[t, u] != NEVER:
+                continue
+            message = delivery.message
+            if not message.is_data() or message.shared_bits is None:
+                continue
+            # First epoch boundary strictly after this round.
+            join[t, u] = (r + 1 + epoch_len - 1) // epoch_len
+            if self.budget[t] is not None:
+                self.end_epoch[t, u] = join[t, u] + self.budget[t]
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        # Each relay's first round > r inside its epochs [join, end).
+        # The source's role ends with the round-0 announcement, so with
+        # no relay left only a delivery can wake the lane.
+        joins = self.join_epoch[t]
+        joined = joins != NEVER
+        epoch_len = self.epoch_len[t]
+        first = np.maximum(joins[joined] * epoch_len, r + 1)
+        first = first[first // epoch_len < self.end_epoch[t][joined]]
+        if first.size == 0:
+            return None
+        return int(first.min())
+
+
 class UncoordinatedDecayGlobalProcess(Process):
     """Ablation: permuted decay without the shared bits.
 
@@ -265,7 +374,7 @@ def make_oblivious_global_broadcast(
             "epochs_per_node": epochs_per_node,
             "schedule": "hidden (post-start shared bits)",
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _PermutedDecayBankKernel),
     )
 
 

@@ -11,13 +11,16 @@ All broadcasters share the public phase clock from round 0, so — like
 plain decay — the schedule is clock-predictable, which is exactly why
 this algorithm inherits the lower bounds in the adversarial rows and
 why it serves as the "strong static baseline" victim for the dense/
-sparse attackers in E4/E6/E8.
+sparse attackers in E4/E6/E8. ``_StaticDecayBankKernel``, beside the
+process, is its fast-engine bank kernel.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import (
     AlgorithmSpec,
@@ -25,7 +28,8 @@ from repro.algorithms.base import (
     log2_ceil,
     spec_broadcasters,
 )
-from repro.algorithms.decay import decay_probability
+from repro.algorithms.decay import decay_ladder, decay_probability
+from repro.core.bankpath import SingleMessageKernel
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -75,6 +79,41 @@ class StaticLocalDecayProcess(Process):
         )
 
 
+class _StaticDecayBankKernel(SingleMessageKernel):
+    """All trials of an [8]-style static local decay bank, as arrays.
+
+    Mirrors :class:`StaticLocalDecayProcess`:
+    broadcasters ride the public ladder ``2^{-(r mod L)-1}`` from round
+    0 forever; there is no feedback at all, so the whole kernel is one
+    masked ladder broadcast per round.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.phase = np.array([[lane["phase_length"]] for lane in lanes], dtype=np.int64)
+        self.broadcaster, self.messages = self._broadcasters(lanes)
+        self._bcount = self.broadcaster.sum(axis=1)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        rung = decay_ladder(r, self.phase)  # (T, 1): the public ladder
+        self._probs = np.where(self.broadcaster, rung, 0.0)
+        self._counts = self._bcount
+        self._rungs = rung[:, 0]
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Broadcasters carry per-node messages (origin = own id)."""
+        return self.messages[t][u]
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        # Broadcasters ride the public ladder every round, forever.
+        return r + 1 if int(self._bcount[t]) else None
+
+
 def make_static_local_broadcast(
     n: int,
     broadcasters: AbstractSet[int],
@@ -109,7 +148,7 @@ def make_static_local_broadcast(
             "phase_length": resolved_phase,
             "schedule": "public",
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _StaticDecayBankKernel),
     )
 
 

@@ -27,18 +27,27 @@ expiry, back-off epochs) are *derived* lazily by an idempotent
 ``_advance(r)`` normalization instead of being pushed by per-round
 feedback, which is what licenses ``idle_feedback_noop``
 (``tests/test_engine_equivalence.py`` holds both protocols to
-full-trace identity across engines).
+full-trace identity across engines). Each process's bank kernel, the
+fast engine's struct-of-arrays copy of it, sits below it
+(``_GklnBankKernel``, ``_BackoffBankKernel``, on a shared
+``_MultiMessageKernelBase``); the spec builders name it in the lane
+recipe.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import partial
-from typing import Optional
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, LaneRecipe, clamp_probability, log2_ceil
+from repro.algorithms.decay import decay_ladder
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.mac.base import MessageAssignment, spec_messages
 from repro.mac.simulated import SimulatedMACLayer
 from repro.registry import register_algorithm
@@ -280,6 +289,254 @@ class BackoffMultiMessageProcess(Process):
 
 
 # ----------------------------------------------------------------------
+# Bank kernels: the processes above as struct-of-arrays lanes
+# ----------------------------------------------------------------------
+class _MultiMessageKernelBase:
+    """Shared struct-of-arrays state for the multi-message kernels.
+
+    Layout (``T`` trials × ``n`` nodes × ``k`` messages):
+
+    * ``known[t][u]`` — a Python int bitmask, as in
+      :class:`~repro.core.knowledge.KnowledgeVector`: bit ``i`` set iff
+      node ``u`` of lane ``t`` holds message ``i`` (any ``k``).
+    * ``order[t][u]`` — a Python list, the append-order log of message
+      indices; both protocols rotate/queue over their knowledge in
+      append order.
+    * ``klen``   — (T, n) int64 length of that log, kept as an array
+      because the vectorized :meth:`probabilities` read it.
+    * ``messages[t][i]`` — the canonical :class:`Message` object for
+      message ``i`` of trial ``t``, minted here exactly as its source
+      process mints it, so deliveries compare equal to the reference
+      engine's.
+
+    Feedback and :meth:`message_for` touch one node at a time, so they
+    work on the Python side and build no numpy scalars; feedback writes
+    ``klen`` once per delivering round, for the nodes that learned.
+
+    The bank steps its lanes one after another through one (T, n)
+    batch per round, which holds because :meth:`probabilities` is
+    cached per round (the first lane due at ``r`` computes every
+    lane's row, folding elapsed ack windows once; the others read the
+    cache) and ``apply_feedback(t, ...)`` writes only lane ``t``'s
+    state, never the cached batch: a lane that steps after its
+    bank-mates' feedback still reads the row its own state produced.
+    """
+
+    #: The MAC protocols are never provably silent (a node that knows
+    #: anything keeps a nonzero duty cycle), so the kernels answer no
+    #: skip horizon — lanes run with round skipping disabled.
+    supports_skip = False
+
+    def __init__(self, lanes: Sequence[Mapping], networks: Sequence) -> None:
+        self.trials = len(lanes)
+        self.n = networks[0].n
+        self.assignments = [lane["assignment"] for lane in lanes]
+        self.k = max(assignment.k for assignment in self.assignments)
+        self.known: list[list[int]] = [[0] * self.n for _ in range(self.trials)]
+        self.order: list[list[list[int]]] = [
+            [[] for _ in range(self.n)] for _ in range(self.trials)
+        ]
+        self.klen = np.zeros((self.trials, self.n), dtype=np.int64)
+        self.messages: list[list[Optional[Message]]] = [
+            [None] * self.k for _ in range(self.trials)
+        ]
+        # Canonical objects let feedback resolve a delivery's message
+        # index by identity instead of payload inspection; the
+        # ``messages`` lists pin the objects, so ids stay unique.
+        self._index_by_id: dict[int, int] = {}
+        self._r = -1
+        self._probs: Optional[np.ndarray] = None
+        # Each source starts out knowing its own messages, logged in
+        # ascending index order like the process's initial queue.
+        for t, assignment in enumerate(self.assignments):
+            for index, source in enumerate(assignment.sources):
+                message = Message(
+                    MessageKind.DATA,
+                    origin=source,
+                    payload=assignment.payload(index),
+                    tag=index,
+                )
+                self.messages[t][index] = message
+                self._index_by_id[id(message)] = index
+                self.known[t][source] |= 1 << index
+                self.order[t][source].append(index)
+        self.klen[:] = [[len(log) for log in logs] for logs in self.order]
+
+    def _learn(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
+        """Log each delivery's message at its receiver; the learners.
+
+        Returns the receivers that learned a new message, in delivery
+        order (a round delivers to each receiver at most once), and
+        brings their ``klen`` entries up to date.
+        """
+        known = self.known[t]
+        order = self.order[t]
+        index_by_id = self._index_by_id
+        learned: list[int] = []
+        for u, _, message in deliveries:
+            # Kernel lanes mint every transmitted message through
+            # :meth:`message_for`, so deliveries carry the canonical
+            # objects and resolve by identity; payload inspection keeps
+            # parity for any non-canonical (but valid) message object.
+            index = index_by_id.get(id(message))
+            if index is None:
+                if not message.is_data():
+                    continue
+                index = self.assignments[t].index_of(message.payload)
+                if index is None:
+                    continue
+            mask = known[u]
+            if mask >> index & 1:
+                continue
+            known[u] = mask | 1 << index
+            order[u].append(index)
+            learned.append(u)
+        if learned:
+            self.klen[t, learned] = [len(order[u]) for u in learned]
+        return learned
+
+    def expected_exact(self, t: int, r: int) -> float:
+        """The round's expected transmitter count: the reference
+        engine's ``math.fsum`` of lane ``t``'s row, which is correctly
+        rounded and hence independent of summation order."""
+        return math.fsum(self.probabilities(r)[t].tolist())
+
+
+class _GklnBankKernel(_MultiMessageKernelBase):
+    """All trials of a GKLN queued-discipline bank, as arrays.
+
+    Mirrors :class:`GklnMultiMessageProcess`
+    exactly: the pending FIFO is the suffix ``order[qhead:klen]`` of the
+    append-order log (relay-once means every learned message is queued
+    exactly once, in learn order), ``head_start`` is the round the
+    head's ack window opened (−1 = idle), and elapsed windows are folded
+    by one vectorized division instead of a per-node ``while`` loop.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.window = np.array([[lane["window"]] for lane in lanes], dtype=np.int64)
+        self.rungs = np.array([[lane["rungs"]] for lane in lanes], dtype=np.int64)
+        self.persist = np.array(
+            [
+                [
+                    gkln_persist_rate(
+                        lane["window"],
+                        lane["rungs"],
+                        lane["persist_probability"],
+                        network.max_degree,
+                    )
+                ]
+                for lane, network in zip(lanes, networks)
+            ],
+            dtype=np.float64,
+        )
+        # Every initial message is queued; a node holding any opens its
+        # head's ack window in round 0.
+        self.qhead = np.zeros((self.trials, self.n), dtype=np.int64)
+        self.head_start = np.where(self.klen > 0, 0, -1)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        head_start, qhead, klen = self.head_start, self.qhead, self.klen
+        # Fold elapsed ack windows: every full window pops one head.
+        started = head_start >= 0
+        pops = np.where(
+            started,
+            np.minimum((r - head_start) // self.window, klen - qhead),
+            0,
+        )
+        np.maximum(pops, 0, out=pops)
+        qhead += pops
+        head_start += pops * self.window
+        head_start[started & (qhead >= klen)] = -1
+        serving = head_start >= 0
+        # Serving nodes climb the decay ladder (exact powers of two, so
+        # ldexp matches the process's ``2.0 ** (-slot % rungs - 1)``
+        # bit-for-bit); idle nodes with knowledge persist at the
+        # background duty cycle; everyone else is silent.
+        ladder = decay_ladder(r - head_start, self.rungs)
+        background = np.where((klen > 0) & (self.persist > 0.0), self.persist, 0.0)
+        self._probs = np.where(serving, ladder, background)
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """The message lane ``t``'s node ``u`` transmitted this round."""
+        log = self.order[t][u]
+        if self.head_start.item(t, u) >= 0:
+            index = log[self.qhead.item(t, u)]
+        else:
+            index = log[(self._r + u) % len(log)]
+        return self.messages[t][index]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
+        learned = self._learn(t, deliveries)
+        if learned:
+            # A learner whose queue was idle opens its window next round.
+            head_start = self.head_start[t]
+            idle = np.array(learned)
+            idle = idle[head_start[idle] < 0]
+            head_start[idle] = r + 1
+
+
+class _BackoffBankKernel(_MultiMessageKernelBase):
+    """All trials of a simple back-off bank, as arrays.
+
+    Mirrors :class:`BackoffMultiMessageProcess`:
+    nodes holding messages transmit at the regime's rate (fixed, or
+    halving per quiet ``backoff_window`` — again exact powers of two via
+    ``ldexp``) and rotate through their knowledge log offset by node id.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        rates = [
+            backoff_rates(
+                lane["probability"],
+                lane["regime"],
+                lane["backoff_window"],
+                self.n,
+                network.max_degree,
+            )
+            for lane, network in zip(lanes, networks)
+        ]
+        self.exponential = np.array([[lane["regime"] == "exponential"] for lane in lanes])
+        self.backoff_window = np.array(
+            [[lane["backoff_window"]] for lane in lanes], dtype=np.int64
+        )
+        self.base = np.array([[base] for base, _ in rates], dtype=np.float64)
+        self.floor = np.array([[floor] for _, floor in rates], dtype=np.float64)
+        self.last_new = np.zeros((self.trials, self.n), dtype=np.int64)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        epoch = np.maximum(0, r - self.last_new) // self.backoff_window
+        backed = np.maximum(self.floor, self.base * np.ldexp(1.0, -epoch))
+        rate = np.where(self.exponential, backed, self.base)
+        self._probs = np.where(self.klen > 0, rate, 0.0)
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """The message lane ``t``'s node ``u`` transmitted this round."""
+        log = self.order[t][u]
+        return self.messages[t][log[(self._r + u) % len(log)]]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
+        learned = self._learn(t, deliveries)
+        if learned:
+            # New knowledge resets the back-off clock from next round.
+            self.last_new[t, learned] = r + 1
+
+
+# ----------------------------------------------------------------------
 # Spec builders
 # ----------------------------------------------------------------------
 def make_gkln_multi_message(
@@ -319,7 +576,7 @@ def make_gkln_multi_message(
             "ack_window": resolved_window,
             "rungs": rungs,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _GklnBankKernel),
     )
 
 
@@ -355,7 +612,7 @@ def make_backoff_multi_message(
             "regime": regime,
             "backoff_window": resolved_window,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _BackoffBankKernel),
     )
 
 

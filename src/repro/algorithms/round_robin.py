@@ -23,13 +23,18 @@ The worst case the ``O(nD)`` bound describes needs ids decorrelated
 from the topology, so experiment scenarios pass ``slot_seed`` to draw
 a uniform slot permutation per trial (the guarantee "one solo slot per
 sweep per node" is permutation-invariant).
+
+Each process's fast-engine bank kernel sits beside it
+(``_RoundRobinLocalBankKernel``, ``_RoundRobinGlobalBankKernel``).
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import (
     AlgorithmSpec,
@@ -37,8 +42,10 @@ from repro.algorithms.base import (
     spec_broadcasters,
     spec_source,
 )
+from repro.core.bankpath import SingleMessageKernel
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -148,6 +155,102 @@ class RoundRobinGlobalProcess(Process):
             self.message = received
 
 
+class _RoundRobinLocalBankKernel(SingleMessageKernel):
+    """All trials of a footnote-4 round-robin local bank, as arrays.
+
+    Mirrors :class:`RoundRobinLocalProcess`:
+    broadcaster ``u`` transmits (certainly) iff ``r ≡ slots[u] (mod n)``;
+    roles and slots never change, so the plan is one equality compare.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.slots = _slot_rows(lanes, self.n)
+        self.role, self.messages = self._broadcasters(lanes)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        certain = self.role & (self.slots == r % self.n)
+        self._probs = certain.astype(np.float64)
+        self._counts = certain.sum(axis=1)
+        self._rungs = np.ones(self.trials)
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Broadcasters carry per-node messages (origin = own id)."""
+        return self.messages[t][u]
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        return _next_slot_round_after(self.slots[t][self.role[t]], r, self.n)
+
+
+class _RoundRobinGlobalBankKernel(SingleMessageKernel):
+    """All trials of a footnote-5 round-robin global bank, as arrays.
+
+    Mirrors :class:`RoundRobinGlobalProcess`:
+    informed nodes transmit (certainly) in their slot and adopt the
+    message on first data reception.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
+        self.slots = _slot_rows(lanes, self.n)
+        self.informed = np.zeros((self.trials, self.n), dtype=bool)
+        self.informed[np.arange(self.trials), self.source] = True
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        certain = self.informed & (self.slots == r % self.n)
+        self._probs = certain.astype(np.float64)
+        self._counts = certain.sum(axis=1)
+        self._rungs = np.ones(self.trials)
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Every transmitter relays the trial's canonical message."""
+        return self.message[t]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First data reception adopts the message (slot is unchanged)."""
+        informed = self.informed
+        for delivery in deliveries:
+            u = delivery.receiver
+            if not informed[t, u] and delivery.message.is_data():
+                informed[t, u] = True
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
+
+
+def _slot_rows(lanes: Sequence[Mapping], n: int) -> np.ndarray:
+    """(T, n) slot table: each lane's ``slots``, or the identity."""
+    return np.array(
+        [np.arange(n) if lane["slots"] is None else lane["slots"] for lane in lanes],
+        dtype=np.int64,
+    )
+
+
+def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
+    """First round *strictly* after ``r`` on which any of ``slots`` fires.
+
+    A slot firing at ``r`` itself maps a full cycle forward: the skip
+    horizon asks "when does the *next* slot land?", possibly while
+    standing on one.
+    """
+    if slots.size == 0:
+        return None
+    if n == 1:
+        return r + 1
+    return r + 1 + int(((slots - (r + 1)) % n).min())
+
+
 def make_round_robin_local_broadcast(
     n: int,
     broadcasters: AbstractSet[int],
@@ -179,7 +282,7 @@ def make_round_robin_local_broadcast(
             "broadcasters": sorted(broadcaster_set),
             "deterministic": True,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _RoundRobinLocalBankKernel),
     )
 
 
@@ -206,7 +309,7 @@ def make_round_robin_global_broadcast(
             "source": source,
             "deterministic": True,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _RoundRobinGlobalBankKernel),
     )
 
 

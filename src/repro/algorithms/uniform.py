@@ -8,12 +8,17 @@ than decay, which is why the experiment tables include it: it separates
 provides a schedule-predictable victim whose constant rate the
 dense/sparse attackers classify perfectly (its expected transmitter
 count is the same every round).
+
+Each process's fast-engine bank kernel sits beside it
+(``_UniformLocalBankKernel``, ``_UniformGlobalBankKernel``).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import (
     AlgorithmSpec,
@@ -22,8 +27,10 @@ from repro.algorithms.base import (
     spec_broadcasters,
     spec_source,
 )
+from repro.core.bankpath import SingleMessageKernel
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -128,6 +135,92 @@ class UniformGlobalProcess(Process):
             self.message = received
 
 
+class _UniformLocalBankKernel(SingleMessageKernel):
+    """All trials of a constant-rate local bank, as arrays.
+
+    Mirrors :class:`UniformLocalProcess`:
+    broadcasters transmit at the fixed rate forever; no feedback.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.rate = np.array(
+            [[clamp_probability(lane["probability"])] for lane in lanes], dtype=np.float64
+        )
+        self.broadcaster, self.messages = self._broadcasters(lanes)
+        self._bcount = self.broadcaster.sum(axis=1)
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        self._probs = np.where(self.broadcaster, self.rate, 0.0)
+        self._counts = self._bcount
+        self._rungs = self.rate[:, 0]
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Broadcasters carry per-node messages (origin = own id)."""
+        return self.messages[t][u]
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
+            return r + 1  # a live rate is a coin flip every round
+        return None
+
+
+class _UniformGlobalBankKernel(SingleMessageKernel):
+    """All trials of a constant-rate global bank, as arrays.
+
+    Mirrors :class:`UniformGlobalProcess`:
+    the source announces in round 0; informed nodes then relay at the
+    fixed rate, adopting on first data reception.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self._sources(lanes)
+        self.rate = np.array(
+            [[clamp_probability(lane["probability"])] for lane in lanes], dtype=np.float64
+        )
+        self.informed = np.zeros((self.trials, self.n), dtype=bool)
+        self.informed[np.arange(self.trials), self.source] = True
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r == self._r:
+            return self._probs
+        self._r = r
+        if r == 0:
+            self._probs = self._announcement_round(self.source)
+            return self._probs
+        self._probs = np.where(self.informed, self.rate, 0.0)
+        self._counts = self.informed.sum(axis=1)
+        self._rungs = self.rate[:, 0]
+        return self._probs
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Every transmitter relays the trial's canonical message."""
+        return self.message[t]
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First data reception adopts the message."""
+        informed = self.informed
+        for delivery in deliveries:
+            u = delivery.receiver
+            if not informed[t, u] and delivery.message.is_data():
+                informed[t, u] = True
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        if r == 0 or float(self.rate[t, 0]) > 0.0:
+            # The round-1 case is conservative for a zero rate, but a
+            # zero-rate global relay is a degenerate config not worth a
+            # special case here.
+            return r + 1
+        return None
+
+
 def make_uniform_global_broadcast(
     n: int,
     source: int,
@@ -153,7 +246,7 @@ def make_uniform_global_broadcast(
             "source": source,
             "probability": probability,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _UniformGlobalBankKernel),
     )
 
 
@@ -188,7 +281,7 @@ def make_uniform_local_broadcast(
             "broadcasters": sorted(broadcaster_set),
             "probability": resolved,
         },
-        lane=LaneRecipe(factory, n),
+        lane=LaneRecipe(factory, n, _UniformLocalBankKernel),
     )
 
 

@@ -243,7 +243,9 @@ def render_results_markdown(store, *, registry: Optional[Mapping] = None) -> str
                 [
                     payload.get("experiment", "?"),
                     payload.get("scale", "?"),
-                    payload.get("engine", "?"),
+                    # ``skip: false`` marks a -noskip artifact.
+                    str(payload.get("engine", "?"))
+                    + ("-noskip" if payload.get("skip") is False else ""),
                     payload.get("repeats", "?"),
                     _fmt_seconds(seconds.get("median")),
                     f"`{payload.get('artifact')}`",

@@ -727,7 +727,7 @@ def resolve_engine_choice(
 ) -> tuple[str, bool, list[str], Optional[type], Optional[list[Process]]]:
     """Route one execution, or one seed bank, to an engine.
 
-    Trial ``t`` runs the :class:`~repro.algorithms.base.AlgorithmSpec`
+    Trial ``t`` runs the :class:`AlgorithmSpec`
     ``algorithms[t]`` with seed ``seeds[t]`` on ``networks[t]``
     (one-element lists for a single execution). Returns
     ``(engine_name, skip, fallback_messages, kernel_class, processes)``.
@@ -805,13 +805,13 @@ def create_engine(
 ) -> RadioNetworkEngine:
     """Build the requested engine implementation for one execution.
 
-    ``algorithm`` is the :class:`~repro.algorithms.base.AlgorithmSpec`
+    ``algorithm`` is the :class:`AlgorithmSpec`
     to run with ``seed``. ``engine="reference"`` is the straight-line
     round loop above, over the spec's per-node processes.
     ``engine="bank"`` (or its alias ``"bitset"``) is the fast engine of
     :mod:`repro.core.fastpath` when the spec's lane recipe names a
-    vectorized protocol kernel of :mod:`repro.core.bankpath` (a bank of
-    one; no processes are built), and the reference engine otherwise
+    vectorized protocol kernel (a bank of one; no processes are
+    built), and the reference engine otherwise
     (see :func:`resolve_engine_choice`). The cross-trial batching engages
     when an executor hands a whole seed bank to
     :func:`repro.core.bankpath.run_bank_batch`. The fast engine is

@@ -5,8 +5,9 @@
 :class:`~repro.core.engine.RadioNetworkEngine` — same plans, same
 coins, same reception rule, same records — but batches each stage in
 numpy or word-parallel bitsets where it can. It runs only with a
-vectorized protocol kernel of :mod:`repro.core.bankpath`, built from
-the algorithm spec's lane recipe, and holds no per-node processes;
+vectorized protocol kernel, the one the algorithm spec's lane recipe
+names, built by :func:`repro.core.bankpath.build_bank_kernel`; it
+holds no per-node processes;
 :func:`~repro.core.engine.resolve_engine_choice` routes a trial whose
 spec no kernel serves to the reference engine instead.
 
@@ -44,7 +45,6 @@ component matrix is enforced by ``tests/test_engine_equivalence.py``.
 
 from __future__ import annotations
 
-import math
 from time import perf_counter_ns
 from typing import Sequence
 
@@ -121,8 +121,9 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         # batch, and their exact sum (bit-identical to the reference
         # engine's fsum, so the skip hook's ``expected == 0.0`` test
         # stays exact).
-        probs = self._kernel.probabilities(r)[self._lane]
-        expected = self._expected_exact(probs)
+        kernel = self._kernel
+        probs = kernel.probabilities(r)[self._lane]
+        expected = kernel.expected_exact(self._lane, r)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["plan"] += t1 - t0
@@ -151,7 +152,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
 
         # 5. Feedback: kernel protocols change state on receptions only.
         if deliveries:
-            self._kernel.apply_feedback(self._lane, r, deliveries)
+            kernel.apply_feedback(self._lane, r, deliveries)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["feedback"] += t1 - t0
@@ -238,18 +239,6 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     # ------------------------------------------------------------------
     # Round skipping
     # ------------------------------------------------------------------
-    def _expected_exact(self, probs: np.ndarray) -> float:
-        """The round's expected transmitter count, bit-identical to fsum.
-
-        A skip-capable kernel answers in O(1) from its shared rung;
-        otherwise this is the reference engine's ``math.fsum``, which is
-        correctly rounded and hence independent of summation order.
-        """
-        kernel = self._kernel
-        if kernel.supports_skip:
-            return kernel.expected_exact(self._lane, kernel._r)
-        return math.fsum(probs.tolist())
-
     def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
@@ -259,17 +248,19 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
         only, and silent rounds deliver nothing), so the span from one
         slot round to the next is skipped without executing a probe
         round in between. The kernel answer is clamped to the
-        adversary's ``next_boundary``.
+        adversary's ``next_boundary``; when that boundary or ``limit``
+        already allows no span, the kernel is not asked. Only engines
+        whose kernel ``supports_skip`` keep ``skip`` on, so only they
+        are asked.
         """
-        kernel = self._kernel
         r = record.round_index
-        if not kernel.supports_skip:
-            return r + 1
         h = limit
         boundary = self.link_process.next_boundary(r)
         if boundary is not None and boundary < h:
             h = boundary
-        nxt = kernel.next_active_round(self._lane, r)
+        if h <= r + 1:
+            return r + 1
+        nxt = self._kernel.next_active_round(self._lane, r)
         return max(h if nxt is None else min(nxt, h), r + 1)
 
     # ------------------------------------------------------------------

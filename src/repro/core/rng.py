@@ -104,7 +104,7 @@ class LazyRng:
     derivation another ~3µs — per *node*, per trial. Most processes
     never touch their private stream (decay ladders and round robin
     are coin-free outside the engine's own transmission coins), so
-    :meth:`~repro.algorithms.base.AlgorithmSpec.build_processes` — the
+    ``AlgorithmSpec.build_processes`` — the
     reference engine's per-node set-up; kernel lanes build no
     processes — hands out these proxies instead. The first attribute
     access materializes

@@ -45,6 +45,9 @@ def test_report_renders_one_row_per_cell(smoke_store):
     assert "`E8`" in text and "`A2`" in text
     # Bench artifacts merged from benchmarks/results/.
     assert "`BENCH_E1a_small_reference.json`" in text
+    # A ``skip: false`` artifact is labelled by its skip setting.
+    assert "| bank-noskip | 5 |" in text
+    assert "| E1b_large | small | bank | 5 |" in text
 
 
 def test_empty_store_still_renders(tmp_path):

@@ -4,7 +4,7 @@ full-trace six-way differential harness.
 The fast engine (:mod:`repro.core.fastpath`) restructures the round
 pipeline — kernel plans, batched coins, word-rule and bigint reception,
 kernel feedback — and runs only with a struct-of-arrays protocol
-kernel of :mod:`repro.core.bankpath`. A ``"bank"`` request that no
+kernel, the one the spec's lane recipe names. A ``"bank"`` request that no
 kernel serves is routed to the reference engine. Every restructuring
 is licensed by a documented contract, so the observable execution must
 be *identical*: same :class:`~repro.core.engine.ExecutionResult`, same
@@ -803,13 +803,13 @@ class TestRoutingBuildsNoKernel:
     kernel, and each kernel built counts one ``bank.kernel.hit``."""
 
     def test_executor_probe_builds_no_kernel(self, monkeypatch):
-        import repro.core.bankpath as bankpath
+        import repro.algorithms.local_static as local_static
         from repro.analysis.runner import probe_engine_fallbacks
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("the routing probe built a kernel")
 
-        monkeypatch.setattr(bankpath._StaticDecayBankKernel, "__init__", refuse)
+        monkeypatch.setattr(local_static._StaticDecayBankKernel, "__init__", refuse)
         trial = _spec(RING_10K_ROW).with_param("engine", "bank").build(SEEDS[0])
         rec = enable()
         try:
