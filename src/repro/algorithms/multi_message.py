@@ -401,6 +401,11 @@ class _MultiMessageKernelBase:
         rounded and hence independent of summation order."""
         return math.fsum(self.probabilities(r)[t].tolist())
 
+    def certain(self, t: int) -> bool:
+        """Never claimed: the ack-window fold gives no O(1) answer, so
+        the coin stage always draws."""
+        return False
+
 
 class _GklnBankKernel(_MultiMessageKernelBase):
     """All trials of a GKLN queued-discipline bank, as arrays.

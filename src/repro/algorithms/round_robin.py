@@ -31,6 +31,7 @@ Each process's fast-engine bank kernel sits beside it
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import partial
 from typing import AbstractSet, Mapping, Optional, Sequence
 
@@ -155,39 +156,87 @@ class RoundRobinGlobalProcess(Process):
             self.message = received
 
 
-class _RoundRobinLocalBankKernel(SingleMessageKernel):
+class _RoundRobinBankKernel(SingleMessageKernel):
+    """Shared state of the round-robin kernels: the slot tables.
+
+    Slots are a permutation of ``0 .. n-1`` (:func:`_slot_table`), so
+    exactly one node owns slot ``r mod n`` in each lane. The kernel keeps
+    the inverse table ``node_at[t, s]`` (the node of lane ``t`` whose
+    slot is ``s``) and fills round ``r`` from its column ``r mod n``: one
+    cell per lane, in a (T, n) batch that stays zero elsewhere. Every
+    live probability is the certain 1.0, so ``_rungs`` is fixed.
+    """
+
+    def __init__(self, lanes: Sequence[Mapping], networks: Sequence) -> None:
+        super().__init__(lanes, networks)
+        self.slots = _slot_rows(lanes, self.n)
+        self.node_at = np.argsort(self.slots, axis=1)
+        self._lanes = np.arange(self.trials)
+        self._lit = self.node_at[:, 0]
+        self._probs = np.zeros((self.trials, self.n))
+        self._rungs = np.ones(self.trials)
+
+    def _fill(self, r: int, sending: np.ndarray) -> np.ndarray:
+        """Round ``r``'s batch: the slot owner transmits iff ``sending``.
+
+        Rewrites the batch in place: the previous round's cells go back
+        to 0 and each lane's slot owner gets its flag, O(T) per round.
+        """
+        self._r = r
+        lanes = self._lanes
+        owner = self.node_at[:, r % self.n]
+        on = sending[lanes, owner]
+        probs = self._probs
+        probs[lanes, self._lit] = 0.0
+        probs[lanes, owner] = on
+        self._lit = owner
+        self._counts = on.astype(np.int64)
+        return probs
+
+
+class _RoundRobinLocalBankKernel(_RoundRobinBankKernel):
     """All trials of a footnote-4 round-robin local bank, as arrays.
 
     Mirrors :class:`RoundRobinLocalProcess`:
-    broadcaster ``u`` transmits (certainly) iff ``r ≡ slots[u] (mod n)``;
-    roles and slots never change, so the plan is one equality compare.
+    broadcaster ``u`` transmits (certainly) iff ``r ≡ slots[u] (mod n)``.
+    Roles and slots never change, so each lane's broadcaster slots are
+    sorted once and the skip horizon is one bisection.
     """
 
     def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
         super().__init__(lanes, networks)
-        self.slots = _slot_rows(lanes, self.n)
         self.role, self.messages = self._broadcasters(lanes)
+        self._fire = [
+            np.sort(slots[role]).tolist() for slots, role in zip(self.slots, self.role)
+        ]
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
         if r == self._r:
             return self._probs
-        self._r = r
-        certain = self.role & (self.slots == r % self.n)
-        self._probs = certain.astype(np.float64)
-        self._counts = certain.sum(axis=1)
-        self._rungs = np.ones(self.trials)
-        return self._probs
+        return self._fill(r, self.role)
 
     def message_for(self, t: int, u: int) -> Message:
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round_after(self.slots[t][self.role[t]], r, self.n)
+        """First round > ``r`` whose slot is a broadcaster's.
+
+        Bisects lane ``t``'s sorted broadcaster slots for the first one
+        at or after ``(r + 1) mod n``, wrapping to the smallest.
+        """
+        fire = self._fire[t]
+        if not fire:
+            return None
+        n = self.n
+        nxt = r + 1
+        offset = nxt % n
+        i = bisect_left(fire, offset)
+        return nxt + (fire[i] - offset if i < len(fire) else fire[0] + n - offset)
 
 
-class _RoundRobinGlobalBankKernel(SingleMessageKernel):
+class _RoundRobinGlobalBankKernel(_RoundRobinBankKernel):
     """All trials of a footnote-5 round-robin global bank, as arrays.
 
     Mirrors :class:`RoundRobinGlobalProcess`:
@@ -198,20 +247,14 @@ class _RoundRobinGlobalBankKernel(SingleMessageKernel):
     def __init__(self, lanes: Sequence[Mapping], seeds, networks: Sequence) -> None:
         super().__init__(lanes, networks)
         self._sources(lanes)
-        self.slots = _slot_rows(lanes, self.n)
         self.informed = np.zeros((self.trials, self.n), dtype=bool)
-        self.informed[np.arange(self.trials), self.source] = True
+        self.informed[self._lanes, self.source] = True
 
     def probabilities(self, r: int) -> np.ndarray:
         """(T, n) transmission probabilities for round ``r`` (cached)."""
         if r == self._r:
             return self._probs
-        self._r = r
-        certain = self.informed & (self.slots == r % self.n)
-        self._probs = certain.astype(np.float64)
-        self._counts = certain.sum(axis=1)
-        self._rungs = np.ones(self.trials)
-        return self._probs
+        return self._fill(r, self.informed)
 
     def message_for(self, t: int, u: int) -> Message:
         """Every transmitter relays the trial's canonical message."""
@@ -226,7 +269,13 @@ class _RoundRobinGlobalBankKernel(SingleMessageKernel):
                 informed[t, u] = True
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
+        slots = self.slots[t][self.informed[t]]
+        if slots.size == 0:
+            return None
+        if self.n == 1:
+            return r + 1
+        # A slot firing at ``r`` itself maps a full cycle forward.
+        return r + 1 + int(((slots - (r + 1)) % self.n).min())
 
 
 def _slot_rows(lanes: Sequence[Mapping], n: int) -> np.ndarray:
@@ -235,20 +284,6 @@ def _slot_rows(lanes: Sequence[Mapping], n: int) -> np.ndarray:
         [np.arange(n) if lane["slots"] is None else lane["slots"] for lane in lanes],
         dtype=np.int64,
     )
-
-
-def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
-    """First round *strictly* after ``r`` on which any of ``slots`` fires.
-
-    A slot firing at ``r`` itself maps a full cycle forward: the skip
-    horizon asks "when does the *next* slot land?", possibly while
-    standing on one.
-    """
-    if slots.size == 0:
-        return None
-    if n == 1:
-        return r + 1
-    return r + 1 + int(((slots - (r + 1)) % n).min())
 
 
 def make_round_robin_local_broadcast(

@@ -43,7 +43,8 @@ Three layers cooperate:
      sum exact in O(1).
 
    A kernel answers ``probabilities(r)`` (the cached (T, n) batch),
-   ``expected_exact(t, r)``, ``message_for(t, u)``,
+   ``expected_exact(t, r)``, ``certain(t)`` (that row is all 0s and
+   1s, in O(1)), ``message_for(t, u)``,
    ``apply_feedback(t, r, deliveries)`` and, when ``supports_skip``,
    ``next_active_round(t, r)``. The kernels reproduce the reference
    engine's plans bit-for-bit (probabilities are exact powers of two
@@ -189,6 +190,15 @@ class SingleMessageKernel:
         if not count:
             return 0.0
         return count * float(self._rungs[t])
+
+    def certain(self, t: int) -> bool:
+        """Whether lane ``t``'s row of the round last computed is all 0s and 1s.
+
+        O(1) from ``_counts`` and ``_rungs``: either no node holds the
+        live probability or that probability is 1.0. The coin stage
+        then skips the uniforms, whose outcome is already fixed.
+        """
+        return self._counts[t] == 0 or self._rungs[t] == 1.0
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Reception feedback; the static schedules have none."""

@@ -19,7 +19,12 @@ only round body; a standalone run and every bank lane go through it.
 2. **Coins** come from :func:`repro.core.rng.transmission_coins` — the
    same helper, against the same ``("engine", "coins")`` child stream,
    that the reference engine consumes, so coin alignment is shared by
-   construction rather than re-proved.
+   construction rather than re-proved. When the kernel says in O(1)
+   that the lane's row is ``certain`` (all 0s and 1s: a slot round, an
+   announcement, a silent lane), the coins are already fixed, so the
+   helper advances the stream by the ``n`` uniforms instead of drawing
+   them; the reference engine always draws, so the equivalence matrix
+   compares the advance against real draws.
 3. **Reception** is the paper's own rule, ``popcount(transmitters &
    mask[u]) == 1`` for a listener ``u``, in one of two forms: up to
    ``_WORD_RULE_MAX_N`` nodes over the topology's uint64 word rows for
@@ -129,8 +134,11 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             ph["plan"] += t1 - t0
             t0 = t1
 
-        # 2. Vectorized Bernoulli coins — the shared coin stream.
-        transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
+        # 2. Vectorized Bernoulli coins — the shared coin stream. A row
+        # of 0s and 1s fixes the coins: the stream only advances.
+        transmit, transmitter_mask = rng_mod.transmission_coins(
+            self._coin_rng, probs, kernel.certain(self._lane)
+        )
         if ph is not None:
             t1 = perf_counter_ns()
             ph["coins"] += t1 - t0

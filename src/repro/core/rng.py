@@ -169,11 +169,11 @@ def numpy_continuation(rng: random.Random) -> np.random.Generator:
 
 
 def transmission_coins(
-    coin_rng: np.random.Generator, probabilities: "np.ndarray"
+    coin_rng: np.random.Generator, probabilities: "np.ndarray", certain: bool = False
 ) -> tuple["np.ndarray", int]:
     """One round of Bernoulli transmission coins, as a batch.
 
-    Draws exactly ``len(probabilities)`` uniforms from ``coin_rng`` —
+    Consumes exactly ``len(probabilities)`` uniforms from ``coin_rng`` —
     one per node, in node order — and returns ``(transmit, mask)``
     where ``transmit[u]`` is the realized coin of node ``u`` and
     ``mask`` is the same set packed as a Python int bitset (bit ``u``
@@ -189,9 +189,20 @@ def transmission_coins(
     never transmits (no uniform is below 0), ``p = 1`` always does
     (every uniform is below 1), and the open interval means no
     tie-breaking case exists.
+
+    So a row of 0s and 1s needs no uniforms at all. A caller that
+    knows this without scanning the row (a bank kernel's O(1)
+    ``certain``) passes ``certain=True``: the stream then advances by
+    the same ``len(probabilities)`` draws (one PCG64 jump-ahead, as a
+    skipped round does) and ``transmit`` is ``probabilities >= 1``.
+    The result and the stream position equal the drawing path's.
     """
-    coins = coin_rng.random(len(probabilities))
-    transmit = coins < probabilities
+    if certain:
+        coin_rng.bit_generator.advance(len(probabilities))
+        transmit = probabilities >= 1.0
+    else:
+        coins = coin_rng.random(len(probabilities))
+        transmit = coins < probabilities
     mask = int.from_bytes(np.packbits(transmit, bitorder="little").tobytes(), "little")
     return transmit, mask
 

@@ -317,9 +317,8 @@ class DualGraph:
         :func:`pack_mask_rows` of :attr:`g_masks`, :attr:`gp_masks` or
         :attr:`flaky_masks`. Built lazily and cached on the instance:
         sweeps share one graph across trials through the registry
-        cache, and topology validation, node fading and the local
-        broadcast receiver set all read these rows. The arrays are
-        frozen; treat them as read-only.
+        cache, and topology validation and node fading read these
+        rows. The arrays are frozen; treat them as read-only.
         """
         cache = getattr(self, "_word_rows_cache", None)
         if cache is None:

@@ -27,7 +27,10 @@ Determinism: every delay is drawn from its own
 ``(sender, receiver, message)``, so results are independent of event
 processing order and identical across serial/parallel executors. The
 same keying makes it exact to leave a draw out: no draw's value
-depends on which other draws were made. A progress draw is left out
+depends on which other draws were made. An ack is drawn only when it
+is read: under queued service a node's ack delays its next service,
+so it is drawn when that service comes, and the ack of each node's
+last service is never drawn. A progress draw is left out
 when it cannot matter. Every progress delay is at least 1, so a
 delivery served from round ``start`` arrives no earlier than
 ``start + 1``; a receiver that already holds the message by then keeps
@@ -168,7 +171,9 @@ def simulate_oracle(trial: "PreparedTrial", seed: int) -> OracleOutcome:
     prog_high = f_prog if discipline == "queued" else f_prog * k
 
     learn: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
-    next_free = [0] * n
+    # Queued service: each node's previous ``(start, message)``, whose
+    # ack is drawn at the node's next service.
+    served: list[Optional[tuple[int, int]]] = [None] * n
     heap: list[tuple[int, int, int]] = []
     for index, source in enumerate(assignment.sources):
         if learn[source][index] is None:
@@ -190,14 +195,18 @@ def simulate_oracle(trial: "PreparedTrial", seed: int) -> OracleOutcome:
         if learn[u][m] != t:
             continue  # superseded by an earlier delivery
         if discipline == "queued":
-            start = max(t, next_free[u])
-            ack = ack_low
-            if f_ack > ack_low:
-                reseed(ack_seed(u, m))
-                ack = randint(ack_low, f_ack)
-            next_free[u] = start + ack
-            if rec is not None:
-                rec.observe("mac.f_ack_delay", ack)
+            start = t
+            previous = served[u]
+            if previous is not None:
+                previous_start, previous_m = previous
+                ack = ack_low
+                if f_ack > ack_low:
+                    reseed(ack_seed(u, previous_m))
+                    ack = randint(ack_low, f_ack)
+                if rec is not None:
+                    rec.observe("mac.f_ack_delay", ack)
+                start = max(t, previous_start + ack)
+            served[u] = (start, m)
         else:
             start = t
         earliest = start + 1  # every progress delay is ≥ 1

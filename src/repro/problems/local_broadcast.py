@@ -14,9 +14,7 @@ flaky ``G'`` edge; ``R`` itself is defined by ``G`` adjacency.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional
-
-import numpy as np
+from typing import AbstractSet
 
 from repro.core.errors import SpecError
 from repro.core.trace import RoundRecord, iter_bits, popcount
@@ -26,33 +24,21 @@ from repro.registry import cut_mask_for, register_problem
 
 __all__ = ["LocalBroadcastProblem", "LocalBroadcastObserver", "receiver_set"]
 
-#: Above this node count the graph's packed word rows cost more memory
-#: (n²/8 bytes, 32 MiB at the cap) than one vectorized AND saves over
-#: n bigint ANDs.
-PACKED_ROWS_MAX_N = 16384
-
 
 def receiver_set(network: DualGraph, broadcasters: AbstractSet[int]) -> frozenset[int]:
     """The paper's ``R``: nodes with at least one ``G``-neighbor in ``B``.
 
     Broadcasters themselves belong to ``R`` when they neighbor another
-    broadcaster — the definition does not exclude them.
+    broadcaster — the definition does not exclude them. ``G`` is
+    symmetric (:class:`DualGraph` checks it), so ``R`` is the union of
+    the broadcasters' own neighborhoods: ``|B|`` bigint ORs, with no
+    pass over all ``n`` nodes.
     """
-    b_mask = 0
+    g_masks = network.g_masks
+    reach = 0
     for b in broadcasters:
-        b_mask |= 1 << b
-    n = network.n
-    if n <= PACKED_ROWS_MAX_N:
-        # One vectorized AND over the graph's cached word rows instead
-        # of n bigint ANDs (each O(n/64)); sweeps share one cached
-        # graph, so trials after the first reuse the rows.
-        rows = network.word_rows()
-        b_row = np.frombuffer(
-            b_mask.to_bytes(rows.shape[1] * 8, "little"), dtype=np.uint64
-        )
-        hits = (rows & b_row).any(axis=1)
-        return frozenset(np.nonzero(hits)[0].tolist())
-    return frozenset(u for u in range(n) if network.g_masks[u] & b_mask)
+        reach |= g_masks[b]
+    return frozenset(iter_bits(reach))
 
 
 class LocalBroadcastObserver(ProblemObserver):

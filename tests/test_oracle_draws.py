@@ -1,6 +1,7 @@
 """The oracle MAC draws only the delays that can change an arrival.
 
-``simulate_oracle`` leaves out every progress draw whose receiver
+``simulate_oracle`` draws an ack only when a node's next service reads
+it, leaves out every progress draw whose receiver
 already holds the message by ``start + 1``, hashes its label prefixes
 once, and reseeds one generator. None of that may change an outcome:
 each case here is checked against :func:`full_draw_oracle`, the
@@ -33,9 +34,11 @@ def _delay(seed: int, *label: object, low: int, high: int) -> int:
 def full_draw_oracle(trial, seed: int) -> tuple[OracleOutcome, int, int, int]:
     """The oracle with every draw made.
 
-    Returns ``(outcome, ack draws, prog draws, undominated prog draws)``;
-    a progress draw is undominated when its receiver did not yet hold
-    the message by ``start + 1``, the earliest round the draw can give.
+    Returns ``(outcome, ack reads, prog draws, undominated prog draws)``.
+    An ack is read when its node is served again: it sets that
+    service's start. A progress draw is undominated when its receiver
+    did not yet hold the message by ``start + 1``, the earliest round
+    the draw can give.
     """
     mac = trial.mac
     assignment = trial.problem.assignment
@@ -46,7 +49,8 @@ def full_draw_oracle(trial, seed: int) -> tuple[OracleOutcome, int, int, int]:
     f_prog = mac.f_prog(n, max_degree)
     discipline = trial.algorithm.metadata.get("mac_discipline", "queued")
     prog_high = f_prog if discipline == "queued" else f_prog * k
-    ack_draws = prog_draws = undominated = 0
+    ack_reads = prog_draws = undominated = 0
+    served = [False] * n
 
     learn: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     next_free = [0] * n
@@ -66,7 +70,8 @@ def full_draw_oracle(trial, seed: int) -> tuple[OracleOutcome, int, int, int]:
                 seed, "mac-oracle", "ack", u, m, low=max(1, f_ack // 2), high=f_ack
             )
             next_free[u] = start + ack
-            ack_draws += 1
+            ack_reads += served[u]
+            served[u] = True
         else:
             start = t
         for v in iter_bits(network.g_masks[u]):
@@ -94,7 +99,7 @@ def full_draw_oracle(trial, seed: int) -> tuple[OracleOutcome, int, int, int]:
         message_rounds=tuple(message_rounds),
         learn_rounds=tuple(tuple(row) for row in learn),
     )
-    return outcome, ack_draws, prog_draws, undominated
+    return outcome, ack_reads, prog_draws, undominated
 
 
 def oracle_spec(
@@ -149,10 +154,10 @@ def test_outcome_and_draw_count_match_the_full_loop(algorithm, graph, k, coincid
     spec = oracle_spec(GRAPHS[graph], k, algorithm=algorithm, coinciding=coinciding)
     seed = 2013
     trial = spec.build(seed)
-    expected, ack_draws, prog_draws, undominated = full_draw_oracle(trial, seed)
+    expected, ack_reads, prog_draws, undominated = full_draw_oracle(trial, seed)
     outcome, counters, counts = traced_oracle(trial, seed)
     assert outcome == expected
-    assert counts.get("mac.f_ack_delay", 0) == ack_draws
+    assert counts.get("mac.f_ack_delay", 0) == ack_reads
     made = counts.get("mac.f_prog_delay", 0)
     assert made + counters.get("mac.oracle.draws_skipped", 0) == prog_draws
     assert made == undominated < prog_draws  # every dominated draw is left out

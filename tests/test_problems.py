@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.messages import Message, MessageKind
 from repro.core.trace import Delivery, RoundRecord
-from repro.graphs.builders import clique_dual, line_dual
+from repro.graphs.builders import clique_dual, line_dual, ring_dual
 from repro.graphs.dual_graph import DualGraph
 from repro.problems.global_broadcast import GlobalBroadcastProblem
 from repro.problems.local_broadcast import LocalBroadcastProblem, receiver_set
@@ -83,6 +85,39 @@ class TestReceiverSet:
     def test_clique_all(self):
         net = clique_dual(4)
         assert receiver_set(net, {2}) == {0, 1, 3}
+
+    @staticmethod
+    def by_definition(net, broadcasters):
+        b_mask = 0
+        for b in broadcasters:
+            b_mask |= 1 << b
+        return frozenset(u for u in range(net.n) if net.g_masks[u] & b_mask)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_the_definition_on_random_dual_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 150)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        net = DualGraph.from_edges(
+            n,
+            [pair for pair in pairs if rng.random() < 3 / n],
+            [pair for pair in pairs if rng.random() < 2 / n],
+        )
+        for size in (0, 1, 2, rng.randint(1, n), n):
+            broadcasters = set(rng.sample(range(n), size))
+            assert receiver_set(net, broadcasters) == self.by_definition(
+                net, broadcasters
+            )
+
+    def test_large_ring_with_flaky_chords(self):
+        n = 16_500
+        rng = random.Random(7)
+        chords = [(u, (u + 3) % n) for u in rng.sample(range(n), 200)]
+        net = ring_dual(n, chords=chords)
+        broadcasters = set(rng.sample(range(n), n // 64)) | {0, 1}
+        got = receiver_set(net, broadcasters)
+        assert got == self.by_definition(net, broadcasters)
+        assert got == {(b + d) % n for b in broadcasters for d in (-1, 1)}
 
 
 class TestLocalBroadcast:
