@@ -4,10 +4,11 @@ The paper states asymptotic bounds; the reproduction's claims are
 *measured growth shapes*. This package is the pipeline that turns
 engine executions into those claims, bottom-up:
 
-* :mod:`repro.analysis.runner` — one trial
-  (:func:`run_prepared_trial`: pick an engine for the algorithm spec
-  via :func:`repro.core.engine.create_engine`, run to the problem
-  observer's stop condition) and batches of independent trials with
+* :mod:`repro.analysis.runner` — one seed bank
+  (:func:`run_bank_trials`: route the bank to an engine, build each
+  lane via :func:`repro.core.engine.build_engine`, run to the problem
+  observer's stop condition; :func:`run_prepared_trial` is a bank of
+  one) and batches of independent trials with
   per-seed derivation (:func:`run_broadcast_trials`), aggregated into
   :class:`TrialStats` (success rate, censored medians/percentiles —
   censoring at the round cap is conservative for lower bounds).

@@ -8,6 +8,12 @@ problem triple to completion (or a round cap) and
 reporting the distribution (mean/median/percentiles) plus the success
 rate under the cap.
 
+Every execution takes one path, :func:`run_bank_trials`: an
+oracle-mode MAC trial goes to the oracle simulation; any other seed
+bank is routed once, warns once, and builds its lanes through
+:func:`repro.core.engine.build_engine`. A single trial
+(:func:`run_prepared_trial`) is a bank of one seed.
+
 Scenario factories (:class:`Scenario`) package the whole triple so
 sweeps can rebuild fresh state per trial — adversaries and processes
 are stateful and must never be reused across executions.
@@ -27,9 +33,9 @@ from repro.adversaries.base import LinkProcess
 from repro.algorithms.base import AlgorithmSpec
 from repro.core.engine import (
     ExecutionResult,
-    RadioNetworkEngine,
-    create_engine,
+    build_engine,
     resolve_engine_choice,
+    warn_fallbacks,
 )
 from repro.core.rng import derive_seed
 from repro.graphs.dual_graph import DualGraph
@@ -62,9 +68,9 @@ class PreparedTrial:
     ``mac`` (optional) is the trial's abstract MAC layer
     (:class:`repro.mac.base.AbstractMACLayer`). Engine-mode layers are
     already compiled into the algorithm's processes and change nothing
-    here; an *oracle*-mode layer replaces the round loop entirely —
-    :func:`run_prepared_trial` routes such trials to the event-driven
-    simulation in :mod:`repro.mac.oracle`.
+    here; an *oracle*-mode layer (:attr:`oracle`) replaces the round
+    loop entirely — :func:`run_bank_trials` routes such trials to the
+    event-driven simulation in :mod:`repro.mac.oracle`.
 
     ``skip`` controls event-driven round skipping (``None`` = the
     routed engine's default: on for the fast engine, off for the
@@ -82,6 +88,11 @@ class PreparedTrial:
     mac: object = None
     skip: Optional[bool] = None
     label: Optional[str] = None
+
+    @property
+    def oracle(self) -> bool:
+        """Whether an oracle-mode MAC layer replaces the round loop."""
+        return getattr(self.mac, "mode", "engine") == "oracle"
 
 
 #: A scenario builds a fresh :class:`PreparedTrial` from a trial seed.
@@ -202,63 +213,32 @@ class TrialStats:
         }
 
 
-def run_prepared_trial(
-    trial: PreparedTrial, seed: int, *, observer=None, warn_fallback: bool = True
-) -> TrialResult:
+def run_prepared_trial(trial: PreparedTrial, seed: int, *, observer=None) -> TrialResult:
     """Execute one prepared trial to completion or its round cap.
 
-    ``observer`` (optional) substitutes a caller-held problem observer
-    for the freshly made one, so callers that need per-problem detail
-    beyond the :class:`TrialResult` (e.g. per-message completion
-    rounds) can read it off after the run instead of duplicating the
-    engine-invocation sequence. Ignored on the oracle path, which has
-    no engine rounds to observe.
-
-    ``warn_fallback=False`` suppresses :class:`EngineFallbackWarning`
-    emission — executors pass it for every trial after the first so a
-    degraded scenario warns once per batch, not once per trial.
+    A trial is a bank of one seed: this is :func:`run_bank_trials`'s
+    sequence for one built trial. ``observer`` (optional) substitutes
+    a caller-held problem observer for the freshly made one, so
+    callers that need per-problem detail beyond the
+    :class:`TrialResult` (e.g. per-message completion rounds) can read
+    it off after the run. Ignored on the oracle path, which has no
+    engine rounds to observe.
     """
-    mac = trial.mac
-    if mac is not None and getattr(mac, "mode", "engine") == "oracle":
-        # Oracle-mode MAC layers skip the radio engine: delays are
-        # sampled straight from the guarantee envelopes.
-        from repro.mac.oracle import run_oracle_trial
-
-        return run_oracle_trial(trial, seed)
-    if observer is None:
-        observer = trial.problem.make_observer()
-    engine = create_engine(
-        trial.network,
-        trial.algorithm,
-        trial.link_process,
-        engine=trial.engine,
-        seed=seed,
-        algorithm_info=trial.algorithm.info(),
-        validate_topologies=trial.validate_topologies,
-        observers=[observer],
-        skip=trial.skip,
-        label=trial.label,
-        warn=warn_fallback,
-    )
-    result: ExecutionResult = engine.run(
-        max_rounds=trial.max_rounds, stop=lambda: observer.solved
-    )
-    return TrialResult(solved=result.solved, rounds=result.rounds, seed=seed)
+    return _run_trials([trial], [seed], warn=True, observer=observer)[0]
 
 
 def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
-    """The :class:`EngineFallbackWarning` texts this trial would emit.
+    """The routing notes this trial's batch would warn with.
 
     Routes the trial through
     :func:`~repro.core.engine.resolve_engine_choice`, the rule
-    :func:`run_prepared_trial` and :func:`run_bank_trials` apply,
-    *without* emitting anything — executors call this once per
-    scenario, warn once with the scenario label attached, and then run
-    every trial with ``warn_fallback=False``. Oracle-mode MAC trials
-    have no engine and therefore no fallbacks.
+    :func:`run_bank_trials` applies, *without* emitting anything — the
+    parallel executor calls this once per scenario in the parent,
+    passes the notes to :func:`~repro.core.engine.warn_fallbacks` and
+    runs every chunk silenced. Oracle-mode MAC trials have no engine
+    and therefore no fallbacks.
     """
-    mac = trial.mac
-    if mac is not None and getattr(mac, "mode", "engine") == "oracle":
+    if trial.oracle:
         return []
     _, _, notes, _, _ = resolve_engine_choice(
         trial.engine,
@@ -268,115 +248,95 @@ def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
         trial.link_process,
         skip=trial.skip,
     )
-    if trial.label:
-        notes = [f"{note} [scenario: {trial.label}]" for note in notes]
     return notes
 
 
 def run_bank_trials(
-    scenario: Scenario,
-    seeds: Sequence[int],
-    *,
-    first: Optional[PreparedTrial] = None,
-    warn_fallback: bool = True,
+    scenario: Scenario, seeds: Sequence[int], *, warn_fallback: bool = True
 ) -> list[TrialResult]:
-    """Run a whole seed bank of one scenario through the fast engine.
+    """Run one scenario's seed bank on the engine its trials select.
 
-    This is the cross-trial entry point of ``engine="bank"`` (and its
-    alias ``"bitset"``):
-    every seed's trial becomes one lane of a shared struct-of-arrays
-    kernel, and :func:`repro.core.bankpath.run_bank_batch` advances the
-    lanes in shared bank rounds, each lane on its own clock, with one
-    kernel probability batch per bank round. Results are identical to
-    running each seed through :func:`run_prepared_trial` — only the
-    batching axis changes. The bank is routed once, through
-    :func:`~repro.core.engine.resolve_engine_choice`: kernel lanes are
-    built from the specs' lane recipes with no per-node processes, and
-    when no kernel serves the bank each trial builds its processes and
-    runs on the reference engine.
+    This is the one trial path: every executor and
+    :func:`run_prepared_trial` reach it. Oracle-mode MAC trials run
+    through :func:`repro.mac.oracle.run_oracle_trial`. Otherwise the
+    bank is routed once, through
+    :func:`~repro.core.engine.resolve_engine_choice` with the trials'
+    own ``engine``, and any routing note is warned once for the whole
+    batch (``warn_fallback=False`` silences it).
 
-    ``first`` optionally passes a pre-built (and still unused) trial
-    for ``seeds[0]`` so executors that peeked at the scenario don't pay
-    the build twice. Trials the batch cannot serve — oracle-mode MAC
-    layers, or banks whose trials disagree on the node count — take the
-    per-trial path instead.
-    Heterogeneous ``max_rounds`` is fine: each lane carries its own cap
-    and retires from the bank when it reaches it.
+    On a kernel route every seed's trial becomes one lane of a shared
+    struct-of-arrays kernel, and
+    :func:`repro.core.bankpath.run_bank_batch` advances the lanes in
+    shared bank rounds, each lane on its own clock, with one kernel
+    probability batch per bank round; lanes carry their own
+    ``max_rounds`` and retire at it. On the reference route each
+    trial's processes are built just before it runs, so a sweep holds
+    one trial's processes at a time. Both routes build through
+    :func:`~repro.core.engine.build_engine`. Results are identical to
+    running each seed through :func:`run_prepared_trial`: only the
+    batching axis changes. Trials whose node counts differ run as
+    separate banks of one.
     """
     seeds = list(seeds)
-    if not seeds:
-        return []
-    trials = [
-        first if index == 0 and first is not None else scenario(seed)
-        for index, seed in enumerate(seeds)
-    ]
+    return _run_trials([scenario(seed) for seed in seeds], seeds, warn=warn_fallback)
 
-    def _per_trial() -> list[TrialResult]:
-        # The first trial carries the (once-per-batch) fallback warning.
-        return [
-            run_prepared_trial(t, s, warn_fallback=warn_fallback and i == 0)
-            for i, (t, s) in enumerate(zip(trials, seeds))
-        ]
 
-    lead = trials[0]
-    mac = lead.mac
-    if mac is not None and getattr(mac, "mode", "engine") == "oracle":
-        return _per_trial()
-    if any(t.network.n != lead.network.n for t in trials):
-        return _per_trial()
-
+def _run_trials(
+    trials: list[PreparedTrial], seeds: list[int], *, warn: bool, observer=None
+) -> list[TrialResult]:
+    """Route, warn, build and run one bank of built trials."""
     from repro.core.bankpath import BankLane, build_bank_kernel, run_bank_batch
-    from repro.core.errors import EngineFallbackWarning
-    from repro.core.fastpath import BitsetRadioNetworkEngine
 
-    # Lanes bypass create_engine, so route the bank (and emit any
-    # contract-gap warning, once for the whole bank) here.
+    if not trials:
+        return []
+    lead = trials[0]
+    if lead.oracle:
+        from repro.mac.oracle import run_oracle_trial
+
+        return [run_oracle_trial(trial, seed) for trial, seed in zip(trials, seeds)]
+    if any(t.network.n != lead.network.n for t in trials):
+        # The lanes of one bank share a node count: run banks of one.
+        return [
+            result
+            for index in range(len(trials))
+            for result in _run_trials(
+                trials[index : index + 1],
+                seeds[index : index + 1],
+                warn=warn and index == 0,
+            )
+        ]
     algorithms = [trial.algorithm for trial in trials]
     networks = [trial.network for trial in trials]
-    _, resolved_skip, notes, kernel_class, lead_processes = resolve_engine_choice(
-        "bank", algorithms, seeds, networks, lead.link_process, skip=lead.skip
+    _, resolved_skip, notes, kernel_class, processes = resolve_engine_choice(
+        lead.engine, algorithms, seeds, networks, lead.link_process, skip=lead.skip
     )
-    if warn_fallback:
-        import warnings
-
-        from repro.obs.recorder import inc as _obs_inc
-
-        for note in notes:
-            if lead.label:
-                note = f"{note} [scenario: {lead.label}]"
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+    if warn:
+        warn_fallbacks(notes, lead.label)
     kernel = build_bank_kernel(algorithms, seeds, networks) if kernel_class else None
 
     def lane(index: int) -> BankLane:
-        trial, seed = trials[index], seeds[index]
-        observer = trial.problem.make_observer()
-        options = dict(
-            seed=seed,
+        nonlocal processes
+        trial = trials[index]
+        watch = observer if observer is not None else trial.problem.make_observer()
+        engine = build_engine(
+            trial.network,
+            trial.algorithm,
+            trial.link_process,
+            seed=seeds[index],
+            kernel=kernel,
+            lane=index,
+            processes=processes,
             algorithm_info=trial.algorithm.info(),
             validate_topologies=trial.validate_topologies,
-            observers=[observer],
+            observers=[watch],
             skip=resolved_skip,
         )
-        if kernel:
-            engine = BitsetRadioNetworkEngine(
-                trial.network, trial.link_process, kernel=kernel, lane=index, **options
-            )
-        else:
-            network = trial.network
-            processes = (
-                lead_processes
-                if index == 0 and lead_processes is not None
-                else trial.algorithm.build_processes(
-                    network.n, network.max_degree, seed=seed
-                )
-            )
-            engine = RadioNetworkEngine(
-                network, processes, trial.link_process, **options
-            )
-        return BankLane(
-            engine=engine, stop=lambda: observer.solved, max_rounds=trial.max_rounds
-        )
+        processes = None  # the routing's processes are the lead lane's only
+        return BankLane(engine=engine, stop=lambda: watch.solved, max_rounds=trial.max_rounds)
+
+    def run_solo(index: int) -> ExecutionResult:
+        solo = lane(index)
+        return solo.engine.run(max_rounds=solo.max_rounds, stop=solo.stop)
 
     if kernel:
         results = run_bank_batch(
@@ -384,10 +344,7 @@ def run_bank_trials(
             max_rounds=max(t.max_rounds for t in trials),
         )
     else:
-        results = []
-        for index in range(len(trials)):
-            solo = lane(index)
-            results.append(solo.engine.run(max_rounds=solo.max_rounds, stop=solo.stop))
+        results = [run_solo(index) for index in range(len(trials))]
     return [
         TrialResult(solved=res.solved, rounds=res.rounds, seed=seed)
         for res, seed in zip(results, seeds)

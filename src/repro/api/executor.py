@@ -23,11 +23,16 @@ from __future__ import annotations
 import abc
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
-from repro.analysis.runner import Scenario, TrialResult, run_prepared_trial
+from repro.analysis.runner import (
+    Scenario,
+    TrialResult,
+    probe_engine_fallbacks,
+    run_bank_trials,
+)
+from repro.core.engine import warn_fallbacks
 from repro.core.errors import SpecError
 
 __all__ = ["TrialExecutor", "SerialExecutor", "ParallelExecutor"]
@@ -48,51 +53,33 @@ class TrialExecutor(abc.ABC):
 
 
 class SerialExecutor(TrialExecutor):
-    """One process, one trial at a time — the reference backend.
+    """One process, one seed bank at a time — the reference backend.
 
-    Fast-engine scenarios (``engine="bank"`` or its alias
-    ``"bitset"``) are the one structured deviation from the literal
-    loop: the whole seed batch is handed to
-    :func:`~repro.analysis.runner.run_bank_trials`, which runs it as
-    the lanes of one struct-of-arrays kernel — lanes may carry
-    different round caps, retiring individually as they hit them — or,
-    when no kernel serves the bank, trial by trial on the reference
-    engine. Results are seed-for-seed identical to the plain loop — the
+    The whole seed batch goes to
+    :func:`~repro.analysis.runner.run_bank_trials`, the one trial path:
+    a kernel-served bank runs as the lanes of one struct-of-arrays
+    kernel (lanes may carry different round caps, retiring
+    individually as they hit them), any other trial runs on its own.
+    Results are seed-for-seed identical to a loop of
+    :func:`~repro.analysis.runner.run_prepared_trial` calls — the
     batch only changes where the numpy work happens.
 
     A scenario that degrades (a component without the skip contract)
-    warns exactly once per ``run_trials`` batch, through the first
-    trial or the bank's routing; every later trial runs silenced.
-    ``warn_fallback=False`` silences the batch entirely (the parallel
-    executor's workers use this; the parent has already warned).
+    warns exactly once per ``run_trials`` batch, when the bank is
+    routed. ``warn_fallback=False`` silences the batch entirely (the
+    parallel executor's workers use this; the parent has already
+    warned).
     """
 
     #: Class-level default so subclasses that override ``__init__``
-    #: without chaining up still get first-trial warning semantics.
+    #: without chaining up still warn once per batch.
     warn_fallback = True
 
     def __init__(self, *, warn_fallback: bool = True) -> None:
         self.warn_fallback = warn_fallback
 
     def run_trials(self, scenario: Scenario, seeds: Sequence[int]) -> list[TrialResult]:
-        seeds = list(seeds)
-        if not seeds:
-            return []
-        first = scenario(seeds[0])
-        if getattr(first, "engine", None) in ("bitset", "bank"):
-            from repro.analysis.runner import run_bank_trials
-
-            return run_bank_trials(
-                scenario, seeds, first=first, warn_fallback=self.warn_fallback
-            )
-        results = [
-            run_prepared_trial(first, seeds[0], warn_fallback=self.warn_fallback)
-        ]
-        results.extend(
-            run_prepared_trial(scenario(seed), seed, warn_fallback=False)
-            for seed in seeds[1:]
-        )
-        return results
+        return run_bank_trials(scenario, seeds, warn_fallback=self.warn_fallback)
 
 
 def _run_chunk(item: tuple[Scenario, Sequence[int]]) -> list[TrialResult]:
@@ -161,13 +148,8 @@ class ParallelExecutor(TrialExecutor):
         # warn here; workers run fully silenced, so a degraded scenario
         # yields exactly one EngineFallbackWarning per batch regardless
         # of how many chunks or processes it fans out to.
-        from repro.analysis.runner import probe_engine_fallbacks
-        from repro.core.errors import EngineFallbackWarning
-        from repro.obs.recorder import inc as _obs_inc
-
-        for note in probe_engine_fallbacks(scenario(seeds[0]), seeds[0]):
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+        lead = scenario(seeds[0])
+        warn_fallbacks(probe_engine_fallbacks(lead, seeds[0]), lead.label)
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         size = self._resolve_chunksize(len(seeds))

@@ -48,7 +48,7 @@ import math
 import random
 import warnings
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -78,8 +78,10 @@ __all__ = [
     "ExecutionResult",
     "StopCondition",
     "ENGINE_NAMES",
+    "build_engine",
     "create_engine",
     "resolve_engine_choice",
+    "warn_fallbacks",
 ]
 
 #: Engine names accepted by ``create_engine`` /
@@ -182,11 +184,6 @@ class ExecutionResult:
         return self.rounds
 
 
-@dataclass
-class _EngineStats:
-    rounds_run: int = 0
-
-
 class RadioNetworkEngine:
     """Drives one execution of an algorithm against a link process.
 
@@ -280,7 +277,6 @@ class RadioNetworkEngine:
         self._history_trimmed = [0]  # shared with views handed out per round
         self._round = 0
         self._started = False
-        self._stats = _EngineStats()
         # Tracing state: ``_trace`` holds the active recorder for the
         # duration of one :meth:`run` (``None`` otherwise, so every
         # instrumented site is a single pointer comparison when tracing
@@ -407,7 +403,6 @@ class RadioNetworkEngine:
         for observer in self.observers:
             observer.on_round(record)
         self._round += 1
-        self._stats.rounds_run += 1
         if self._trace is not None:
             self._phase_ns["observers"] += perf_counter_ns() - t0
             counts = self._trace_counts
@@ -579,7 +574,6 @@ class RadioNetworkEngine:
         for observer in self.observers:
             observer.on_round(record)
         self._round += 1
-        self._stats.rounds_run += 1
         if self._trace is not None:
             counts = self._trace_counts
             counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + 1
@@ -628,7 +622,6 @@ class RadioNetworkEngine:
         for observer in self.observers:
             observer.on_round_batch(start, stop)
         self._round = stop
-        self._stats.rounds_run += stop - start
         if self._trace is not None:
             counts = self._trace_counts
             counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + (stop - start)
@@ -731,9 +724,8 @@ def resolve_engine_choice(
     ``algorithms[t]`` with seed ``seeds[t]`` on ``networks[t]``
     (one-element lists for a single execution). Returns
     ``(engine_name, skip, fallback_messages, kernel_class, processes)``.
-    The messages are the :class:`EngineFallbackWarning` texts :func:`create_engine`
-    would emit, exposed separately so executors can probe the outcome
-    once per scenario (and warn once) instead of once per trial.
+    The messages are the :class:`EngineFallbackWarning` texts that
+    :func:`warn_fallbacks` emits once per routed batch.
 
     This is the one routing rule. ``"bitset"`` is an alias of
     ``"bank"``. A ``"bank"`` request runs the fast engine when
@@ -782,11 +774,56 @@ def resolve_engine_choice(
             )
             resolved_skip = False
     if notes:
-        # Counted per resolution (executor probes and per-trial
+        # Counted per resolution (routed banks, executor probes and
         # create_engine calls alike), mirroring the deduped
         # EngineFallbackWarning surface as a measurable quantity.
         _obs_inc("engine.fallback", len(notes))
     return engine, resolved_skip, notes, kernel, processes
+
+
+def warn_fallbacks(notes: Sequence[str], label: Optional[str] = None) -> None:
+    """Emit each routing note as one :class:`EngineFallbackWarning`.
+
+    ``label`` names the scenario in the text. Every route that warns
+    calls this once per batch, so a degraded scenario warns once.
+    """
+    for note in notes:
+        if label:
+            note = f"{note} [scenario: {label}]"
+        _obs_inc("engine.fallback.warned")
+        warnings.warn(note, EngineFallbackWarning, stacklevel=3)
+
+
+def build_engine(
+    network,
+    algorithm: "AlgorithmSpec",
+    link_process: LinkProcess,
+    *,
+    seed: int,
+    kernel=None,
+    lane: int = 0,
+    processes: Optional[Sequence[Process]] = None,
+    **options,
+) -> RadioNetworkEngine:
+    """Construct one routed execution of ``algorithm`` with ``seed``.
+
+    With a ``kernel`` (built by
+    :func:`~repro.core.bankpath.build_bank_kernel` for a route that has
+    a kernel class) this is the fast engine on lane ``lane``; otherwise
+    the reference engine over ``processes``, which are built from the
+    spec when not given. ``options`` are the engines' shared keywords
+    (``algorithm_info``, ``validate_topologies``, ``observers``,
+    ``skip``).
+    """
+    if kernel is not None:
+        from repro.core.fastpath import BitsetRadioNetworkEngine
+
+        return BitsetRadioNetworkEngine(
+            network, link_process, kernel=kernel, lane=lane, seed=seed, **options
+        )
+    if processes is None:
+        processes = algorithm.build_processes(network.n, network.max_degree, seed=seed)
+    return RadioNetworkEngine(network, processes, link_process, seed=seed, **options)
 
 
 def create_engine(
@@ -803,7 +840,7 @@ def create_engine(
     label: Optional[str] = None,
     warn: bool = True,
 ) -> RadioNetworkEngine:
-    """Build the requested engine implementation for one execution.
+    """Route, warn and build the engine for one execution.
 
     ``algorithm`` is the :class:`AlgorithmSpec`
     to run with ``seed``. ``engine="reference"`` is the straight-line
@@ -812,9 +849,9 @@ def create_engine(
     :mod:`repro.core.fastpath` when the spec's lane recipe names a
     vectorized protocol kernel (a bank of one; no processes are
     built), and the reference engine otherwise
-    (see :func:`resolve_engine_choice`). The cross-trial batching engages
-    when an executor hands a whole seed bank to
-    :func:`repro.core.bankpath.run_bank_batch`. The fast engine is
+    (see :func:`resolve_engine_choice`). A seed bank is routed and
+    built the same way by :func:`repro.analysis.runner.run_bank_trials`,
+    with :func:`build_engine` making every lane. The fast engine is
     seed-for-seed identical to the reference engine (same coin stream,
     same records, same results) for every adversary class.
 
@@ -823,31 +860,27 @@ def create_engine(
     reference engine); a component lacking the skip contract
     downgrades it to ``False`` with an :class:`EngineFallbackWarning`.
     ``label`` names the scenario in those warnings, and ``warn=False``
-    suppresses them entirely (executors probe the outcome once per
-    scenario via :func:`resolve_engine_choice` and warn there instead).
+    suppresses them entirely.
     """
     _, resolved_skip, notes, kernel_class, processes = resolve_engine_choice(
         engine, [algorithm], [seed], [network], link_process, skip=skip
     )
     if warn:
-        for note in notes:
-            if label:
-                note = f"{note} [scenario: {label}]"
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
-    options = dict(
+        warn_fallbacks(notes, label)
+    kernel = None
+    if kernel_class:
+        from repro.core.bankpath import build_bank_kernel
+
+        kernel = build_bank_kernel([algorithm], [seed], [network])
+    return build_engine(
+        network,
+        algorithm,
+        link_process,
         seed=seed,
+        kernel=kernel,
+        processes=processes,
         algorithm_info=algorithm_info,
         validate_topologies=validate_topologies,
         observers=observers,
         skip=resolved_skip,
     )
-    if kernel_class:
-        from repro.core.bankpath import build_bank_kernel
-        from repro.core.fastpath import BitsetRadioNetworkEngine
-
-        kernel = build_bank_kernel([algorithm], [seed], [network])
-        return BitsetRadioNetworkEngine(network, link_process, kernel=kernel, **options)
-    if processes is None:
-        processes = algorithm.build_processes(network.n, network.max_degree, seed=seed)
-    return RadioNetworkEngine(network, processes, link_process, **options)

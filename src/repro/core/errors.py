@@ -89,8 +89,9 @@ class EngineError(ReproError):
 class EngineFallbackWarning(RuntimeWarning):
     """A requested engine feature was declined for a scenario.
 
-    Emitted by :func:`repro.core.engine.create_engine` (and once per
-    batch by the executors) when round skipping is requested but a
+    Emitted once per routed batch (or :func:`repro.core.engine.create_engine`
+    call) by :func:`repro.core.engine.warn_fallbacks` when round
+    skipping is requested but a
     process or link process lacks the skip contract — it does not
     override ``next_state_change`` / ``next_boundary`` — so the run
     proceeds with skipping off. Results are unaffected.

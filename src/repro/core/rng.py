@@ -217,7 +217,3 @@ def fresh_seed_sequence(rng: random.Random, count: int) -> list[int]:
         raise ValueError(f"count must be non-negative, got {count}")
     return [rng.getrandbits(63) for _ in range(count)]
 
-
-def interleave_labels(base: Iterable[object], extra: Iterable[object]) -> tuple[object, ...]:
-    """Concatenate two label paths into one tuple (helper for wrappers)."""
-    return tuple(base) + tuple(extra)

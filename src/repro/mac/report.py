@@ -72,8 +72,7 @@ def multi_message_detail(spec, seed: int) -> MultiMessageDetail:
             "per-message detail needs the 'multi-message' problem "
             f"(got {trial.problem.describe()})"
         )
-    mac = getattr(trial, "mac", None)
-    if mac is not None and mac.mode == "oracle":
+    if trial.oracle:
         from repro.mac.oracle import simulate_oracle
 
         outcome = simulate_oracle(trial, seed)

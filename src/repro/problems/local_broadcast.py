@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from repro.core.errors import SpecError
-from repro.core.trace import RoundRecord, iter_bits, popcount
+from repro.core.trace import RoundRecord, iter_bits
 from repro.graphs.dual_graph import DualGraph
 from repro.problems.base import Problem, ProblemObserver
 from repro.registry import cut_mask_for, register_problem
@@ -48,32 +48,31 @@ class LocalBroadcastObserver(ProblemObserver):
         self.n = n
         self.broadcasters = broadcasters
         self.receivers = receivers
-        self._pending_mask = 0
-        for u in receivers:
-            self._pending_mask |= 1 << u
+        self._pending = set(receivers)
         self._total = len(receivers)
         self.first_served_round: dict[int, int] = {}
 
     @property
     def solved(self) -> bool:
-        return self._pending_mask == 0
+        return not self._pending
 
     @property
     def served_count(self) -> int:
-        return self._total - popcount(self._pending_mask)
+        return self._total - len(self._pending)
 
     def on_round(self, record: RoundRecord) -> None:
-        if not self._pending_mask:
+        pending = self._pending
+        if not pending:
             return
         for delivery in record.deliveries:
             if not delivery.message.is_data():
                 continue
             if delivery.message.origin not in self.broadcasters:
                 continue
-            bit = 1 << delivery.receiver
-            if self._pending_mask & bit:
-                self._pending_mask &= ~bit
-                self.first_served_round[delivery.receiver] = record.round_index
+            receiver = delivery.receiver
+            if receiver in pending:
+                pending.remove(receiver)
+                self.first_served_round[receiver] = record.round_index
 
     def on_round_batch(self, start: int, stop: int) -> None:
         """All-silent span: no deliveries, so coverage cannot move."""
@@ -85,7 +84,7 @@ class LocalBroadcastObserver(ProblemObserver):
 
     def pending_receivers(self) -> list[int]:
         """Receivers still waiting for a ``B``-originated message."""
-        return list(iter_bits(self._pending_mask))
+        return sorted(self._pending)
 
 
 class LocalBroadcastProblem(Problem):

@@ -7,9 +7,13 @@ scenario — executors change *where* trials run, never their results.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.analysis.runner import run_broadcast_trials
+from repro.algorithms.base import AlgorithmSpec
+from repro.analysis.runner import run_broadcast_trials, run_prepared_trial
 from repro.analysis.sweep import run_sweep
 from repro.api import (
     ParallelExecutor,
@@ -18,6 +22,7 @@ from repro.api import (
     Simulation,
     sweep,
 )
+from repro.core.bankpath import bank_kernel_class
 from repro.core.errors import SpecError
 
 
@@ -43,6 +48,80 @@ class TestSerialExecutor:
 
     def test_empty_batch(self):
         assert SerialExecutor().run_trials(fixed_spec(), []) == []
+
+
+#: One spec per route of the trial path: the oracle MAC, the reference
+#: engine, a kernel-served bank, and a bank that no kernel serves.
+ROUTE_SPECS = {
+    "oracle": ScenarioSpec(
+        graph=("geographic", {"n": 24, "grey_ratio": 2.0}),
+        problem=("multi-message", {}),
+        algorithm=("gkln-multi-message", {}),
+        adversary=("none", {}),
+        mac=("oracle", {}),
+        messages={"k": 2, "sources": "spread"},
+        engine="bank",
+    ),
+    "reference": fixed_spec(16),
+    "kernel-bank": fixed_spec(16).with_param("engine", "bank"),
+    "kernel-less-bank": ScenarioSpec(
+        graph=("geographic", {"n": 24}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("geo-local", {}),
+        adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
+        engine="bank",
+    ),
+}
+
+
+def _kernel_class(trial):
+    return bank_kernel_class([trial.algorithm], [trial.network])
+
+
+class TestOneTrialPath:
+    """A trial is a bank of one seed: every executor and
+    ``run_prepared_trial`` take the same route for the same spec."""
+
+    def test_route_specs_take_their_routes(self):
+        trials = {name: spec.build(1) for name, spec in ROUTE_SPECS.items()}
+        assert [name for name, trial in trials.items() if trial.oracle] == ["oracle"]
+        assert _kernel_class(trials["kernel-bank"]) is not None
+        assert _kernel_class(trials["kernel-less-bank"]) is None
+
+    @pytest.mark.parametrize("name", sorted(ROUTE_SPECS))
+    def test_batch_equals_one_seed_trials(self, name):
+        spec = ROUTE_SPECS[name]
+        seeds = [3, 4, 5]
+        single = [run_prepared_trial(spec.build(seed), seed) for seed in seeds]
+        assert SerialExecutor().run_trials(spec.build, seeds) == single
+
+    @pytest.mark.parametrize("skip", [None, True])
+    @pytest.mark.parametrize("name", ["reference", "kernel-less-bank"])
+    def test_reference_batch_holds_one_trials_processes(self, name, skip, monkeypatch):
+        """Each reference lane's processes are built just before it runs
+        and released before the next lane's are built (also the lead's,
+        which a forced skip builds while routing)."""
+        alive = [0]
+        peak = [0]
+        original = AlgorithmSpec.build_processes
+
+        def release():
+            alive[0] -= 1
+
+        def counted(self, *args, **kwargs):
+            processes = original(self, *args, **kwargs)
+            gc.collect()  # count only trials something still refers to
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+            weakref.finalize(processes[0], release)
+            return processes
+
+        monkeypatch.setattr(AlgorithmSpec, "build_processes", counted)
+        spec = ROUTE_SPECS[name].with_param("skip", skip)
+        SerialExecutor(warn_fallback=False).run_trials(spec.build, [3, 4, 5, 6])
+        gc.collect()
+        assert peak[0] == 1
+        assert alive[0] == 0
 
 
 class TestParallelExecutor:
