@@ -173,11 +173,6 @@ class TrialStats:
         weight = position - low
         return rounds[low] * (1.0 - weight) + rounds[high] * weight
 
-    @property
-    def stdev_rounds(self) -> float:
-        rounds = self._all_rounds_censored()
-        return statistics.pstdev(rounds) if len(rounds) > 1 else 0.0
-
     def summary_row(self) -> dict:
         """Dict row for the table renderers."""
         return {

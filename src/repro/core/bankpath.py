@@ -62,10 +62,9 @@ Three layers cooperate:
    kernels, :meth:`~SingleMessageKernel.next_active_round`), emits the
    provably silent span at once and parks until the horizon, so it
    executes exactly the rounds its solo run executes. The span goes
-   through one
-   :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
-   when every observer on the lane accepts the batched quiet-span
-   hook, and degrades to per-round records otherwise.
+   to the engine's one emitter,
+   :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet`, which
+   decides for itself whether it may go out as one batch.
 
 Every adversary class is served. Adaptive adversaries see their typed
 views built from the lane's probability row and transmitter mask, both
@@ -80,7 +79,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.adversaries.base import AdversaryClass
 from repro.core.engine import ExecutionResult, RadioNetworkEngine, StopCondition
 from repro.core.messages import Message, MessageKind
 from repro.core.trace import Delivery
@@ -314,15 +312,10 @@ def run_bank_batch(
     it asks its engine's ``_skip_horizon`` for ``h`` (clamped to its
     cap), emits the provably silent rounds ``[r + 1, h)`` without
     executing them and is next due at ``h``; any other lane is due at
-    ``r + 1``. The span goes out through one
-    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` (one
-    RNG jump-ahead, one ``on_round_batch`` call per observer) when the
-    link process is oblivious and every observer on the lane accepts
-    the batch hook, and it has at least one observer: such observers
-    do not change over all-silent rounds, so a stop condition that
-    reads them cannot fire inside the span. Any other lane emits the
-    span round by round through
-    ``_emit_quiet_rounds``, with a stop check after each round.
+    ``r + 1``. The span goes to the engine's
+    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet` with the
+    lane's stop condition; when that fires inside the span, the lane
+    retires solved at the round the emitter reports.
 
     Traced, each lane accumulates its own phases and counters and emits
     its own trial record at the end, as a standalone run does.
@@ -369,18 +362,6 @@ def _run_lanes(lanes: Sequence[BankLane], max_rounds: int) -> list[ExecutionResu
             results[i] = ExecutionResult(rounds=cap, solved=False, solve_round=None)
         else:
             active.append(i)
-    # Whether a lane's silent spans may go out as one batch. A lane with
-    # no observer has no state for its stop condition to read over a
-    # span, so it keeps a stop check after every quiet round.
-    batched = [
-        lane.engine.link_process.adversary_class is AdversaryClass.OBLIVIOUS
-        and bool(lane.engine.observers)
-        and all(
-            callable(getattr(observer, "on_round_batch", None))
-            for observer in lane.engine.observers
-        )
-        for lane in lanes
-    ]
     # ``due[i]`` is the next round lane i executes.
     due = list(first)
     while active:
@@ -402,10 +383,8 @@ def _run_lanes(lanes: Sequence[BankLane], max_rounds: int) -> list[ExecutionResu
                 if traced:
                     ts = perf_counter_ns()
                 h = engine._skip_horizon(record, limits[i])
-                if h > r + 1 and batched[i]:
-                    engine._emit_quiet_span(r + 1, h)
-                elif h > r + 1:
-                    solved = engine._emit_quiet_rounds(r + 1, h, lane.stop)
+                if h > r + 1:
+                    solved = engine._emit_quiet(r + 1, h, lane.stop)
                     if solved is not None:
                         results[i] = ExecutionResult(
                             rounds=solved + 1 - first[i], solved=True, solve_round=solved

@@ -22,8 +22,9 @@ declarative)::
 The engine exposes both :meth:`RadioNetworkEngine.run` (run to a stop
 condition) and :meth:`RadioNetworkEngine.step` (single round), the
 latter because the lower-bound reduction players of Theorems 3.1/4.3
-interleave game guesses between simulated rounds. ``step`` is each
-engine's one round body, and there is one run loop:
+interleave game guesses between simulated rounds. ``step`` here is
+the one round body of both engines: the fast engine supplies only its
+own plans, reception and feedback stages. There is one run loop:
 :func:`repro.core.bankpath.run_bank_batch` steps every lane of a seed
 bank, and ``run()`` is a bank of one.
 
@@ -38,14 +39,14 @@ field on :class:`~repro.api.spec.ScenarioSpec` and the CLI's
 to this engine (:func:`resolve_engine_choice`).
 With ``skip`` on, the run loop asks one hook after every executed
 round, :meth:`~RadioNetworkEngine._skip_horizon`, which each engine
-answers its own way, and emits the provably silent span it returns
-without executing it.
+answers its own way, and hands the provably silent span it returns to
+the one emitter, :meth:`~RadioNetworkEngine._emit_quiet`, which emits
+it without executing it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import warnings
 from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
@@ -67,6 +68,7 @@ from repro.adversaries.base import (
 from repro.core import rng as rng_mod
 from repro.core.errors import EngineError, EngineFallbackWarning, PlanError
 from repro.obs.recorder import inc as _obs_inc
+from repro.obs.report import PHASES
 from repro.core.process import Process, RoundPlan
 from repro.core.trace import Delivery, Observer, RoundRecord
 
@@ -103,6 +105,13 @@ _HISTORY_WINDOW = 4096
 #: the retry gap caps that overhead at a constant factor while keeping
 #: the probe responsive once the network goes quiet.
 _SKIP_BACKOFF_MAX = 64
+
+
+def _lap(phase_ns: dict[str, int], phase: str, t0: int) -> int:
+    """Close one traced phase span that began at ``t0``; return its end."""
+    t1 = perf_counter_ns()
+    phase_ns[phase] += t1 - t0
+    return t1
 
 
 class _HistoryWindow(_SequenceABC):
@@ -241,6 +250,7 @@ class RadioNetworkEngine:
                 f"need exactly one process per node: n={network.n}, got {len(processes)}"
             )
         self.processes = list(processes)
+        self._round_plans: list[RoundPlan] = []  # stage 1's, for stage 4
         self._init_execution(
             network,
             link_process,
@@ -315,84 +325,71 @@ class RadioNetworkEngine:
     # Round execution
     # ------------------------------------------------------------------
     def step(self) -> RoundRecord:
-        """Execute exactly one round and return its record."""
+        """Execute exactly one round and return its record.
+
+        This is the one round body of both engines: the stage order,
+        the coins, the adversary's typed view, the record keeping and
+        the phase clock are written here once. An engine supplies only
+        its plans (:meth:`_plan`), its reception (:meth:`_resolve`) and
+        its feedback (:meth:`_feedback`).
+        """
         self._ensure_started()
         r = self._round
-        n = self.network.n
         # Phase spans are timed only while a recorder is active for the
         # surrounding run(); the disabled cost per phase is the pointer
         # comparison on ``ph``.
         ph = self._phase_ns if self._trace is not None else None
         if ph is not None:
-            t0 = perf_counter_ns()
+            t = perf_counter_ns()
 
         # 1. Deterministic plans.
-        plans: list[RoundPlan] = [process.plan(r) for process in self.processes]
-        probabilities = [plan.probability for plan in plans]
-        # fsum is exactly rounded and therefore order-independent, so
-        # the fast engine — which discovers the same probability
-        # multiset in a different order — records bit-identical values.
-        expected = math.fsum(probabilities)
+        probs, expected, certain = self._plan(r)
         if ph is not None:
-            t1 = perf_counter_ns()
-            ph["plan"] += t1 - t0
-            t0 = t1
+            t = _lap(ph, "plan", t)
 
-        # 2. Vectorized Bernoulli coins (shared with the fast path).
-        _, transmitter_mask = rng_mod.transmission_coins(
-            self._coin_rng, np.asarray(probabilities, dtype=np.float64)
+        # 2. Vectorized Bernoulli coins: one helper, one stream.
+        transmit, transmitter_mask = rng_mod.transmission_coins(
+            self._coin_rng, probs, certain
         )
         if ph is not None:
-            t1 = perf_counter_ns()
-            ph["coins"] += t1 - t0
-            t0 = t1
+            t = _lap(ph, "coins", t)
 
-        # 3. Adversary fixes the round topology through its typed view.
-        view = self._build_view(r, probabilities, transmitter_mask)
-        topology = self.link_process.choose_topology(view)
+        # 3. The adversary fixes the round topology through the view its
+        # class is entitled to.
+        link_process = self.link_process
+        klass = link_process.adversary_class
+        if klass is AdversaryClass.OBLIVIOUS:
+            view = ObliviousView(round_index=r)
+        elif klass is AdversaryClass.ONLINE_ADAPTIVE:
+            view = OnlineAdaptiveView(
+                round_index=r,
+                transmit_probabilities=tuple(probs.tolist()),
+                history=self._history_snapshot(),
+            )
+        else:
+            view = OfflineAdaptiveView(
+                round_index=r,
+                transmit_probabilities=tuple(probs.tolist()),
+                history=self._history_snapshot(),
+                transmitter_mask=transmitter_mask,
+            )
+        topology = link_process.choose_topology(view)
         if self.validate_topologies:
             topology.validate(self.network)
         if ph is not None:
-            t1 = perf_counter_ns()
-            ph["adversary"] += t1 - t0
-            t0 = t1
+            t = _lap(ph, "adversary", t)
 
         # 4. Radio reception: exactly-one-transmitting-neighbor rule.
-        deliveries = self._resolve_receptions(plans, transmitter_mask, topology)
+        deliveries = self._resolve(transmit, transmitter_mask, topology)
         if ph is not None:
-            t1 = perf_counter_ns()
-            ph["reception"] += t1 - t0
-            t0 = t1
+            t = _lap(ph, "reception", t)
 
-        # 5. Feedback to processes.
-        received_by: dict[int, Delivery] = {d.receiver: d for d in deliveries}
-        for u, process in enumerate(self.processes):
-            sent = bool((transmitter_mask >> u) & 1)
-            delivery = received_by.get(u)
-            process.on_feedback(r, sent, delivery.message if delivery else None)
+        # 5. Feedback to the protocol.
+        self._feedback(r, transmitter_mask, deliveries)
         if ph is not None:
-            t1 = perf_counter_ns()
-            ph["feedback"] += t1 - t0
-            t0 = t1
+            t = _lap(ph, "feedback", t)
 
         # 6. Record keeping.
-        return self._close_round(
-            r, transmitter_mask, deliveries, expected, t0 if ph is not None else 0
-        )
-
-    def _close_round(
-        self,
-        r: int,
-        transmitter_mask: int,
-        deliveries: Sequence[Delivery],
-        expected: float,
-        t0: int,
-    ) -> RoundRecord:
-        """Stage 6 of both engines' ``step``: record, history, observers.
-
-        ``t0`` is the traced phase clock at the end of stage 5 (ignored
-        when tracing is off).
-        """
         record = RoundRecord(
             round_index=r,
             transmitter_mask=transmitter_mask,
@@ -403,50 +400,37 @@ class RadioNetworkEngine:
         for observer in self.observers:
             observer.on_round(record)
         self._round += 1
-        if self._trace is not None:
-            self._phase_ns["observers"] += perf_counter_ns() - t0
+        if ph is not None:
+            _lap(ph, "observers", t)
             counts = self._trace_counts
             counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
         return record
 
-    def _history_snapshot(self) -> _HistoryWindow:
-        """The retained history as an O(1) frozen-length window."""
-        start = self._history_trimmed[0]
-        return _HistoryWindow(
-            self._history, self._history_trimmed, start, start + len(self._history)
-        )
+    def _plan(self, r: int) -> tuple[np.ndarray, float, bool]:
+        """Stage 1: ``(probability row, exact expected sum, certain)``.
 
-    def _build_view(
-        self, r: int, probabilities: Sequence[float], transmitter_mask: int
-    ) -> ObliviousView:
-        klass = self.link_process.adversary_class
-        if klass is AdversaryClass.OBLIVIOUS:
-            return ObliviousView(round_index=r)
-        if klass is AdversaryClass.ONLINE_ADAPTIVE:
-            return OnlineAdaptiveView(
-                round_index=r,
-                transmit_probabilities=tuple(probabilities),
-                history=self._history_snapshot(),
-            )
-        return OfflineAdaptiveView(
-            round_index=r,
-            transmit_probabilities=tuple(probabilities),
-            history=self._history_snapshot(),
-            transmitter_mask=transmitter_mask,
-        )
+        Every process plans; the plans stay at hand for stage 4's
+        messages. ``fsum`` is exactly rounded and therefore
+        order-independent, so the fast engine — which discovers the
+        same probability multiset in a different order — records
+        bit-identical values. The row is never ``certain``: this engine
+        always draws its coins, so the equivalence matrix compares the
+        fast engine's advance against real draws.
+        """
+        plans = self._round_plans = [process.plan(r) for process in self.processes]
+        probabilities = [plan.probability for plan in plans]
+        return np.asarray(probabilities, dtype=np.float64), math.fsum(probabilities), False
 
-    def _resolve_receptions(
-        self,
-        plans: Sequence[RoundPlan],
-        transmitter_mask: int,
-        topology: RoundTopology,
+    def _resolve(
+        self, transmit: np.ndarray, transmitter_mask: int, topology: RoundTopology
     ) -> list[Delivery]:
+        """Stage 4: the straight-line scan over every listener."""
         deliveries: list[Delivery] = []
         if not transmitter_mask:
             return deliveries
+        plans = self._round_plans
         masks = topology.masks
-        listener_mask = ((1 << self.network.n) - 1) & ~transmitter_mask
-        mask = listener_mask
+        mask = ((1 << self.network.n) - 1) & ~transmitter_mask
         while mask:
             low = mask & -mask
             u = low.bit_length() - 1
@@ -461,6 +445,21 @@ class RadioNetworkEngine:
                     raise PlanError(f"transmitter {sender} has no message")
                 deliveries.append(Delivery(u, sender, message))
         return deliveries
+
+    def _feedback(
+        self, r: int, transmitter_mask: int, deliveries: Sequence[Delivery]
+    ) -> None:
+        """Stage 5: every process hears its round, every round."""
+        received_by = {d.receiver: d.message for d in deliveries}
+        for u, process in enumerate(self.processes):
+            process.on_feedback(r, bool((transmitter_mask >> u) & 1), received_by.get(u))
+
+    def _history_snapshot(self) -> _HistoryWindow:
+        """The retained history as an O(1) frozen-length window."""
+        start = self._history_trimmed[0]
+        return _HistoryWindow(
+            self._history, self._history_trimmed, start, start + len(self._history)
+        )
 
     def _append_history(self, record: RoundRecord) -> None:
         # Only adaptive views read the history: an oblivious link
@@ -510,15 +509,7 @@ class RadioNetworkEngine:
     def _trace_begin(self, rec) -> None:
         """Arm per-phase timing for one :meth:`run`."""
         self._trace = rec
-        self._phase_ns = {
-            "plan": 0,
-            "coins": 0,
-            "adversary": 0,
-            "reception": 0,
-            "feedback": 0,
-            "observers": 0,
-            "skip": 0,
-        }
+        self._phase_ns = dict.fromkeys(PHASES, 0)
         self._trace_counts = {}
 
     def _trace_end(self, rec, result: ExecutionResult) -> None:
@@ -552,81 +543,67 @@ class RadioNetworkEngine:
     # ------------------------------------------------------------------
     # Round skipping
     # ------------------------------------------------------------------
-    def _emit_quiet_round(self, i: int) -> RoundRecord:
-        """Materialize one skipped all-silent round.
-
-        Exactly what a full execution of the round would have produced:
-        the coin stream advances by the ``n`` uniforms the Bernoulli
-        stage would have drawn (one :meth:`advance` per round on this
-        per-round path, so a mid-span stop leaves the stream at
-        precisely the position a non-skipping run would), and the
-        record/history/observer plumbing runs unchanged. The batched
-        alternative is :meth:`_emit_quiet_span`.
-        """
-        self._coin_rng.bit_generator.advance(self.network.n)
-        record = RoundRecord(
-            round_index=i,
-            transmitter_mask=0,
-            deliveries=(),
-            expected_transmitters=0.0,
-        )
-        self._append_history(record)
-        for observer in self.observers:
-            observer.on_round(record)
-        self._round += 1
-        if self._trace is not None:
-            counts = self._trace_counts
-            counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + 1
-        return record
-
-    def _emit_quiet_rounds(
-        self, start: int, stop_round: int, stop: Optional[StopCondition]
+    def _emit_quiet(
+        self, start: int, stop: int, until: Optional[StopCondition]
     ) -> Optional[int]:
-        """Emit skipped rounds ``start .. stop_round-1`` one by one.
+        """Emit the provably silent rounds ``start .. stop-1`` unexecuted.
 
-        Each round goes through :meth:`_emit_quiet_round` and gets its
-        own stop check, so a stop that fires mid-span ends the run on
-        exactly the round a non-skipping run would. Returns the round
-        after which ``stop`` fired, or ``None`` if the span completed.
+        Exactly what executing them would have produced: the coin
+        stream advances by the ``n`` uniforms per round the Bernoulli
+        stage would have drawn, and observers see every round. Returns
+        the round after which ``until`` fired, or ``None`` when the span
+        completed.
+
+        With an oblivious link process and at least one observer, all
+        of which accept ``on_round_batch`` (see
+        :class:`~repro.core.trace.Observer`), the span goes out as one
+        batch: one PCG64 jump-ahead (O(log span), same final stream
+        position) and one ``on_round_batch(start, stop)`` per observer.
+        Such observers do not change over all-silent rounds, so an
+        ``until`` that reads them cannot fire inside the span and is
+        not asked; no history is kept, since only adaptive views read
+        it. Otherwise each round is materialized as an all-silent
+        record — one advance, history, ``on_round`` — with an ``until``
+        check after it, so a stop inside the span ends the run on
+        exactly the round a non-skipping run would, with the stream at
+        exactly its position.
         """
-        if self._trace is not None and stop_round > start:
-            counts = self._trace_counts
-            counts["skip.spans"] = counts.get("skip.spans", 0) + 1
-            self._trace.observe("skip.span_rounds", stop_round - start)
-        for i in range(start, stop_round):
-            self._emit_quiet_round(i)
-            if stop is not None and stop():
-                return i
-        return None
-
-    def _emit_quiet_span(self, start: int, stop: int) -> None:
-        """Emit all-silent rounds ``start .. stop-1`` as one batch.
-
-        Observable-equivalent to :meth:`_emit_quiet_rounds` over the
-        same span: the coin stream advances by exactly ``n · span``
-        uniforms (one :meth:`advance` call — the PCG64 jump-ahead is
-        O(log span), and the final stream position is identical),
-        observers get one ``on_round_batch(start, stop)`` instead of
-        ``span`` materialized records, and the round/stat counters land
-        on the same values. Callers must ensure every attached observer
-        implements the batch hook (see
-        :class:`~repro.core.trace.Observer`) and that no mid-span stop
-        check is needed — batch-capable observers are span-invariant
-        over all-silent rounds, so a stop condition that is false at
-        ``start`` stays false through ``stop``. History entries are
-        *not* appended: retained history feeds adaptive adversary
-        views, so callers keep lanes with an adaptive link process on
-        the per-round path.
-        """
-        self._coin_rng.bit_generator.advance(self.network.n * (stop - start))
-        for observer in self.observers:
-            observer.on_round_batch(start, stop)
-        self._round = stop
-        if self._trace is not None:
-            counts = self._trace_counts
-            counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + (stop - start)
+        counts = self._trace_counts if self._trace is not None else None
+        if counts is not None:
             counts["skip.spans"] = counts.get("skip.spans", 0) + 1
             self._trace.observe("skip.span_rounds", stop - start)
+        observers = self.observers
+        advance = self._coin_rng.bit_generator.advance
+        n = self.network.n
+        if (
+            observers
+            and self.link_process.adversary_class is AdversaryClass.OBLIVIOUS
+            and all(callable(getattr(o, "on_round_batch", None)) for o in observers)
+        ):
+            advance(n * (stop - start))
+            for observer in observers:
+                observer.on_round_batch(start, stop)
+            self._round = stop
+            if counts is not None:
+                counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + (stop - start)
+            return None
+        for i in range(start, stop):
+            advance(n)
+            record = RoundRecord(
+                round_index=i,
+                transmitter_mask=0,
+                deliveries=(),
+                expected_transmitters=0.0,
+            )
+            self._append_history(record)
+            for observer in observers:
+                observer.on_round(record)
+            self._round += 1
+            if counts is not None:
+                counts["rounds.skipped"] = counts.get("rounds.skipped", 0) + 1
+            if until is not None and until():
+                return i
+        return None
 
     def _skip_horizon(self, record: RoundRecord, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.

@@ -11,27 +11,31 @@ holds no per-node processes;
 :func:`~repro.core.engine.resolve_engine_choice` routes a trial whose
 spec no kernel serves to the reference engine instead.
 
-One round is one :meth:`~BitsetRadioNetworkEngine.step`, the engine's
-only round body; a standalone run and every bank lane go through it.
+One round is one :meth:`~repro.core.engine.RadioNetworkEngine.step`,
+the only round body of both engines; a standalone run and every bank
+lane go through it. This engine supplies three of its stages:
 
-1. **Plans** come from the kernel's per-round probability batch, which
-   the lanes of a bank share, each engine reading its own lane's row.
-2. **Coins** come from :func:`repro.core.rng.transmission_coins` — the
-   same helper, against the same ``("engine", "coins")`` child stream,
-   that the reference engine consumes, so coin alignment is shared by
-   construction rather than re-proved. When the kernel says in O(1)
-   that the lane's row is ``certain`` (all 0s and 1s: a slot round, an
-   announcement, a silent lane), the coins are already fixed, so the
-   helper advances the stream by the ``n`` uniforms instead of drawing
-   them; the reference engine always draws, so the equivalence matrix
-   compares the advance against real draws.
-3. **Reception** is the paper's own rule, ``popcount(transmitters &
-   mask[u]) == 1`` for a listener ``u``, in one of two forms: up to
-   ``_WORD_RULE_MAX_N`` nodes over the topology's uint64 word rows for
-   every listener at once (the word rule), and past that as a bigint
-   scan restricted to the union of the transmitters' neighborhoods.
-4. **Feedback** goes to the kernel, and only for rounds that delivered
-   something: kernel protocols change state on receptions alone.
+1. **Plans** (:meth:`~BitsetRadioNetworkEngine._plan`) come from the
+   kernel's per-round probability batch, which the lanes of a bank
+   share, each engine reading its own lane's row. When the kernel says
+   in O(1) that the row is ``certain`` (all 0s and 1s: a slot round,
+   an announcement, a silent lane), the coins are already fixed, so
+   the shared :func:`repro.core.rng.transmission_coins` advances the
+   stream by the ``n`` uniforms instead of drawing them; the reference
+   engine always draws, so the equivalence matrix compares the advance
+   against real draws.
+2. **Reception** (:meth:`~BitsetRadioNetworkEngine._resolve`) is the
+   paper's own rule, ``popcount(transmitters & mask[u]) == 1`` for a
+   listener ``u``, in one of two forms: up to ``_WORD_RULE_MAX_N``
+   nodes over the topology's uint64 word rows for every listener at
+   once (the word rule), and past that as a bigint scan restricted to
+   the union of the transmitters' neighborhoods.
+3. **Feedback** (:meth:`~BitsetRadioNetworkEngine._feedback`) goes to
+   the kernel, and only for rounds that delivered something: kernel
+   protocols change state on receptions alone.
+
+The coins, the adversary's typed view and the record keeping are the
+round body's own, the same for both engines.
 
 **Round skipping**: the one run loop,
 :func:`repro.core.bankpath.run_bank_batch` (``run()`` is a bank of
@@ -40,27 +44,19 @@ after every executed round, so a standalone run skips exactly what its
 bank lane skips. A skip-capable kernel answers it from
 ``next_active_round``.
 
-Every adversary class is served. Adaptive views carry only the
-per-node probability vector, the public history window and (offline)
-the realized transmitter mask — the vector and the mask are what
-stages 1–2 already produced, so stage 3 hands them over as the
-reference engine's typed views. Equivalence across the full registered
-component matrix is enforced by ``tests/test_engine_equivalence.py``.
+Every adversary class is served: the round body builds the adaptive
+views from this engine's probability row and transmitter mask.
+Equivalence across the full registered component matrix is enforced by
+``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
 from typing import Sequence
 
 import numpy as np
 
-from repro.adversaries.base import (
-    AdversaryClass,
-    LinkProcess,
-    ObliviousView,
-)
-from repro.core import rng as rng_mod
+from repro.adversaries.base import LinkProcess
 from repro.core.engine import RadioNetworkEngine
 from repro.core.messages import Message
 from repro.core.trace import Delivery, RoundRecord
@@ -84,7 +80,7 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
     :func:`~repro.core.bankpath.build_bank_kernel` built for the trial
     alone (a bank of one, ``lane=0``), or for a whole seed bank whose
     lanes share it. The kernel supplies plans, messages and feedback;
-    every other stage is the reference pipeline, batched.
+    every other stage is the reference engine's round body.
     """
 
     engine_name = "bank"
@@ -107,90 +103,34 @@ class BitsetRadioNetworkEngine(RadioNetworkEngine):
             self.skip = False
 
     # ------------------------------------------------------------------
-    # Round execution (same pipeline as the reference engine, batched)
+    # Round stages (the round body is the reference engine's ``step``)
     # ------------------------------------------------------------------
-    # ``step`` is the one round body: a standalone run and every lane
-    # of a bank (:func:`repro.core.bankpath.run_bank_batch`) execute a
-    # round through it. Lanes of one bank step one after another; they
-    # share the kernel's per-round probability batch and feed back into
-    # their own lane's state only.
-    def step(self) -> RoundRecord:
-        """Execute exactly one round and return its record."""
-        self._ensure_started()
-        r = self._round
-        ph = self._phase_ns if self._trace is not None else None
-        if ph is not None:
-            t0 = perf_counter_ns()
+    # Lanes of one bank step one after another; they share the kernel's
+    # per-round probability batch and feed back into their own lane's
+    # state only.
+    def _plan(self, r: int) -> tuple[np.ndarray, float, bool]:
+        """Stage 1: this lane's row of the kernel's probability batch.
 
-        # 1. Plans, as this lane's row of the kernel's probability
-        # batch, and their exact sum (bit-identical to the reference
-        # engine's fsum, so the skip hook's ``expected == 0.0`` test
-        # stays exact).
+        Its exact sum is bit-identical to the reference engine's fsum,
+        so the skip hook's ``expected == 0.0`` test stays exact. A row
+        the kernel knows in O(1) to be all 0s and 1s is ``certain``:
+        the coin stage then only advances the stream.
+        """
         kernel = self._kernel
-        probs = kernel.probabilities(r)[self._lane]
-        expected = kernel.expected_exact(self._lane, r)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["plan"] += t1 - t0
-            t0 = t1
+        lane = self._lane
+        probs = kernel.probabilities(r)[lane]
+        return probs, kernel.expected_exact(lane, r), kernel.certain(lane)
 
-        # 2. Vectorized Bernoulli coins — the shared coin stream. A row
-        # of 0s and 1s fixes the coins: the stream only advances.
-        transmit, transmitter_mask = rng_mod.transmission_coins(
-            self._coin_rng, probs, kernel.certain(self._lane)
-        )
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["coins"] += t1 - t0
-            t0 = t1
-
-        # 3. The adversary fixes the round topology.
-        topology = self._choose_topology(r, probs, transmitter_mask)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["adversary"] += t1 - t0
-            t0 = t1
-
-        # 4. Reception: the word rule, or the bigint scan past its cap.
-        deliveries = self._resolve(transmit, transmitter_mask, topology)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["reception"] += t1 - t0
-            t0 = t1
-
-        # 5. Feedback: kernel protocols change state on receptions only.
+    def _feedback(
+        self, r: int, transmitter_mask: int, deliveries: Sequence[Delivery]
+    ) -> None:
+        """Stage 5: kernel protocols change state on receptions only."""
         if deliveries:
-            kernel.apply_feedback(self._lane, r, deliveries)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["feedback"] += t1 - t0
-            t0 = t1
-
-        # 6. Record keeping — identical to the reference engine.
-        return self._close_round(
-            r, transmitter_mask, deliveries, expected, t0 if ph is not None else 0
-        )
+            self._kernel.apply_feedback(self._lane, r, deliveries)
 
     def _message_for(self, u: int) -> Message:
         """The message transmitter ``u`` put on the air this round."""
         return self._kernel.message_for(self._lane, u)
-
-    def _choose_topology(self, r: int, probs: np.ndarray, transmitter_mask: int):
-        """Stage 3: the adversary picks the topology through its typed view.
-
-        Oblivious adversaries see the clock only; adaptive ones get the
-        reference engine's view built from this round's ``probs`` row
-        and ``transmitter_mask``.
-        """
-        link_process = self.link_process
-        if link_process.adversary_class is AdversaryClass.OBLIVIOUS:
-            view = ObliviousView(round_index=r)
-        else:
-            view = self._build_view(r, probs.tolist(), transmitter_mask)
-        topology = link_process.choose_topology(view)
-        if self.validate_topologies:
-            topology.validate(self.network)
-        return topology
 
     def _resolve(
         self, transmit: np.ndarray, transmitter_mask: int, topology

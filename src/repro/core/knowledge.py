@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.core.trace import popcount
-
 __all__ = ["KnowledgeVector"]
 
 
@@ -78,9 +76,6 @@ class KnowledgeVector:
     def complete(self) -> bool:
         """Does every node hold every message?"""
         return self._complete_count == self.n
-
-    def known_count(self, node: int) -> int:
-        return popcount(self.masks[node])
 
     def known_indices(self, node: int) -> Iterator[int]:
         """Message indices held by ``node``, ascending."""

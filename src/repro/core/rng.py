@@ -31,7 +31,6 @@ __all__ = [
     "derive_seed",
     "seed_deriver",
     "spawn_rng",
-    "spawn_lazy_rng",
     "spawn_numpy_rng",
     "numpy_continuation",
     "fresh_seed_sequence",
@@ -132,11 +131,6 @@ class LazyRng:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "seeded" if self._rng is not None else "unseeded"
         return f"LazyRng({self._labels!r}, {state})"
-
-
-def spawn_lazy_rng(master_seed: int, *labels: object) -> LazyRng:
-    """Like :func:`spawn_rng` but seeds on first draw (see :class:`LazyRng`)."""
-    return LazyRng(master_seed, labels)
 
 
 def spawn_numpy_rng(master_seed: int, *labels: object) -> np.random.Generator:

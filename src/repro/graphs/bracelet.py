@@ -56,10 +56,6 @@ class BraceletNetwork:
     def n(self) -> int:
         return self.graph.n
 
-    @property
-    def num_bands_per_side(self) -> int:
-        return self.band_length
-
     def head_a(self, i: int) -> int:
         """Node id of head ``a_{i+1}`` (0-indexed band ``i``)."""
         self._check_band(i)

@@ -117,9 +117,6 @@ class RegionDecomposition:
     def num_regions(self) -> int:
         return len(self.regions)
 
-    def region_size(self, i: int) -> int:
-        return len(self.regions[i])
-
     def max_region_size(self) -> int:
         return max(len(r) for r in self.regions)
 

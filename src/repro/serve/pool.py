@@ -203,15 +203,6 @@ class WorkerPool:
             self._dispatch_locked()
         return task_id
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live workers (test hook for kill experiments)."""
-        with self._lock:
-            return [
-                w.process.pid
-                for w in self._workers.values()
-                if w.process.pid is not None
-            ]
-
     def busy_pids(self) -> list[int]:
         """PIDs of workers with a dispatched task (kill these mid-job)."""
         with self._lock:

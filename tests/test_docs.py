@@ -8,6 +8,7 @@ guarantees the checker is too generic to know about.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -109,3 +110,26 @@ def test_readme_engine_names_match_registry():
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for name in ENGINE_NAMES:
         assert f"`{name}`" in readme, f"engine {name!r} undocumented in README"
+
+
+def test_trace_checker_accounts_for_every_round(tmp_path):
+    """A trial whose executed and skipped rounds do not add up to its
+    ``rounds`` is flagged; absent counters read as 0."""
+    spec = importlib.util.spec_from_file_location(
+        "check_trace_schema", REPO_ROOT / "tools" / "check_trace_schema.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    trial = {"kind": "trial", "engine": "bank", "seed": 1, "n": 8, "solved": True, "phases": {}}
+    cases = [
+        ({"rounds.executed": 3, "rounds.skipped": 4}, 7, True),
+        ({"rounds.executed": 7}, 7, True),
+        ({}, 0, True),
+        ({"rounds.executed": 3, "rounds.skipped": 4}, 8, False),
+        ({"rounds.skipped": 2}, 3, False),
+    ]
+    for counters, rounds, clean in cases:
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({**trial, "rounds": rounds, "counters": counters}) + "\n")
+        problems = module.check_trace(path)
+        assert (not problems) is clean, (counters, rounds, problems)

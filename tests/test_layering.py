@@ -103,3 +103,15 @@ def test_checker_flags_runtime_imports(source):
 )
 def test_checker_allows_type_checking_imports(source):
     assert _protocol_imports(source) == []
+
+
+def test_bank_scheduler_imports_no_adversary():
+    """The scheduler steps, asks the horizon and hands the span to the
+    engine; which adversary class a lane faces is the engine's concern."""
+    path = CORE / "bankpath.py"
+    hits = [
+        (line, name)
+        for line, name in _runtime_imports(path.read_text(encoding="utf-8"))
+        if name == "repro.adversaries" or name.startswith("repro.adversaries.")
+    ]
+    assert hits == [], f"bankpath.py imports the adversaries at run time: {hits}"

@@ -331,19 +331,18 @@ class TestMacHistograms:
 def test_disable_cycle_leaves_no_timer_armed(monkeypatch):
     """E1b/tiny/bank: an enable/disable cycle leaves nothing armed.
 
-    Every phase span in the round loops is a ``perf_counter_ns`` call
-    behind the recorder check, so counting the calls made through the
-    engine modules pins the disabled path deterministically: none
-    before the cycle, some while tracing, none again after
-    ``disable()``.
+    Every phase span in the round body and the run loop is a
+    ``perf_counter_ns`` call behind the recorder check, so counting the
+    calls made through those two modules pins the disabled path
+    deterministically: none before the cycle, some while tracing, none
+    again after ``disable()``.
     """
     import repro.core.bankpath as bankpath
     import repro.core.engine as engine_module
-    import repro.core.fastpath as fastpath
     from repro.experiments import ALL_EXPERIMENTS
 
     calls = [0]
-    for module in (engine_module, fastpath, bankpath):
+    for module in (engine_module, bankpath):
 
         def counting(original=module.perf_counter_ns):
             calls[0] += 1

@@ -224,20 +224,20 @@ def _run_probed(spec: ScenarioSpec, seed: int, engine: str, skip: bool, max_roun
         observers=[observer, collector],
         skip=skip,
     )
-    emitted = 0
-    original_emit = eng._emit_quiet_round
+    executed = 0
+    original_step = eng.step
 
-    def counting_emit(i):
-        nonlocal emitted
-        emitted += 1
-        return original_emit(i)
+    def counting_step():
+        nonlocal executed
+        executed += 1
+        return original_step()
 
-    eng._emit_quiet_round = counting_emit
+    eng.step = counting_step
     result = eng.run(max_rounds=max_rounds, stop=lambda: observer.solved)
     trace_bytes = repr((result, collector.records)).encode()
     rng_state = eng._coin_rng.bit_generator.state
     next_draws = eng._coin_rng.random(8).tolist()
-    return trace_bytes, rng_state, next_draws, len(collector.records) - emitted
+    return trace_bytes, rng_state, next_draws, executed
 
 
 def _corpus_id(row) -> str:
@@ -363,8 +363,8 @@ class TestStandaloneRunsEmitSpans:
 class _SpanCollector:
     """Retains every round, batched quiet spans included.
 
-    It accepts the batched span hook, so a bank lane carrying it takes
-    the ``_emit_quiet_span`` path; each span is materialized as the
+    It accepts the batched span hook, so a bank lane carrying it emits
+    each silent span as one batch; each span is materialized as the
     all-silent records a per-round emission would have produced, so the
     lane still yields a full trace to compare.
     """
@@ -404,9 +404,8 @@ class TestBankLanesRunOnTheirOwnClock:
     stream match that run's.
 
     Lane 0 carries a per-round observer (a :class:`TraceCollector`), so
-    it emits its spans round by round through ``_emit_quiet_rounds``;
-    its stop condition also fires inside a silent span. The other lanes
-    take the batched ``_emit_quiet_span`` path.
+    it emits its spans round by round; its stop condition also fires
+    inside a silent span. The other lanes emit each span as one batch.
     """
 
     SEEDS = (41, 42, 43, 44)

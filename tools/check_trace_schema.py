@@ -9,7 +9,9 @@ documented in ``src/repro/obs/report.py``:
 * ``trial`` records carry ``engine`` (a registered engine name),
   integer ``seed``/``n``/``rounds``, boolean ``solved``, ``phases``
   (known phase name → positive integer nanoseconds), and ``counters``
-  (name → number);
+  (name → number), and account for every round: executed plus skipped
+  rounds (``rounds.executed`` + ``rounds.skipped``, an absent counter
+  reading 0) equal ``rounds``;
 * ``shard`` records carry ``shard_id``, non-negative ``seconds``, and
   the same ``phases``/``counters`` shapes.
 
@@ -72,6 +74,23 @@ def _check_counters(record: dict, where: str) -> list[str]:
     ]
 
 
+def _check_round_accounting(record: dict, where: str) -> list[str]:
+    """Every round of a trial is either executed or skipped."""
+    counters = record.get("counters")
+    if not isinstance(counters, dict):
+        return []  # reported by _check_counters
+    executed = counters.get("rounds.executed", 0)
+    skipped = counters.get("rounds.skipped", 0)
+    if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in (executed, skipped)):
+        return []  # reported by _check_counters
+    if executed + skipped != record.get("rounds"):
+        return [
+            f"{where}: rounds.executed ({executed}) + rounds.skipped "
+            f"({skipped}) != rounds ({record.get('rounds')!r})"
+        ]
+    return []
+
+
 def _implementations() -> set[str]:
     """The engine names trial records report (one per engine class)."""
     from repro.core.engine import RadioNetworkEngine
@@ -111,6 +130,7 @@ def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
                 problems.append(f"{where}: 'solved' must be a bool")
             problems.extend(_check_phases(record, where, PHASES))
             problems.extend(_check_counters(record, where))
+            problems.extend(_check_round_accounting(record, where))
         elif kind == "shard":
             shards_seen += 1
             if not isinstance(record.get("shard_id"), str):
